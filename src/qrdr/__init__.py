@@ -10,8 +10,8 @@ baseline), :mod:`qrdr.cli` (experiment runner).
 
 from .engine import (QrdrHamiltonian, QrdrOutcome, RegisterLayout,
                      build_hamiltonian, disentangle, encode_dataset_state,
-                     evolve_blockwise, evolve_full, fidelity_error,
-                     postselect_probe, run_qrdr)
+                     evolve_blockwise, evolve_full, postselect_probe,
+                     run_qrdr)
 from .pca import PcaModel, covariance, fit_pca, project, target_state
 from .resonance import SweepResult, alpha_lower_bound, sweep_c
 
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "QrdrHamiltonian", "QrdrOutcome", "RegisterLayout", "build_hamiltonian",
     "disentangle", "encode_dataset_state", "evolve_blockwise", "evolve_full",
-    "fidelity_error", "postselect_probe", "run_qrdr",
+    "postselect_probe", "run_qrdr",
     "PcaModel", "covariance", "fit_pca", "project", "target_state",
     "SweepResult", "alpha_lower_bound", "sweep_c",
     "__version__",

@@ -20,9 +20,8 @@ import argparse
 import json
 import os
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,21 +55,10 @@ class ReportRecord:
     config: dict
     metrics: dict
     artifacts: dict = field(default_factory=dict)
-    timestamp: str = ""
-
-    def to_json_obj(self) -> dict:
-        # the timestamp is deliberately excluded: reports must be
-        # byte-identical across reruns of the same config and seed
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "metrics": self.metrics,
-            "artifacts": self.artifacts,
-        }
 
 
 def emit_report(record: ReportRecord, path) -> None:
-    text = json.dumps(record.to_json_obj(), sort_keys=True, indent=2)
+    text = json.dumps(asdict(record), sort_keys=True, indent=2)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text + "\n")
 
@@ -254,14 +242,22 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 # experiment runners
 
 
+def _load_sonar(path) -> dataset_mod.LabeledDataset:
+    # a malformed or non-finite dataset is an input error (exit 1)
+    try:
+        return dataset_mod.load_sonar(path)
+    except ValueError as exc:
+        raise ConfigError(f"dataset: {exc}") from None
+
+
 def _run_reduce(cfg: ExperimentConfig) -> ReportRecord:
-    ds = dataset_mod.load_sonar(cfg["dataset"])
+    ds = _load_sonar(cfg["dataset"])
     out = run_qrdr(ds.features, cfg["r"], cfg["c"], path=cfg["path"])
     return ReportRecord("reduce", _config_echo(cfg), out.to_metrics())
 
 
 def _run_sweep(cfg: ExperimentConfig) -> ReportRecord:
-    ds = dataset_mod.load_sonar(cfg["dataset"])
+    ds = _load_sonar(cfg["dataset"])
     result = resonance.sweep_c(ds.features, cfg["r"], cfg["c_grid"],
                                path=cfg["path"])
     csv_path = cfg.out_dir / f"sweep_c_r{cfg['r']}.csv"
@@ -271,7 +267,7 @@ def _run_sweep(cfg: ExperimentConfig) -> ReportRecord:
 
 
 def _run_qsvm(cfg: ExperimentConfig) -> ReportRecord:
-    ds = dataset_mod.load_sonar(cfg["dataset"])
+    ds = _load_sonar(cfg["dataset"])
     metrics = {}
     gammas = tuple(cfg["gammas"])
     if cfg["arm"] in ("raw", "both"):
@@ -427,10 +423,9 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig) -> ReportRecord:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     record = _RUNNERS[cfg.command](cfg)
-    record.timestamp = time.strftime("%Y-%m-%dT%H:%M:%S")
     report_path = cfg.out_dir / f"report_{cfg.command.replace('-', '_')}.json"
     emit_report(record, report_path)
-    print(f"[{record.timestamp}] wrote {report_path}", file=sys.stderr)
+    print(f"wrote {report_path}", file=sys.stderr)
     return record
 
 

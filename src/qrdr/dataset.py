@@ -38,8 +38,10 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
 class LabeledDataset:
     """Feature matrix with +/-1 labels.
 
-    ``features`` has one sample per row.  ``meta`` carries free-form
-    provenance (source file, generator parameters, ...).
+    ``features`` has one sample per row and only finite entries: the first
+    NaN or infinity is rejected, named by its 1-based row and column.
+    ``meta`` carries free-form provenance (source file, generator
+    parameters, ...).
     """
 
     features: np.ndarray
@@ -51,6 +53,11 @@ class LabeledDataset:
         self.labels = np.asarray(self.labels, dtype=int)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array (samples x features)")
+        bad = np.argwhere(~np.isfinite(self.features))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"row {i + 1}, column {j + 1}: non-finite "
+                             f"feature {self.features[i, j]}")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must align with feature rows")
         bad = set(np.unique(self.labels)) - {-1, 1}

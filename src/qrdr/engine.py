@@ -18,8 +18,11 @@ principal subspace with error epsilon = O(c^2 / delta_min^2).
 Two evolution paths are provided.  ``evolve_full`` exponentiates the dense
 2^(1+r+n) Hamiltonian.  ``evolve_blockwise`` exploits that sectors with a
 fixed data-register eigenvector |v_k> are invariant, reducing the problem
-to 2^n independent blocks of dimension 2^(r+1); both paths agree to
-rounding error and the blockwise one is what makes realistic instances
+to 2^n independent blocks of dimension 2^(r+1) that differ only by lam_k
+on the probe-|1> diagonal.  The blocks are built as one stacked array and
+diagonalised in one stacked eigensolve (:meth:`QrdrHamiltonian.sector_eig`);
+a reduction stacks only the sectors its data populates.  Both paths agree
+to rounding error, and the blockwise one is what makes realistic instances
 cheap.
 """
 
@@ -32,7 +35,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, hermitian_eig, kron_all
+from .linalg import (SpectralDecomposition, evolve_spectral, hermitian_eig,
+                     kron_all)
 from .pca import PcaModel, fit_pca, target_state
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -136,19 +140,24 @@ class QrdrHamiltonian:
     def delta_min(self) -> float:
         return self.model.delta_min
 
-    def sector_block(self, lam: float) -> np.ndarray:
-        """Restricted Hamiltonian on the invariant sector of one data
-        eigenvector, ordered (p=0 block, p=1 block), dimension 2^(r+1)."""
+    def sector_eig(self, count: int | None = None) -> SpectralDecomposition:
+        """Eigensystems of the first ``count`` sector blocks (all 2^n by
+        default), from one stacked eigensolve.
+
+        Block k is the Hamiltonian restricted to the invariant sector of
+        data eigenvector |v_k>, ordered (p=0 block, p=1 block), dimension
+        2^(r+1); blocks differ only by lam_k on the p=1 diagonal.
+        """
         dim_r = self.layout.dim_r
-        top = np.zeros(dim_r)
-        top[1:] = -1.0
+        lam = self.data_eigenvalues[:count]
         coupling = (self.c * np.pi / 2.0) * spread_operator(self.layout.r_qubits)
-        block = np.zeros((2 * dim_r, 2 * dim_r), dtype=complex)
-        block[:dim_r, :dim_r] = np.diag(top)
-        block[dim_r:, dim_r:] = np.diag(self.hdiag + lam)
-        block[:dim_r, dim_r:] = -1.0j * coupling
-        block[dim_r:, :dim_r] = 1.0j * coupling
-        return block
+        idx = np.arange(dim_r)
+        blocks = np.zeros((lam.size, 2 * dim_r, 2 * dim_r), dtype=complex)
+        blocks[:, idx[1:], idx[1:]] = -1.0
+        blocks[:, dim_r + idx, dim_r + idx] = self.hdiag + lam[:, None]
+        blocks[:, :dim_r, dim_r:] = -1.0j * coupling
+        blocks[:, dim_r:, :dim_r] = 1.0j * coupling
+        return hermitian_eig(blocks, check=False)
 
     def dense(self) -> np.ndarray:
         """Full 2^(1+r+n) matrix (for reference evolution and checks)."""
@@ -169,11 +178,6 @@ class QrdrHamiltonian:
     @cached_property
     def _dense_eig(self) -> SpectralDecomposition:
         return hermitian_eig(self.dense(), check=False)
-
-    @cached_property
-    def _sector_eigs(self) -> list:
-        return [hermitian_eig(self.sector_block(lam), check=False)
-                for lam in self.data_eigenvalues]
 
 
 def build_hamiltonian(model: PcaModel, c: float,
@@ -238,35 +242,26 @@ def evolve_full(h: QrdrHamiltonian, psi: np.ndarray,
                 t: float | None = None) -> np.ndarray:
     """Reference evolution through the dense Hamiltonian's eigensystem."""
     t = h.t_resonant if t is None else t
-    psi2, squeeze = _as_columns(psi)
-    eig = h._dense_eig
-    phases = np.exp(-1j * eig.values * t)
-    out = eig.vectors @ (phases[:, None] * (eig.vectors.conj().T @ psi2))
-    return out[:, 0] if squeeze else out
+    return evolve_spectral(h._dense_eig, t, psi)
 
 
 def evolve_blockwise(h: QrdrHamiltonian, psi: np.ndarray,
                      t: float | None = None) -> np.ndarray:
     """Evolution through the invariant data-eigenvector sectors.
 
-    Rotates the data register into the eigenbasis of A, evolves each of the
-    2^n sectors with its 2^(r+1)-dimensional block, and rotates back.
+    Rotates the data register into the eigenbasis of A, evolves all 2^n
+    sectors at once with their stacked 2^(r+1)-dimensional blocks, and
+    rotates back.
     """
     t = h.t_resonant if t is None else t
     psi2, squeeze = _as_columns(psi)
     dim_r, dim_n = h.layout.dim_r, h.layout.dim_n
-    m = psi2.shape[1]
-    # (p, j, d, i) -> (p, j, i, k): rotate the data axis into the eigenbasis
-    work = psi2.reshape(2, dim_r, dim_n, m).transpose(0, 1, 3, 2).astype(complex)
-    work = work @ h.data_vectors
-    for k, eig in enumerate(h._sector_eigs):
-        slab = work[:, :, :, k].reshape(2 * dim_r, m)
-        phases = np.exp(-1j * eig.values * t)
-        work[:, :, :, k] = (
-            eig.vectors @ (phases[:, None] * (eig.vectors.conj().T @ slab))
-        ).reshape(2, dim_r, m)
-    work = work @ h.data_vectors.T
-    out = work.transpose(0, 1, 3, 2).reshape(psi2.shape)
+    # (p, j, d, i) -> (k, (p, j), i): data axis in the eigenbasis, leading
+    work = psi2.reshape(2 * dim_r, dim_n, -1).swapaxes(0, 1)
+    work = np.tensordot(h.data_vectors, work, axes=(0, 0))
+    work = evolve_spectral(h.sector_eig(), t, work)
+    out = np.tensordot(h.data_vectors, work, axes=(1, 0)).swapaxes(0, 1)
+    out = out.reshape(psi2.shape)
     return out[:, 0] if squeeze else out
 
 
@@ -320,26 +315,6 @@ def disentangle(psi: np.ndarray, h: QrdrHamiltonian) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def fidelity_error(psi: np.ndarray, target: np.ndarray,
-                   layout: RegisterLayout) -> float:
-    """epsilon = 1 - |<target, 0..0 | psi>|^2 for a disentangled state.
-
-    ``psi`` lives on (component x data x sample), ``target`` on
-    (component x sample); the data register is compared against |0..0>.
-    Both inputs must be unit-normalised for epsilon to be a fidelity.
-    """
-    psi2, _ = _as_columns(psi)
-    target = np.asarray(target)
-    for name, vec in (("state", psi2), ("target", target)):
-        nrm = float(np.linalg.norm(vec))
-        if abs(nrm - 1.0) > 1e-8:
-            raise ValueError(f"{name} is not normalised (norm {nrm:.6e})")
-    m = psi2.shape[1]
-    amp = psi2.reshape(layout.dim_r, layout.dim_n, m)[:, 0, :].reshape(-1)
-    overlap = np.vdot(target, amp)
-    return float(1.0 - np.abs(overlap) ** 2)
-
-
 @dataclass
 class QrdrOutcome:
     """Result of one end-to-end reduction run."""
@@ -372,9 +347,9 @@ class QrdrOutcome:
 
 
 def _finish_outcome(h: QrdrHamiltonian, X: np.ndarray, prob: float,
-                    reduced_block: np.ndarray, path: str) -> QrdrOutcome:
-    # reduced_block: post-selected, disentangled amplitudes on (j, d, i)
-    on_zero = reduced_block[:, 0, :].reshape(-1)
+                    on_zero: np.ndarray, path: str) -> QrdrOutcome:
+    # on_zero: post-selected, disentangled amplitudes on data |0..0>, (j, i)
+    on_zero = on_zero.reshape(-1)
     target = target_state(X, h.model, r_qubits=h.layout.r_qubits)
     overlap = np.vdot(target, on_zero)
     epsilon = float(1.0 - np.abs(overlap) ** 2)
@@ -405,8 +380,8 @@ def _run_full(h: QrdrHamiltonian, X: np.ndarray) -> QrdrOutcome:
     psi1 = evolve_full(h, psi0)
     prob, collapsed = postselect_probe(psi1, layout)
     cleaned = disentangle(collapsed, h)
-    block = cleaned.reshape(layout.dim_r, layout.dim_n, m)
-    return _finish_outcome(h, X, prob, block, "full")
+    on_zero = cleaned.reshape(layout.dim_r, layout.dim_n, m)[:, 0, :]
+    return _finish_outcome(h, X, prob, on_zero, "full")
 
 
 def _run_blockwise(h: QrdrHamiltonian, X: np.ndarray) -> QrdrOutcome:
@@ -419,26 +394,20 @@ def _run_blockwise(h: QrdrHamiltonian, X: np.ndarray) -> QrdrOutcome:
     Kronecker delta for resonant j, k, and to the leading eigenvector
     entries otherwise.
     """
-    layout = h.layout
-    model = h.model
     X = np.asarray(X, dtype=float)
     m, n_feat = X.shape
+    dim_r, rank = h.layout.dim_r, h.model.rank
     f = np.linalg.norm(X)
     if f == 0:
         raise ValueError("dataset has zero Frobenius norm")
-    dim_r = layout.dim_r
-    rank = model.rank
     # sector amplitudes of the initial state: z[:, k] over samples
     z = (X @ h.data_vectors[:n_feat, :n_feat]) / f
-    e00 = np.zeros(2 * dim_r)
-    e00[0] = 1.0
+    e00 = np.eye(2 * dim_r)[0]
     # w[:, k] = exp(-i H_k / c) |p=0, j=0>, restricted to sectors that carry
-    # amplitude (k < n_feat; padding sectors start and stay empty)
-    w = np.zeros((2 * dim_r, n_feat), dtype=complex)
-    for k in range(n_feat):
-        eig = h._sector_eigs[k]
-        phases = np.exp(-1j * eig.values * h.t_resonant)
-        w[:, k] = eig.vectors @ (phases * (eig.vectors.conj().T @ e00))
+    # amplitude (k < n_feat; padding sectors start and stay empty).  C order
+    # fixes how the products below round, so reports stay byte-stable.
+    w = np.ascontiguousarray(
+        evolve_spectral(h.sector_eig(n_feat), h.t_resonant, e00).T)
     upper = w[dim_r:, :]                       # probe |1> amplitudes, (j, k)
     z_norm2 = np.sum(z ** 2, axis=0)           # ||z_k||^2, sums to 1
     prob = float(np.sum(np.abs(upper) ** 2 @ z_norm2))
@@ -451,14 +420,10 @@ def _run_blockwise(h: QrdrHamiltonian, X: np.ndarray) -> QrdrOutcome:
     #   j < rank:  sum_k upper[j, k] <e0|W_j|v_k> z[i, k] = upper[j, j] z[i, j]
     #   j >= rank: identity on the data register, <e0|v_k> = v_k[0]
     on_zero = np.zeros((dim_r, m), dtype=complex)
-    for j in range(rank):
-        on_zero[j] = scale * upper[j, j] * z[:, j]
+    on_zero[:rank] = (scale * np.diagonal(upper)[:rank, None]) * z[:, :rank].T
     lead = h.data_vectors[0, :n_feat]          # first entry of each v_k
-    for j in range(rank, dim_r):
-        on_zero[j] = scale * ((z * lead) @ upper[j, :])
-    block = np.zeros((dim_r, layout.dim_n, m), dtype=complex)
-    block[:, 0, :] = on_zero
-    return _finish_outcome(h, X, prob, block, "blockwise")
+    on_zero[rank:] = scale * (upper[rank:] @ (z * lead).T)
+    return _finish_outcome(h, X, prob, on_zero, "blockwise")
 
 
 def run_qrdr(X: np.ndarray, rank: int, c: float, *, path: str = "blockwise",

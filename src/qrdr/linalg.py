@@ -1,9 +1,11 @@
 """Dense linear-algebra primitives shared by the simulator modules.
 
 Everything here is a thin, validated layer over ``numpy.linalg``: Hermitian
-eigendecompositions, spectral time evolution exp(-i H t) |psi>, Kronecker
-products over operator lists, and reduced SVD.  All operators are dense
-``numpy`` arrays; no sparse formats are used anywhere in the package.
+eigendecompositions, spectral time evolution exp(-i H t) |psi> and Kronecker
+products over operator lists.  Eigendecompositions and evolution work on a
+single matrix or on a stack of matrices of shape ``(..., d, d)``.  All
+operators are dense ``numpy`` arrays; no sparse formats are used anywhere in
+the package.
 """
 
 from __future__ import annotations
@@ -12,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Absolute tolerance for Hermiticity / unitarity checks on O(1)-normalised
-# operators, and the default relative tolerance for reconstruction checks.
+# Tolerance for Hermiticity checks, relative to max(1, largest entry).
 HERMITICITY_ATOL = 1e-10
-RECONSTRUCTION_RTOL = 1e-12
 
 
 def kron_all(ops) -> np.ndarray:
@@ -33,18 +33,25 @@ def kron_all(ops) -> np.ndarray:
     return out
 
 
+def _hermitian_deviation(H: np.ndarray) -> np.ndarray:
+    # max |H - H^dagger| of each matrix, relative to max(1, its largest entry)
+    dev = np.abs(H - np.swapaxes(H, -1, -2).conj()).max(axis=(-2, -1),
+                                                        initial=0.0)
+    return dev / np.maximum(1.0, np.abs(H).max(axis=(-2, -1), initial=0.0))
+
+
 def is_hermitian(H: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
-    H = np.asarray(H)
-    scale = max(1.0, float(np.abs(H).max(initial=0.0)))
-    return bool(np.abs(H - H.conj().T).max(initial=0.0) <= atol * scale)
+    """True when every matrix of ``H`` (shape ``(..., d, d)``) is Hermitian."""
+    return bool(np.all(_hermitian_deviation(np.asarray(H)) <= atol))
 
 
 @dataclass
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian operator.
+    """Eigensystem of a Hermitian operator, or of a stack of them.
 
-    ``values`` are real and ascending, ``vectors[:, k]`` is the eigenvector
-    for ``values[k]``, so ``H = vectors @ diag(values) @ vectors.conj().T``.
+    ``values[..., k]`` are real and ascending, ``vectors[..., :, k]`` is the
+    eigenvector for ``values[..., k]``, so each matrix is
+    ``vectors @ diag(values) @ vectors^dagger``.
     """
 
     values: np.ndarray
@@ -52,25 +59,29 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
+        return ((self.vectors * self.values[..., None, :])
+                @ np.swapaxes(self.vectors, -1, -2).conj())
 
 
 def hermitian_eig(H: np.ndarray, check: bool = True) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix with an explicit input check.
+    """Eigendecomposition of a Hermitian matrix or a stack ``(..., d, d)``.
 
-    Raises ``ValueError`` when the input is not Hermitian within
-    ``HERMITICITY_ATOL`` (relative to the largest entry), instead of silently
+    A stack is diagonalised in one ``eigh`` call, which gives the same bits
+    as diagonalising its matrices one by one.  With ``check`` the input must
+    be Hermitian within ``HERMITICITY_ATOL`` (relative to the largest entry
+    of each matrix); ``ValueError`` is raised instead of silently
     symmetrising the way ``eigh`` would.
     """
     H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    if H.ndim < 2 or H.shape[-1] != H.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {H.shape}")
     if check and not is_hermitian(H):
-        dev = np.abs(H - H.conj().T).max()
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
+        dev = _hermitian_deviation(H).max()
+        raise ValueError(f"matrix is not Hermitian (max relative deviation "
+                         f"{dev:.3e})")
     values, vectors = np.linalg.eigh(H)
     return SpectralDecomposition(values=values, vectors=vectors)
 
@@ -80,41 +91,20 @@ def evolve_spectral(decomp: SpectralDecomposition | np.ndarray, t: float,
     """Apply exp(-i H t) to ``psi`` through the eigenbasis of H.
 
     ``decomp`` may be a precomputed :class:`SpectralDecomposition` (reused
-    across many times / states) or the Hermitian matrix itself.  ``psi`` may
-    be a vector or a matrix of column states.
+    across many times / states) or the Hermitian matrix itself, single or
+    stacked.  ``psi`` holds either one state per matrix, shape ``(..., d)``
+    with at most as many axes as ``decomp.values``, or a matrix of column
+    states per matrix, shape ``(..., d, m)``; leading axes broadcast.
     """
     if not isinstance(decomp, SpectralDecomposition):
         decomp = hermitian_eig(decomp)
+    vectors = decomp.vectors
+    phases = np.exp(-1j * decomp.values * t)[..., None]
     psi = np.asarray(psi)
-    phases = np.exp(-1j * decomp.values * t)
-    coeffs = decomp.vectors.conj().T @ psi
-    if coeffs.ndim == 1:
-        return decomp.vectors @ (phases * coeffs)
-    return decomp.vectors @ (phases[:, None] * coeffs)
-
-
-def evolution_operator(decomp: SpectralDecomposition | np.ndarray,
-                       t: float) -> np.ndarray:
-    """Dense unitary exp(-i H t)."""
-    if not isinstance(decomp, SpectralDecomposition):
-        decomp = hermitian_eig(decomp)
-    phases = np.exp(-1j * decomp.values * t)
-    return (decomp.vectors * phases) @ decomp.vectors.conj().T
-
-
-@dataclass
-class SvdResult:
-    """Reduced SVD ``X = U @ diag(singular_values) @ Vt``."""
-
-    U: np.ndarray
-    singular_values: np.ndarray
-    Vt: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.singular_values) @ self.Vt
-
-
-def reduced_svd(X: np.ndarray) -> SvdResult:
-    """Thin SVD with singular values in descending order."""
-    U, s, Vt = np.linalg.svd(np.asarray(X), full_matrices=False)
-    return SvdResult(U=U, singular_values=s, Vt=Vt)
+    vector = psi.ndim <= decomp.values.ndim
+    if vector:
+        psi = psi[..., None]
+    # V^dagger psi as conj(V^T conj(psi)), which never copies V
+    coeffs = np.conj(np.swapaxes(vectors, -1, -2) @ np.conj(psi))
+    out = vectors @ (phases * coeffs)
+    return out[..., 0] if vector else out

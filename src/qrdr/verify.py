@@ -27,7 +27,7 @@ def _check_evolution_unitary():
     rng = make_rng(0, 91)
     raw = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     H = (raw + raw.conj().T) / 2
-    U = linalg.evolution_operator(H, 0.37)
+    U = linalg.evolve_spectral(H, 0.37, np.eye(12))
     assert np.abs(U @ U.conj().T - np.eye(12)).max() < 1e-10, "not unitary"
 
 

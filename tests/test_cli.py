@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qrdr import cli, tfim
+from qrdr import dataset as dataset_mod
 from qrdr.pca import fit_pca
 
 
@@ -111,6 +112,21 @@ def test_reduce_report(tmp_path, capsys):
 def test_reduce_runtime_failure_exits_two(tmp_path, capsys):
     assert run_cli(["reduce", "--c", "10", "--out", tmp_path]) == 2
     assert "failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reduce", "qsvm"])
+def test_non_finite_dataset_exits_one_without_report(tmp_path, capsys,
+                                                     command):
+    lines = dataset_mod.sonar_path().read_text().splitlines()
+    fields = lines[4].split(",")
+    fields[9] = "nan"
+    lines[4] = ",".join(fields)
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run_cli([command, "--dataset", bad, "--out", out]) == 1
+    assert "row 5, column 10: non-finite" in capsys.readouterr().err
+    assert not list(out.glob("report_*.json"))
 
 
 def test_reduce_rerun_byte_identical(tmp_path, capsys):

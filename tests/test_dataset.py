@@ -30,6 +30,22 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.zeros((2, 2)), np.array([1, 0]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_labeled_dataset_rejects_non_finite(value):
+    X = np.ones((3, 4))
+    X[1, 2] = value
+    X[2, 0] = np.nan
+    with pytest.raises(ValueError, match="row 2, column 3: non-finite"):
+        LabeledDataset(X, np.array([1, -1, 1]))
+
+
+def test_load_rejects_nan_feature(tmp_path):
+    p = tmp_path / "nan.csv"
+    p.write_text(",".join(["0.5"] * 59 + ["nan", "M"]) + "\n")
+    with pytest.raises(ValueError, match="row 1, column 60: non-finite"):
+        load_sonar(p)
+
+
 def test_sonar_shape(sonar):
     assert sonar.features.shape == (SONAR_SAMPLES, SONAR_FEATURES)
     assert sonar.n_samples == 208

@@ -5,8 +5,8 @@ from qrdr.dataset import make_rng
 from qrdr.engine import (REDUCTION_C_DIVISOR, RegisterLayout,
                          admissible_rank, build_hamiltonian, disentangle,
                          encode_dataset_state, evolve_blockwise, evolve_full,
-                         fidelity_error, postselect_probe, reduce_rows,
-                         run_qrdr, spread_operator)
+                         postselect_probe, reduce_rows, run_qrdr,
+                         spread_operator)
 from qrdr.pca import fit_pca
 
 
@@ -230,6 +230,41 @@ def test_paths_agree_small_instance(rng):
     np.testing.assert_allclose(np.linalg.norm(a), 1.0, atol=1e-10)
 
 
+def test_sector_stack_is_the_dense_hamiltonian_per_sector(small_instance):
+    _, _, h = small_instance
+    dim_r, dim_n = h.layout.dim_r, h.layout.dim_n
+    eig = h.sector_eig()
+    assert eig.vectors.shape == (dim_n, 2 * dim_r, 2 * dim_r)
+    # <(p, j), v_k| H |(q, l), v_k> for every sector k
+    H = h.dense().reshape(2 * dim_r, dim_n, 2 * dim_r, dim_n)
+    V = h.data_vectors
+    restricted = np.einsum("dk,adbe,ek->kab", V, H, V)
+    np.testing.assert_allclose(eig.reconstruct(), restricted, atol=1e-12)
+    assert np.array_equal(h.sector_eig(3).values, eig.values[:3])
+
+
+def test_blockwise_reduction_solves_one_stack(monkeypatch, rng):
+    import qrdr.engine as engine
+
+    calls = {"eig": [], "spread": 0}
+    eig, spread = engine.hermitian_eig, engine.spread_operator
+
+    def counted_eig(H, check=True):
+        calls["eig"].append(np.shape(H))
+        return eig(H, check)
+
+    def counted_spread(r):
+        calls["spread"] += 1
+        return spread(r)
+
+    monkeypatch.setattr(engine, "hermitian_eig", counted_eig)
+    monkeypatch.setattr(engine, "spread_operator", counted_spread)
+    X = rng.normal(size=(10, 6))
+    run_qrdr(X, 2, 1e-3)
+    # one stacked eigensolve over the 6 populated sectors, not the 8 padded
+    assert calls == {"eig": [(6, 4, 4)], "spread": 1}
+
+
 def test_blockwise_preserves_sector(small_instance):
     _, model, h = small_instance
     lay = h.layout
@@ -323,39 +358,6 @@ def test_disentangled_weight_concentrates(rng):
     X = rng.normal(size=(10, 8))
     out = run_qrdr(X, 4, 1e-3)
     assert out.residual_weight <= 2.0 * out.epsilon + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# fidelity measure
-
-
-def test_fidelity_error_cases(rng):
-    lay = RegisterLayout(r_qubits=1, n_qubits=1)
-    psi = np.zeros((2, 2, 3), dtype=complex)   # (component, data, sample)
-    amp = rng.normal(size=(2, 3))
-    amp /= np.linalg.norm(amp)
-    psi[:, 0, :] = amp
-    flat = psi.reshape(4, 3)
-    target = amp.reshape(-1)
-    assert fidelity_error(flat, target, lay) == pytest.approx(0.0, abs=1e-12)
-    assert fidelity_error(flat, target * np.exp(0.7j), lay) == \
-        pytest.approx(0.0, abs=1e-12)
-    ortho = np.zeros((2, 3))
-    ortho[0, 0] = 1.0
-    ortho -= (ortho.reshape(-1) @ target) * amp
-    ortho /= np.linalg.norm(ortho)
-    assert fidelity_error(flat, ortho.reshape(-1), lay) == \
-        pytest.approx(1.0, abs=1e-12)
-
-
-def test_fidelity_error_requires_normalisation():
-    lay = RegisterLayout(r_qubits=1, n_qubits=1)
-    good = np.zeros(4)
-    good[0] = 1.0
-    with pytest.raises(ValueError, match="not normalised"):
-        fidelity_error(2.0 * good, np.array([1.0, 0.0]), lay)
-    with pytest.raises(ValueError, match="not normalised"):
-        fidelity_error(good, np.array([0.5, 0.0]), lay)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from qrdr.linalg import (SpectralDecomposition, evolution_operator,
-                         evolve_spectral, hermitian_eig, is_hermitian,
-                         kron_all, reduced_svd)
+from qrdr.linalg import (SpectralDecomposition, evolve_spectral,
+                         hermitian_eig, is_hermitian, kron_all)
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -76,6 +75,47 @@ def test_eig_rejects_non_hermitian(rng):
         hermitian_eig(np.zeros((2, 3)))
 
 
+def _hermitian_stack(rng, count, dim):
+    raw = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    return (raw + np.swapaxes(raw, -1, -2).conj()) / 2
+
+
+def test_eig_stack_matches_single_calls_bitwise(rng):
+    H = _hermitian_stack(rng, 7, 6)
+    d = hermitian_eig(H)
+    assert d.values.shape == (7, 6) and d.vectors.shape == (7, 6, 6)
+    for k in range(7):
+        single = hermitian_eig(H[k])
+        assert np.array_equal(d.values[k], single.values)
+        assert np.array_equal(d.vectors[k], single.vectors)
+    assert np.abs(d.reconstruct() - H).max() <= 1e-10
+
+
+def test_eig_stack_rejects_bad_input(rng):
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eig(np.zeros((3, 2, 4)))
+    H = _hermitian_stack(rng, 4, 3)
+    H[2, 0, 1] += 0.5
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(H)
+    hermitian_eig(H, check=False)     # unchecked: eigh reads one triangle
+
+
+def test_evolve_stack_matches_single_evolutions(rng):
+    H = _hermitian_stack(rng, 3, 4)
+    d = hermitian_eig(H)
+    e0 = np.eye(4)[0]
+    cols = rng.normal(size=(3, 4, 2)) + 1j * rng.normal(size=(3, 4, 2))
+    vecs = evolve_spectral(d, 0.8, e0)
+    mats = evolve_spectral(d, 0.8, cols)
+    assert vecs.shape == (3, 4) and mats.shape == (3, 4, 2)
+    for k in range(3):
+        np.testing.assert_allclose(vecs[k], evolve_spectral(H[k], 0.8, e0),
+                                   atol=1e-12)
+        np.testing.assert_allclose(mats[k], evolve_spectral(H[k], 0.8, cols[k]),
+                                   atol=1e-12)
+
+
 def _taylor_evolution(H, t, psi, terms=25):
     # truncated series for exp(-i H t) psi, independent of any eigensolver
     out = psi.astype(complex)
@@ -123,33 +163,8 @@ def test_evolve_accepts_decomposition_and_columns(rng):
 def test_evolution_operator_unitary(rng):
     raw = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     H = (raw + raw.conj().T) / 2
-    U = evolution_operator(H, 1.3)
+    U = evolve_spectral(H, 1.3, np.eye(5))
     np.testing.assert_allclose(U @ U.conj().T, np.eye(5), atol=1e-12)
-
-
-def test_svd_diagonal():
-    res = reduced_svd(np.diag([2.0, 1.0]))
-    np.testing.assert_allclose(res.singular_values, [2.0, 1.0])
-
-
-def test_svd_rank_one(rng):
-    u = rng.normal(size=5)
-    v = rng.normal(size=3)
-    s = reduced_svd(np.outer(u, v)).singular_values
-    assert s[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v))
-    np.testing.assert_allclose(s[1:], 0.0, atol=1e-12)
-
-
-def test_svd_squares_match_gram_eigenvalues(rng):
-    X = rng.normal(size=(6, 4))
-    s = reduced_svd(X).singular_values
-    lam = np.sort(hermitian_eig(X.T @ X).values)[::-1]
-    np.testing.assert_allclose(s ** 2, lam, atol=1e-9)
-
-
-def test_svd_reconstruct(rng):
-    X = rng.normal(size=(5, 7))
-    np.testing.assert_allclose(reduced_svd(X).reconstruct(), X, atol=1e-12)
 
 
 def test_spectral_decomposition_dim():
