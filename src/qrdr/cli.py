@@ -30,8 +30,6 @@ from . import dataset as dataset_mod
 from . import qcnn, resonance, svm, tfim
 from .engine import reduce_rows, run_qrdr, sample_rows
 
-DEFAULT_SEED = 7
-
 
 class ConfigError(Exception):
     """Invalid configuration; maps to exit code 1."""
@@ -68,158 +66,155 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _float_list(text: str):
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+def _comma_list(convert):
+    """Flag type for a comma-separated list of ``convert``-ed items."""
+    def parse(text: str):
+        try:
+            return [convert(x.strip()) for x in text.split(",") if x.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+    return parse
 
 
-def _int_list(text: str):
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+_ARMS = ("qcnn+qrdr", "qcnn", "mlp+dr", "mlp")
 
 
-# built-in defaults, applied after config-file values (flags win over both)
-_DEFAULTS = {
-    "reduce": {"dataset": None, "r": 16, "c": 0.004, "path": "blockwise"},
-    "sweep-c": {"dataset": None, "r": 16,
-                "c_grid": list(resonance.DEFAULT_C_GRID), "path": "blockwise"},
-    "qsvm": {"dataset": None, "r": 16, "folds": 8, "arm": "both",
-             "gammas": list(svm.GAMMA_GRID)},
-    "tfim-gen": {"n_sites": 8, "count": 200, "j": 1.0,
-                 "ratio_range": [0.2, 1.8], "exclusion": [0.95, 1.05],
-                 "out_file": None},
-    "qcnn-train": {"data": None, "r": 16, "arms": "qcnn+qrdr,qcnn,mlp+dr,mlp",
-                   "seeds": None, "epochs": 20, "batch_size": 20, "lr": 0.01,
-                   "gradient": "fd"},
-    "verify": {},
-}
+def _arm(name: str) -> str:
+    if name not in _ARMS:
+        raise ValueError(f"unknown arm {name!r}")
+    return name
+
+
+# flags every subcommand takes; the rest are the experiment's own values
+_COMMON = ("command", "seed", "threads", "config", "out")
 
 
 def build_parser() -> _Parser:
+    """The one place where every setting is declared, defaulted and typed.
+
+    String defaults pass through their flag's type like command-line values.
+    Flags cannot be abbreviated, so a config key never stands for another."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=int, default=7,
                         help="base random seed (default 7)")
-    common.add_argument("--threads", type=int, default=None,
+    common.add_argument("--threads", type=int,
+                        default=os.environ.get("QRDR_THREADS", "1"),
                         help="worker thread bound (default QRDR_THREADS or 1)")
     common.add_argument("--config", type=str, default=None,
-                        help="JSON file with default flag values")
-    common.add_argument("--out", type=str, default=None,
+                        help="JSON object of flag values; explicit flags win")
+    common.add_argument("--out", type=Path, default=".",
                         help="output directory for reports (default .)")
+    sonar = str(dataset_mod.sonar_path())
 
     parser = _Parser(prog="qrdr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("reduce", parents=[common],
-                       help="run the resonant reduction once")
-    p.add_argument("--dataset", type=str, default=None)
-    p.add_argument("--r", type=int, default=None, help="target rank R")
-    p.add_argument("--c", type=float, default=None, help="resonant coupling")
-    p.add_argument("--path", choices=("blockwise", "full"), default=None)
+    def command(name, summary):
+        return sub.add_parser(name, parents=[common], help=summary,
+                              allow_abbrev=False)
 
-    p = sub.add_parser("sweep-c", parents=[common],
-                       help="infidelity across a coupling grid")
-    p.add_argument("--dataset", type=str, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--c-grid", dest="c_grid", type=_float_list, default=None)
-    p.add_argument("--path", choices=("blockwise", "full"), default=None)
+    p = command("reduce", "run the resonant reduction once")
+    p.add_argument("--dataset", type=str, default=sonar)
+    p.add_argument("--r", type=int, default=16, help="target rank R")
+    p.add_argument("--c", type=float, default=0.004, help="resonant coupling")
 
-    p = sub.add_parser("qsvm", parents=[common],
-                       help="LS-SVM cross-validation")
-    p.add_argument("--dataset", type=str, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--arm", choices=("raw", "reduced", "both"), default=None)
-    p.add_argument("--gammas", type=_float_list, default=None)
+    p = command("sweep-c", "infidelity across a coupling grid")
+    p.add_argument("--dataset", type=str, default=sonar)
+    p.add_argument("--r", type=int, default=16)
+    p.add_argument("--c-grid", dest="c_grid", type=_comma_list(float),
+                   default=list(resonance.DEFAULT_C_GRID))
 
-    p = sub.add_parser("tfim-gen", parents=[common],
-                       help="generate the Ising phase dataset")
-    p.add_argument("--n-sites", dest="n_sites", type=int, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--j", type=float, default=None)
-    p.add_argument("--ratio-range", dest="ratio_range", type=_float_list,
-                   default=None)
-    p.add_argument("--exclusion", type=_float_list, default=None)
+    p = command("qsvm", "LS-SVM cross-validation")
+    p.add_argument("--dataset", type=str, default=sonar)
+    p.add_argument("--r", type=int, default=16)
+    p.add_argument("--folds", type=int, default=8)
+    p.add_argument("--arm", choices=("raw", "reduced", "both"), default="both")
+    p.add_argument("--gammas", type=_comma_list(float),
+                   default=list(svm.GAMMA_GRID))
+
+    p = command("tfim-gen", "generate the Ising phase dataset")
+    p.add_argument("--n-sites", dest="n_sites", type=int, default=8)
+    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--j", type=float, default=1.0)
+    p.add_argument("--ratio-range", dest="ratio_range",
+                   type=_comma_list(float), default=[0.2, 1.8])
+    p.add_argument("--exclusion", type=_comma_list(float),
+                   default=[0.95, 1.05])
     p.add_argument("--out-file", dest="out_file", type=str, default=None)
 
-    p = sub.add_parser("qcnn-train", parents=[common],
-                       help="train classifier arms on the phase dataset")
+    p = command("qcnn-train", "train classifier arms on the phase dataset")
     p.add_argument("--data", type=str, default=None,
                    help="phase dataset JSONL (generated in memory if omitted)")
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--arms", type=str, default=None,
-                   help="comma list from qcnn+qrdr,qcnn,mlp+dr,mlp")
-    p.add_argument("--seeds", type=_int_list, default=None,
+    p.add_argument("--r", type=int, default=16)
+    p.add_argument("--arms", type=_comma_list(_arm), default=",".join(_ARMS),
+                   help="comma list from " + ",".join(_ARMS))
+    p.add_argument("--seeds", type=_comma_list(int), default=None,
                    help="comma list of training seeds (default: the base seed)")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--gradient", choices=("fd", "parameter-shift"), default=None)
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--batch-size", dest="batch_size", type=int, default=20)
+    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--gradient", choices=("fd", "parameter-shift"),
+                   default="fd")
 
-    sub.add_parser("verify", parents=[common],
-                   help="run the invariant battery")
+    command("verify", "run the invariant battery")
     return parser
 
 
+def _config_flags(path) -> list:
+    """A --config JSON object as flags: ``{"c_grid": [1, 2]}`` reads as
+    ``--c-grid=1,2``; a null value leaves the flag at its default."""
+    cfg_path = Path(path)
+    if not cfg_path.is_file():
+        raise ConfigError(f"config: file not found: {cfg_path}")
+    try:
+        values = json.loads(cfg_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config: invalid JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigError("config: top level must be a JSON object")
+    if "config" in values:
+        raise ConfigError("config: a config file cannot name another")
+    flags = []
+    for key, value in values.items():
+        if value is None:
+            continue
+        if isinstance(value, list):
+            value = ",".join(str(v) for v in value)
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
+
+
 def parse_config(argv) -> ExperimentConfig:
-    """Parse flags, merge config-file defaults, validate ranges."""
-    ns = build_parser().parse_args(argv)
-    command = ns.command
-    file_values = {}
+    """Parse flags, with config-file values read as flags, and check ranges.
+
+    The config file's flags go right after the subcommand, so flags given
+    on the command line win over them.
+    """
+    parser = build_parser()
+    ns = parser.parse_args(argv)
     if ns.config is not None:
-        cfg_path = Path(ns.config)
-        if not cfg_path.is_file():
-            raise ConfigError(f"config: file not found: {cfg_path}")
-        try:
-            file_values = json.loads(cfg_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON: {exc}") from exc
-        if not isinstance(file_values, dict):
-            raise ConfigError("config: top level must be a JSON object")
-
-    def resolve(key, fallback):
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        return fallback
-
-    values = {key: resolve(key, default)
-              for key, default in _DEFAULTS[command].items()}
-    seed = resolve("seed", DEFAULT_SEED)
-    out_dir = Path(resolve("out", "."))
-    threads = resolve("threads", None)
-    if threads is None:
-        threads = int(os.environ.get("QRDR_THREADS", "1"))
-    if threads < 1:
-        raise ConfigError(f"threads: must be >= 1, got {threads}")
-
-    if "r" in values and values["r"] is not None and values["r"] < 1:
+        ns = parser.parse_args([ns.command, *_config_flags(ns.config),
+                                *argv[1:]])
+    values = {key: val for key, val in vars(ns).items() if key not in _COMMON}
+    if ns.threads < 1:
+        raise ConfigError(f"threads: must be >= 1, got {ns.threads}")
+    if "r" in values and values["r"] < 1:
         raise ConfigError(f"r: rank must be >= 1, got {values['r']}")
     if "folds" in values and values["folds"] < 2:
         raise ConfigError(f"folds: need at least 2, got {values['folds']}")
-    if "dataset" in values:
-        if values["dataset"] is None:
-            values["dataset"] = str(dataset_mod.sonar_path())
-        elif not Path(values["dataset"]).is_file():
-            raise ConfigError(f"dataset: file not found: {values['dataset']}")
-    if command == "qcnn-train":
-        if values["data"] is not None and not Path(values["data"]).is_file():
-            raise ConfigError(f"data: file not found: {values['data']}")
+    for key in ("dataset", "data"):
+        if values.get(key) is not None and not Path(values[key]).is_file():
+            raise ConfigError(f"{key}: file not found: {values[key]}")
+    if ns.command == "qcnn-train":
+        rank = values["r"]
+        if rank & (rank - 1) or (rank.bit_length() - 1) % 2:
+            raise ConfigError(
+                f"r: rank {rank} does not map to an even reduced register"
+            )
         if values["seeds"] is None:
-            values["seeds"] = [seed]
-        known = {"qcnn+qrdr", "qcnn", "mlp+dr", "mlp"}
-        arms = [a.strip() for a in values["arms"].split(",") if a.strip()]
-        bad = set(arms) - known
-        if bad:
-            raise ConfigError(f"arms: unknown arm(s) {sorted(bad)}")
-        values["arms"] = arms
-    return ExperimentConfig(command=command, values=values, out_dir=out_dir,
-                            seed=seed, threads=threads)
+            values["seeds"] = [ns.seed]
+    return ExperimentConfig(command=ns.command, values=values,
+                            out_dir=ns.out, seed=ns.seed, threads=ns.threads)
 
 
 def _bounded_map(fn, items, threads: int):
@@ -232,34 +227,31 @@ def _bounded_map(fn, items, threads: int):
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = {"command": cfg.command, "seed": cfg.seed, "threads": cfg.threads}
-    for key, val in cfg.values.items():
-        echo[key] = str(val) if isinstance(val, Path) else val
-    return echo
+    return {"command": cfg.command, "seed": cfg.seed, "threads": cfg.threads,
+            **cfg.values}
 
 
 # ---------------------------------------------------------------------------
 # experiment runners
 
 
-def _load_sonar(path) -> dataset_mod.LabeledDataset:
-    # a malformed or non-finite dataset is an input error (exit 1)
+def _load(cfg: ExperimentConfig, key: str, loader):
+    # a malformed or non-finite input file is an input error (exit 1)
     try:
-        return dataset_mod.load_sonar(path)
+        return loader(cfg[key])
     except ValueError as exc:
-        raise ConfigError(f"dataset: {exc}") from None
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _run_reduce(cfg: ExperimentConfig) -> ReportRecord:
-    ds = _load_sonar(cfg["dataset"])
-    out = run_qrdr(ds.features, cfg["r"], cfg["c"], path=cfg["path"])
+    ds = _load(cfg, "dataset", dataset_mod.load_sonar)
+    out = run_qrdr(ds.features, cfg["r"], cfg["c"])
     return ReportRecord("reduce", _config_echo(cfg), out.to_metrics())
 
 
 def _run_sweep(cfg: ExperimentConfig) -> ReportRecord:
-    ds = _load_sonar(cfg["dataset"])
-    result = resonance.sweep_c(ds.features, cfg["r"], cfg["c_grid"],
-                               path=cfg["path"])
+    ds = _load(cfg, "dataset", dataset_mod.load_sonar)
+    result = resonance.sweep_c(ds.features, cfg["r"], cfg["c_grid"])
     csv_path = cfg.out_dir / f"sweep_c_r{cfg['r']}.csv"
     result.write_csv(csv_path)
     return ReportRecord("sweep-c", _config_echo(cfg), result.to_metrics(),
@@ -267,7 +259,7 @@ def _run_sweep(cfg: ExperimentConfig) -> ReportRecord:
 
 
 def _run_qsvm(cfg: ExperimentConfig) -> ReportRecord:
-    ds = _load_sonar(cfg["dataset"])
+    ds = _load(cfg, "dataset", dataset_mod.load_sonar)
     metrics = {}
     gammas = tuple(cfg["gammas"])
     if cfg["arm"] in ("raw", "both"):
@@ -326,15 +318,10 @@ def _phase_features(ds: tfim.TfimDataset, r_qubits: int, arms):
 
 def _run_qcnn_train(cfg: ExperimentConfig) -> ReportRecord:
     if cfg["data"] is not None:
-        ds = tfim.load_dataset(cfg["data"])
+        ds = _load(cfg, "data", tfim.load_dataset)
     else:
         ds = tfim.generate_dataset(seed=cfg.seed)
-    rank = cfg["r"]
-    r_reduced = int(np.log2(rank))
-    if 2 ** r_reduced != rank or r_reduced % 2:
-        raise ConfigError(
-            f"r: rank {rank} does not map to an even reduced register"
-        )
+    r_reduced = cfg["r"].bit_length() - 1   # r is 4^k, checked in parse_config
     n_sites = ds.n_sites
     if n_sites % 2:
         raise ConfigError(f"data: odd register of {n_sites} qubits unsupported")

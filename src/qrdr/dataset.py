@@ -34,6 +34,15 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
+def require_finite(values: np.ndarray, row: str, column: str) -> None:
+    """Reject a 2-D array's first NaN or infinity, naming its 1-based place."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{row} {i + 1}, {column} {j + 1}: non-finite "
+                         f"value {values[i, j]}")
+
+
 @dataclass
 class LabeledDataset:
     """Feature matrix with +/-1 labels.
@@ -53,11 +62,7 @@ class LabeledDataset:
         self.labels = np.asarray(self.labels, dtype=int)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2-D array (samples x features)")
-        bad = np.argwhere(~np.isfinite(self.features))
-        if bad.size:
-            i, j = bad[0]
-            raise ValueError(f"row {i + 1}, column {j + 1}: non-finite "
-                             f"feature {self.features[i, j]}")
+        require_finite(self.features, "row", "column")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must align with feature rows")
         bad = set(np.unique(self.labels)) - {-1, 1}

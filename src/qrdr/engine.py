@@ -322,7 +322,6 @@ class QrdrOutcome:
     rank: int
     c: float
     layout: RegisterLayout
-    path: str
     success_probability: float
     ideal_probability: float      # top-R variance fraction
     epsilon: float
@@ -336,7 +335,6 @@ class QrdrOutcome:
         return {
             "rank": self.rank,
             "c": self.c,
-            "path": self.path,
             "success_probability": self.success_probability,
             "ideal_probability": self.ideal_probability,
             "epsilon": self.epsilon,
@@ -347,7 +345,7 @@ class QrdrOutcome:
 
 
 def _finish_outcome(h: QrdrHamiltonian, X: np.ndarray, prob: float,
-                    on_zero: np.ndarray, path: str) -> QrdrOutcome:
+                    on_zero: np.ndarray) -> QrdrOutcome:
     # on_zero: post-selected, disentangled amplitudes on data |0..0>, (j, i)
     on_zero = on_zero.reshape(-1)
     target = target_state(X, h.model, r_qubits=h.layout.r_qubits)
@@ -359,7 +357,6 @@ def _finish_outcome(h: QrdrHamiltonian, X: np.ndarray, prob: float,
         rank=h.model.rank,
         c=h.c,
         layout=h.layout,
-        path=path,
         success_probability=prob,
         ideal_probability=h.model.variance_fraction(),
         epsilon=epsilon,
@@ -372,6 +369,8 @@ def _finish_outcome(h: QrdrHamiltonian, X: np.ndarray, prob: float,
 
 
 def _run_full(h: QrdrHamiltonian, X: np.ndarray) -> QrdrOutcome:
+    """Dense reference for :func:`_run_blockwise`: the whole register is
+    evolved, post-selected and disentangled."""
     layout = h.layout
     m = X.shape[0]
     encoded = encode_dataset_state(X, layout).reshape(layout.dim_n, m)
@@ -381,7 +380,7 @@ def _run_full(h: QrdrHamiltonian, X: np.ndarray) -> QrdrOutcome:
     prob, collapsed = postselect_probe(psi1, layout)
     cleaned = disentangle(collapsed, h)
     on_zero = cleaned.reshape(layout.dim_r, layout.dim_n, m)[:, 0, :]
-    return _finish_outcome(h, X, prob, on_zero, "full")
+    return _finish_outcome(h, X, prob, on_zero)
 
 
 def _run_blockwise(h: QrdrHamiltonian, X: np.ndarray) -> QrdrOutcome:
@@ -423,29 +422,24 @@ def _run_blockwise(h: QrdrHamiltonian, X: np.ndarray) -> QrdrOutcome:
     on_zero[:rank] = (scale * np.diagonal(upper)[:rank, None]) * z[:, :rank].T
     lead = h.data_vectors[0, :n_feat]          # first entry of each v_k
     on_zero[rank:] = scale * (upper[rank:] @ (z * lead).T)
-    return _finish_outcome(h, X, prob, on_zero, "blockwise")
+    return _finish_outcome(h, X, prob, on_zero)
 
 
-def run_qrdr(X: np.ndarray, rank: int, c: float, *, path: str = "blockwise",
+def run_qrdr(X: np.ndarray, rank: int, c: float, *,
              r_qubits: int | None = None,
              n_qubits: int | None = None) -> QrdrOutcome:
     """End-to-end reduction of a dataset: fit, evolve, post-select, compare.
 
     Returns a :class:`QrdrOutcome` holding the success probability, the
     infidelity epsilon against the ideal top-R reduced state, and the
-    normalised reduced state itself.  ``path`` selects the blockwise
-    fast path (default) or the dense reference evolution.
+    normalised reduced state itself.  The evolution takes the blockwise
+    path; ``_run_full`` is its dense reference.
     """
     X = np.asarray(X, dtype=float)
     model = fit_pca(X, rank)
     layout = RegisterLayout.for_sizes(model.n_features, rank,
                                       r_qubits=r_qubits, n_qubits=n_qubits)
-    h = build_hamiltonian(model, c, layout=layout)
-    if path == "full":
-        return _run_full(h, X)
-    if path == "blockwise":
-        return _run_blockwise(h, X)
-    raise ValueError(f"unknown evolution path {path!r}")
+    return _run_blockwise(build_hamiltonian(model, c, layout=layout), X)
 
 
 def admissible_rank(model: PcaModel, max_rank: int) -> int:

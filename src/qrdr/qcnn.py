@@ -310,7 +310,6 @@ class TrainConfig:
     epochs: int = 20
     seed: int = 7
     gradient: str = "fd"       # "fd" or "parameter-shift"
-    fd_step: float = 1e-5
 
     def validate(self, n_train: int) -> None:
         if self.epochs < 1:
@@ -378,6 +377,9 @@ def accuracy_from_logits(e: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(pred == np.asarray(labels)))
 
 
+# central finite-difference step of the "fd" gradient
+FD_STEP = 1e-5
+
 # five-point stencil recovering g'(x) exactly for trigonometric polynomials
 # of degree <= 2: g evaluated at x + 2 pi m / 5, m = 0..4
 _SHIFTS = 2.0 * math.pi * np.arange(5) / 5.0
@@ -410,7 +412,7 @@ def loss_and_grad(model: QcnnModel, Z: np.ndarray, labels: np.ndarray,
     loss = loss_at(params)
     grad = np.empty_like(params)
     if cfg.gradient == "fd":
-        h = cfg.fd_step
+        h = FD_STEP
         for i in range(params.size):
             up = params.copy()
             dn = params.copy()
@@ -501,8 +503,10 @@ def _epoch_entry(epoch, tr_loss, tr_e, tr_y, te_loss, te_e, te_y) -> dict:
     }
 
 
-def train(model: QcnnModel, data: SplitData, cfg: TrainConfig) -> TrainResult:
-    """Minibatch Adam training; history records one entry per epoch."""
+def _fit(model, data: SplitData, cfg: TrainConfig, grad_fn,
+         logits_fn) -> TrainResult:
+    """Minibatch Adam over ``model.params()``: ``grad_fn(model, X, y)`` gives
+    a batch's (loss, gradient), ``logits_fn(model, X)`` scores each epoch."""
     cfg.validate(len(data.train_y))
     params = model.params()
     opt = _Adam(params.size, cfg.learning_rate)
@@ -513,18 +517,26 @@ def train(model: QcnnModel, data: SplitData, cfg: TrainConfig) -> TrainResult:
         order = shuffle.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            _, grad = loss_and_grad(model.with_params(params),
-                                    data.train_x[idx], data.train_y[idx], cfg)
+            _, grad = grad_fn(model.with_params(params),
+                              data.train_x[idx], data.train_y[idx])
             params = opt.step(params, grad)
         current = model.with_params(params)
-        tr_e = logits(current, data.train_x)
-        te_e = logits(current, data.test_x)
+        tr_e = logits_fn(current, data.train_x)
+        te_e = logits_fn(current, data.test_x)
         result.history.append(_epoch_entry(
             epoch, bce_loss(tr_e, data.train_y), tr_e, data.train_y,
             bce_loss(te_e, data.test_y), te_e, data.test_y,
         ))
     result.final_params = params
     return result
+
+
+def train(model: QcnnModel, data: SplitData, cfg: TrainConfig) -> TrainResult:
+    """Minibatch Adam training; history records one entry per epoch."""
+    # the lambdas look the functions up per call, so wrapped ones are seen
+    return _fit(model, data, cfg,
+                lambda m, X, y: loss_and_grad(m, X, y, cfg),
+                lambda m, X: logits(m, X))
 
 
 # ---------------------------------------------------------------------------
@@ -607,26 +619,6 @@ def mlp_loss_and_grad(model: MlpModel, X: np.ndarray, labels: np.ndarray):
 
 def mlp_baseline(data: SplitData, cfg: TrainConfig) -> TrainResult:
     """Train the MLP under the same protocol as the quantum classifier."""
-    cfg.validate(len(data.train_y))
-    model = MlpModel.initial(data.train_x.shape[1], cfg.seed)
-    params = model.params()
-    opt = _Adam(params.size, cfg.learning_rate)
-    shuffle = make_rng(cfg.seed, 4)
-    result = TrainResult()
-    n = len(data.train_y)
-    for epoch in range(cfg.epochs):
-        order = shuffle.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            _, grad = mlp_loss_and_grad(model.with_params(params),
-                                        data.train_x[idx], data.train_y[idx])
-            params = opt.step(params, grad)
-        current = model.with_params(params)
-        tr_e = mlp_logits(current, data.train_x)
-        te_e = mlp_logits(current, data.test_x)
-        result.history.append(_epoch_entry(
-            epoch, bce_loss(tr_e, data.train_y), tr_e, data.train_y,
-            bce_loss(te_e, data.test_y), te_e, data.test_y,
-        ))
-    result.final_params = params
-    return result
+    return _fit(MlpModel.initial(data.train_x.shape[1], cfg.seed), data, cfg,
+                lambda m, X, y: mlp_loss_and_grad(m, X, y),
+                lambda m, X: mlp_logits(m, X))

@@ -23,11 +23,6 @@ from .engine import run_qrdr
 EPSILON_FLOOR = 1e-10
 
 
-def resonant_transition_probability(c: float, t: float) -> float:
-    """Population transferred by the resonant drive after time t."""
-    return math.sin(c * math.pi * t / 2.0) ** 2
-
-
 def offresonance_amplitude(c: float, weight: float, detuning: float) -> float:
     """Peak amplitude of an off-resonant transition.
 
@@ -178,8 +173,7 @@ class SweepResult:
 DEFAULT_C_GRID = (0.001, 0.002, 0.004, 0.008, 0.016, 0.032)
 
 
-def sweep_c(X: np.ndarray, rank: int, c_values=DEFAULT_C_GRID,
-            path: str = "blockwise") -> SweepResult:
+def sweep_c(X: np.ndarray, rank: int, c_values=DEFAULT_C_GRID) -> SweepResult:
     """Run the reduction once per coupling and collect the error curve.
 
     Couplings the Hamiltonian builder rejects (c at or beyond the minimal
@@ -189,7 +183,7 @@ def sweep_c(X: np.ndarray, rank: int, c_values=DEFAULT_C_GRID,
     kept, skipped, outcomes = [], [], []
     for c in sorted(float(c) for c in c_values):
         try:
-            out = run_qrdr(X, rank, c, path=path)
+            out = run_qrdr(X, rank, c)
         except ValueError as exc:
             warnings.warn(f"skipping inadmissible coupling c = {c:g}: {exc}",
                           stacklevel=2)

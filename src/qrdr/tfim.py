@@ -17,11 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import load_jsonl, make_rng, save_jsonl
-
-# below this gap the ground space is flagged as effectively degenerate
-# (deep ferromagnet at finite size); h = 0 is exactly degenerate and rejected
-NEAR_DEGENERATE_GAP = 1e-10
+from .dataset import load_jsonl, make_rng, require_finite, save_jsonl
 
 
 def _validate(n_sites: int, J: float, h: float) -> None:
@@ -60,24 +56,17 @@ def parity_operator(n_sites: int) -> np.ndarray:
 
 @dataclass
 class GroundState:
-    """Lowest eigenpair of one chain, with a finite-size degeneracy flag."""
+    """Lowest eigenpair of one chain."""
 
     energy: float
     amplitudes: np.ndarray
-    gap: float
-
-    @property
-    def near_degenerate(self) -> bool:
-        return self.gap < NEAR_DEGENERATE_GAP
 
 
 def ground_state(n_sites: int, J: float, h: float) -> GroundState:
     """Ground state of the chain, real with a deterministic global sign.
 
     At h = 0 the two fully polarised states are exactly degenerate and no
-    unique ground state exists, so that case raises.  Small but nonzero
-    fields deep in the ferromagnetic phase give exponentially small gaps;
-    those states are returned but flagged ``near_degenerate``.
+    unique ground state exists, so that case raises.
     """
     _validate(n_sites, J, h)
     if h == 0:
@@ -89,8 +78,7 @@ def ground_state(n_sites: int, J: float, h: float) -> GroundState:
     state = U[:, 0]
     if state[np.argmax(np.abs(state))] < 0:
         state = -state
-    return GroundState(energy=float(w[0]), amplitudes=state,
-                       gap=float(w[1] - w[0]))
+    return GroundState(energy=float(w[0]), amplitudes=state)
 
 
 def squared_magnetization(state: np.ndarray, n_sites: int) -> float:
@@ -106,7 +94,8 @@ def squared_magnetization(state: np.ndarray, n_sites: int) -> float:
 
 @dataclass
 class TfimDataset:
-    """Ground-state amplitudes with phase labels, sorted by ratio h/J."""
+    """Ground-state amplitudes with phase labels, sorted by ratio h/J; a NaN
+    or infinite amplitude is rejected, naming its 1-based record and index."""
 
     features: np.ndarray   # (count, 2^n_sites) real amplitudes
     labels: np.ndarray     # +1 paramagnetic, -1 ferromagnetic
@@ -115,6 +104,10 @@ class TfimDataset:
     J: float
     seed: int
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.features = np.asarray(self.features, dtype=float)
+        require_finite(self.features, "record", "amplitude")
 
     @property
     def count(self) -> int:

@@ -11,8 +11,7 @@ import numpy as np
 
 from . import linalg, pca, qcnn, resonance, svm, tfim
 from .dataset import holdout_split, kfold_split, make_rng
-from .engine import RegisterLayout, build_hamiltonian, evolve_blockwise, \
-    evolve_full, run_qrdr
+from .engine import build_hamiltonian, evolve_blockwise, evolve_full, run_qrdr
 
 
 def _check_kron():

@@ -67,6 +67,13 @@ def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
     assert read_report(tmp_path, "verify")["config"]["threads"] == 3
 
 
+def test_threads_env_is_checked_like_the_flag(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("QRDR_THREADS", "abc")
+    assert run_cli(["verify", "--out", tmp_path]) == 1
+    assert "threads:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("report_*.json"))
+
+
 def test_bad_config_json(tmp_path, capsys):
     bad = tmp_path / "cfg.json"
     bad.write_text("{not json")
@@ -89,7 +96,52 @@ def test_flag_beats_config_beats_default(tmp_path, capsys):
     echo = read_report(tmp_path, "reduce")["config"]
     assert echo["r"] == 8          # config file over built-in default 16
     assert echo["c"] == 0.004      # flag over config file
-    assert echo["path"] == "blockwise"
+
+
+def test_config_list_values_and_null(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"r": 8, "c_grid": [0.004, 0.002],
+                               "dataset": None}))
+    assert run_cli(["sweep-c", "--config", cfg, "--out", tmp_path]) == 0
+    capsys.readouterr()
+    echo = read_report(tmp_path, "sweep-c")["config"]
+    assert echo["c_grid"] == [0.004, 0.002]
+    assert echo["dataset"] == str(dataset_mod.sonar_path())   # null: default
+
+
+def test_config_seeds_list_and_flag_override(tmp_path, tiny_phase_file,
+                                             capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": [3, 4], "arms": ["mlp"],
+                               "epochs": 5, "batch_size": 4}))
+    assert run_cli(["qcnn-train", "--config", cfg, "--data", tiny_phase_file,
+                    "--r", "4", "--epochs", "1", "--out", tmp_path]) == 0
+    capsys.readouterr()
+    echo = read_report(tmp_path, "qcnn-train")["config"]
+    assert echo["seeds"] == [3, 4] and echo["arms"] == ["mlp"]
+    assert echo["epochs"] == 1 and echo["batch_size"] == 4
+
+
+@pytest.mark.parametrize("command, values, cause", [
+    ("reduce", {"rr": 8}, "unrecognized arguments: --rr=8"),
+    ("reduce", {"folds": 4}, "unrecognized arguments: --folds=4"),
+    ("sweep-c", {"c": 0.004}, "unrecognized arguments: --c=0.004"),
+    ("qsvm", {"arm": "bogus"}, "invalid choice: 'bogus'"),
+    ("reduce", {"r": 8.5}, "invalid int value: '8.5'"),
+    ("reduce", {"c": "0.004x"}, "invalid float value"),
+    ("qcnn-train", {"arms": ["qcnn", "teleport"]}, "arms:"),
+    ("qcnn-train", {"r": 8}, "even reduced register"),
+    ("qsvm", {"folds": 1}, "folds:"),
+    ("reduce", {"config": "other.json"}, "config:"),
+])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, command,
+                                              values, cause):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 1
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +342,32 @@ def test_qcnn_train_odd_reduced_register(tmp_path, tiny_phase_file, capsys):
                     "--arms", "qcnn+qrdr", "--epochs", "1",
                     "--batch-size", "4", "--out", tmp_path]) == 1
     assert "even reduced register" in capsys.readouterr().err
+
+
+def test_qcnn_train_checks_register_before_generating(tmp_path, monkeypatch,
+                                                      capsys):
+    def generate(*args, **kwargs):
+        raise AssertionError("dataset generated before the flags were checked")
+
+    monkeypatch.setattr(tfim, "generate_dataset", generate)
+    assert run_cli(["qcnn-train", "--r", "8", "--out", tmp_path]) == 1
+    assert "even reduced register" in capsys.readouterr().err
+
+
+def test_qcnn_train_non_finite_data_exits_one_without_report(
+        tmp_path, tiny_phase_file, capsys):
+    lines = tiny_phase_file.read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["amplitudes"][4] = float("nan")
+    lines[3] = json.dumps(rec)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run_cli(["qcnn-train", "--data", bad, "--r", "4", "--arms",
+                    "qcnn+qrdr,mlp", "--epochs", "1", "--batch-size", "4",
+                    "--out", out]) == 1
+    assert "data: record 3, amplitude 5: non-finite" in capsys.readouterr().err
+    assert not list(out.glob("report_*.json"))
 
 
 def test_qcnn_train_reduces_at_an_admissible_rank(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qrdr.dataset import make_rng
-from qrdr.engine import (REDUCTION_C_DIVISOR, RegisterLayout,
+from qrdr.engine import (REDUCTION_C_DIVISOR, RegisterLayout, _run_full,
                          admissible_rank, build_hamiltonian, disentangle,
                          encode_dataset_state, evolve_blockwise, evolve_full,
                          postselect_probe, reduce_rows, run_qrdr,
@@ -285,8 +285,8 @@ def test_blockwise_preserves_sector(small_instance):
 
 def test_paths_agree_on_sonar_truncation(sonar_features):
     X = sonar_features[:, :16]
-    full = run_qrdr(X, 4, 2e-3, path="full")
-    block = run_qrdr(X, 4, 2e-3, path="blockwise")
+    full = _run_full(build_hamiltonian(fit_pca(X, 4), 2e-3), X)
+    block = run_qrdr(X, 4, 2e-3)
     assert abs(full.epsilon - block.epsilon) <= 1e-10
     assert abs(full.success_probability - block.success_probability) <= 1e-10
     np.testing.assert_allclose(full.reduced_state, block.reduced_state,
@@ -395,10 +395,8 @@ def test_outcome_metrics_and_overrides(rng):
     assert out.reduced_state.shape == (8 * 7,)
     assert np.linalg.norm(out.reduced_state) == pytest.approx(1.0)
     m = out.to_metrics()
-    assert m["rank"] == 2 and m["path"] == "blockwise"
+    assert m["rank"] == 2
     assert m["fidelity"] == pytest.approx(1.0 - m["epsilon"])
-    with pytest.raises(ValueError, match="unknown evolution path"):
-        run_qrdr(X, 2, 1e-3, path="exact")
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,11 @@ from qrdr.engine import build_hamiltonian, evolve_full, postselect_probe
 from qrdr.pca import fit_pca
 from qrdr.resonance import (DEFAULT_C_GRID, alpha_lower_bound,
                             offresonance_amplitude, offresonance_bound,
-                            pearson, resonant_transition_probability, sweep_c)
+                            pearson, sweep_c)
 
 
 # ---------------------------------------------------------------------------
 # closed-form pieces
-
-
-def test_resonant_probability_swap_times():
-    assert resonant_transition_probability(0.01, 0.0) == 0.0
-    assert resonant_transition_probability(0.01, 100.0) == pytest.approx(1.0)
-    assert resonant_transition_probability(0.01, 50.0) == pytest.approx(0.5)
-    assert resonant_transition_probability(0.25, 4.0) == pytest.approx(1.0)
 
 
 def test_offresonance_amplitude_values():
