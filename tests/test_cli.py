@@ -125,7 +125,7 @@ def test_config_seeds_list_and_flag_override(tmp_path, tiny_phase_file,
 @pytest.mark.parametrize("command, values, cause", [
     ("reduce", {"rr": 8}, "unrecognized arguments: --rr=8"),
     ("reduce", {"folds": 4}, "unrecognized arguments: --folds=4"),
-    ("sweep-c", {"c": 0.004}, "unrecognized arguments: --c=0.004"),
+    ("qcnn-train", {"ep": 3}, "unrecognized arguments: --ep=3"),
     ("qsvm", {"arm": "bogus"}, "invalid choice: 'bogus'"),
     ("reduce", {"r": 8.5}, "invalid int value: '8.5'"),
     ("reduce", {"c": "0.004x"}, "invalid float value"),
