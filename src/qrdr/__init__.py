@@ -13,7 +13,7 @@ from .engine import (QrdrHamiltonian, QrdrOutcome, RegisterLayout,
                      evolve_blockwise, evolve_full, postselect_probe,
                      run_qrdr)
 from .pca import PcaModel, covariance, fit_pca, project, target_state
-from .resonance import SweepResult, alpha_lower_bound, sweep_c
+from .resonance import SweepResult, sweep_c
 
 __version__ = "0.1.0"
 
@@ -22,6 +22,6 @@ __all__ = [
     "disentangle", "encode_dataset_state", "evolve_blockwise", "evolve_full",
     "postselect_probe", "run_qrdr",
     "PcaModel", "covariance", "fit_pca", "project", "target_state",
-    "SweepResult", "alpha_lower_bound", "sweep_c",
+    "SweepResult", "sweep_c",
     "__version__",
 ]

@@ -153,8 +153,6 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=20)
     p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--gradient", choices=("fd", "parameter-shift"),
-                   default="fd")
 
     command("verify", "run the invariant battery")
     return parser
@@ -335,10 +333,9 @@ def _run_qcnn_train(cfg: ExperimentConfig) -> ReportRecord:
         use = feats[arm]
         split = qcnn.SplitData(use[train_idx], labels[train_idx],
                                use[test_idx], labels[test_idx])
-        tcfg = qcnn.TrainConfig(
-            learning_rate=cfg["lr"], batch_size=cfg["batch_size"],
-            epochs=cfg["epochs"], seed=seed, gradient=cfg["gradient"],
-        )
+        tcfg = qcnn.TrainConfig(learning_rate=cfg["lr"],
+                                batch_size=cfg["batch_size"],
+                                epochs=cfg["epochs"], seed=seed)
         if arm.startswith("qcnn"):
             r = r_reduced if arm == "qcnn+qrdr" else n_sites
             model = qcnn.QcnnModel.initial(r, seed)

@@ -34,23 +34,50 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed=ss))
 
 
-def require_finite(values: np.ndarray, row: str, column: str) -> None:
-    """Reject a 2-D array's first NaN or infinity, naming its 1-based place."""
+def require_finite(values, row: str = "row",
+                   column: str = "column") -> np.ndarray:
+    """``values`` as a 2-D float array of finite reals.
+
+    Complex input and other shapes are rejected, and so is the first NaN or
+    infinity, named by its 1-based row and column.
+    """
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError(f"complex values where real {column}s are expected")
+    values = values.astype(float, copy=False)
+    if values.ndim != 2:
+        raise ValueError(f"expected a 2-D array ({row}s x {column}s), "
+                         f"got shape {values.shape}")
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
         raise ValueError(f"{row} {i + 1}, {column} {j + 1}: non-finite "
                          f"value {values[i, j]}")
+    return values
+
+
+def require_labels(labels, count: int, row: str = "row") -> np.ndarray:
+    """One +1/-1 label per row, as ints; the first other value is rejected,
+    named by its 1-based row."""
+    labels = np.asarray(labels)
+    if labels.shape != (count,):
+        raise ValueError(f"labels must align with the {count} {row}s, "
+                         f"got shape {labels.shape}")
+    bad = np.flatnonzero((labels != 1) & (labels != -1))
+    if bad.size:
+        raise ValueError(f"{row} {bad[0] + 1}: label {labels[bad[0]]} "
+                         "is not +1/-1")
+    return labels.astype(int)
 
 
 @dataclass
 class LabeledDataset:
     """Feature matrix with +/-1 labels.
 
-    ``features`` has one sample per row and only finite entries: the first
-    NaN or infinity is rejected, named by its 1-based row and column.
-    ``meta`` carries free-form provenance (source file, generator
-    parameters, ...).
+    ``features`` has one sample per row and only finite real entries, and
+    ``labels`` one +1/-1 per row: the first bad value is rejected, named by
+    its 1-based row (and column).  ``meta`` carries free-form provenance
+    (source file, generator parameters, ...).
     """
 
     features: np.ndarray
@@ -58,16 +85,8 @@ class LabeledDataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.features.ndim != 2:
-            raise ValueError("features must be a 2-D array (samples x features)")
-        require_finite(self.features, "row", "column")
-        if self.labels.shape != (self.features.shape[0],):
-            raise ValueError("labels must align with feature rows")
-        bad = set(np.unique(self.labels)) - {-1, 1}
-        if bad:
-            raise ValueError(f"labels must be +1/-1, found {sorted(bad)}")
+        self.features = require_finite(self.features)
+        self.labels = require_labels(self.labels, self.features.shape[0])
 
     @property
     def n_samples(self) -> int:

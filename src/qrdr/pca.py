@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import require_finite
+
 # adjacent eigenvalues closer than this are reported as degenerate
 DEGENERACY_ATOL = 1e-9
 
@@ -91,10 +93,11 @@ class PcaModel:
 
 
 def fit_pca(X: np.ndarray, rank: int) -> PcaModel:
-    """Eigendecompose A = X^T X and package the top-``rank`` description."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D (samples x features)")
+    """Eigendecompose A = X^T X and package the top-``rank`` description.
+
+    X must hold finite reals (:func:`dataset.require_finite`).
+    """
+    X = require_finite(X)
     n = X.shape[1]
     if not 1 <= rank <= n:
         raise ValueError(f"rank must be in [1, {n}], got {rank}")

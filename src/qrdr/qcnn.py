@@ -9,12 +9,11 @@ the qubits, and a diagonal I/Z/ZZ readout Hamiltonian produces a logit.
 Data states may be real or complex.  Training minimises binary
 cross-entropy with Adam.
 
-Gradients come either from central finite differences or from an exact
-trigonometric parameter-shift rule: with every rotation parameter entering
-exactly one gate, the post-selected numerator and norm are trigonometric
-polynomials of degree <= 2 in each parameter, so five equally spaced
-evaluations recover the derivative exactly; the quotient rule then gives
-the logit derivative.
+Training uses one exact gradient (:func:`loss_and_grad`): every angle sits
+in one half-angle rotation, so the ancilla states at theta_p +/- pi/2 give
+its derivative exactly, and the chain rule through the branch weights, the
+convolution and the pooled readout is closed form.  Central finite
+differences (``TrainConfig.gradient = "fd"``) stay as the checks' reference.
 
 The classical baseline is a three-layer 128-unit tanh MLP with an explicit
 backward pass, trained under identical batching and optimiser settings.
@@ -37,17 +36,7 @@ ANCILLA_DIM = 16
 MIN_LCU_PROB = 1e-12
 
 # ---------------------------------------------------------------------------
-# shift operators and LCU branches
-
-
-def shift_operator(r_half: int) -> np.ndarray:
-    """Cyclic increment E1 on 2^r_half basis states: E1|j> = |j+1 mod d>."""
-    if r_half < 1:
-        raise ValueError("need at least one qubit per half")
-    d = 2 ** r_half
-    E = np.zeros((d, d))
-    E[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
-    return E
+# LCU branches
 
 
 def branch_sources(r: int) -> np.ndarray:
@@ -79,72 +68,72 @@ def branch_matrix(r: int, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# ancilla ansatz
+# ancilla ansatz: the gates act on a (B, 16) stack of states, one angle each
 
 
-def _apply_ry(psi: np.ndarray, theta: float, q: int) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    psi = psi.reshape(2 ** q, 2, -1)
-    a, b = psi[:, 0].copy(), psi[:, 1].copy()
-    psi[:, 0] = c * a - s * b
-    psi[:, 1] = s * a + c * b
-    return psi.reshape(-1)
+def _apply_ry(psi: np.ndarray, theta: np.ndarray, q: int) -> np.ndarray:
+    c = np.cos(theta / 2.0)[:, None, None]
+    s = np.sin(theta / 2.0)[:, None, None]
+    psi = psi.reshape(psi.shape[0], 2 ** q, 2, -1)
+    a, b = psi[:, :, 0], psi[:, :, 1]
+    return np.stack([c * a - s * b, s * a + c * b], axis=2).reshape(
+        psi.shape[0], -1)
 
 
-def _apply_rz(psi: np.ndarray, theta: float, q: int) -> np.ndarray:
-    psi = psi.reshape(2 ** q, 2, -1)
-    psi[:, 0] *= np.exp(-0.5j * theta)
-    psi[:, 1] *= np.exp(0.5j * theta)
-    return psi.reshape(-1)
+def _apply_rz(psi: np.ndarray, theta: np.ndarray, q: int) -> np.ndarray:
+    phase = np.exp(0.5j * theta)[:, None, None]
+    psi = psi.reshape(psi.shape[0], 2 ** q, 2, -1)
+    return np.stack([psi[:, :, 0] * phase.conj(), psi[:, :, 1] * phase],
+                    axis=2).reshape(psi.shape[0], -1)
 
 
 def _apply_cnot(psi: np.ndarray, ctrl: int, tgt: int, nq: int) -> np.ndarray:
-    psi = psi.reshape([2] * nq)
-    psi = np.moveaxis(psi, (ctrl, tgt), (0, 1))
-    psi[1] = psi[1, ::-1].copy()
-    psi = np.moveaxis(psi, (0, 1), (ctrl, tgt))
-    return psi.reshape(-1)
+    s = np.arange(2 ** nq)
+    flip = (s >> (nq - 1 - ctrl)) & 1
+    return psi[:, s ^ (flip << (nq - 1 - tgt))]
 
 
 def prepare_ansatz(theta: np.ndarray) -> np.ndarray:
-    """Ancilla state S(theta)|0000>.
+    """Ancilla state S(theta)|0000>, or one state per row of a (B, 28) theta.
 
     Three layers of per-qubit Ry then Rz rotations followed by a CNOT ring,
     then a final Ry on each qubit: 3 * 8 + 4 = 28 parameters.  All gates
     reduce to the identity (up to global phase) at theta = 0.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (N_ANSATZ_PARAMS,):
+    if theta.ndim not in (1, 2) or theta.shape[-1] != N_ANSATZ_PARAMS:
         raise ValueError(
             f"ansatz takes exactly {N_ANSATZ_PARAMS} parameters, got {theta.shape}"
         )
-    psi = np.zeros(ANCILLA_DIM, dtype=complex)
-    psi[0] = 1.0
+    rows = theta.reshape(-1, N_ANSATZ_PARAMS)
+    psi = np.zeros((rows.shape[0], ANCILLA_DIM), dtype=complex)
+    psi[:, 0] = 1.0
     p = 0
     for _ in range(3):
         for q in range(ANCILLA_QUBITS):
-            psi = _apply_ry(psi, theta[p], q)
+            psi = _apply_ry(psi, rows[:, p], q)
             p += 1
         for q in range(ANCILLA_QUBITS):
-            psi = _apply_rz(psi, theta[p], q)
+            psi = _apply_rz(psi, rows[:, p], q)
             p += 1
         for q in range(ANCILLA_QUBITS):
             psi = _apply_cnot(psi, q, (q + 1) % ANCILLA_QUBITS, ANCILLA_QUBITS)
     for q in range(ANCILLA_QUBITS):
-        psi = _apply_ry(psi, theta[p], q)
+        psi = _apply_ry(psi, rows[:, p], q)
         p += 1
-    return psi
+    return psi.reshape(theta.shape[:-1] + (ANCILLA_DIM,))
 
 
 # fixed last stage of the LCU PREPARE step: the 4-qubit Walsh-Hadamard
-# transform, entries +/-1/4
+# transform, entries +/-1/4; it is symmetric, so it acts on row states from
+# the right
 _HADAMARD = kron_all([np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)]
                      * ANCILLA_QUBITS)
 
 
 def prepare_lcu(theta: np.ndarray) -> np.ndarray:
-    """LCU ancilla state H^(x4) S(theta)|0000>, whose |amplitudes|^2 are the
-    branch weights of the convolution.
+    """LCU ancilla state H^(x4) S(theta)|0000> (one per row of a (B, 28)
+    theta), whose |amplitudes|^2 are the branch weights of the convolution.
 
     The Hadamard layer fixes where training starts.  The ansatz begins near
     the identity (angles within +/-0.1), and S(0)|0000> = |0000> is a
@@ -156,21 +145,7 @@ def prepare_lcu(theta: np.ndarray) -> np.ndarray:
     branches (weight 1/16 each), so neighbouring amplitudes interfere from
     the first step, and the final Ry layer moves the weights at first order.
     """
-    return _HADAMARD @ prepare_ansatz(theta)
-
-
-def ansatz_amplitude_gradient(theta: np.ndarray, index: int) -> np.ndarray:
-    """d(prepare_ansatz)/d(theta[index]) by the two-point shift rule.
-
-    Each parameter sits in a single half-angle rotation, so every amplitude
-    is A cos(theta_i/2) + B sin(theta_i/2) and the +/- pi/2 evaluations
-    recover the derivative exactly with divisor 4 sin(pi/4).
-    """
-    up = np.array(theta, dtype=float)
-    dn = up.copy()
-    up[index] += math.pi / 2.0
-    dn[index] -= math.pi / 2.0
-    return (prepare_ansatz(up) - prepare_ansatz(dn)) / (2.0 * math.sqrt(2.0))
+    return prepare_ansatz(theta) @ _HADAMARD
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +284,7 @@ class TrainConfig:
     batch_size: int = 20
     epochs: int = 20
     seed: int = 7
-    gradient: str = "fd"       # "fd" or "parameter-shift"
+    gradient: str = "parameter-shift"   # the exact path; "fd" is its reference
 
     def validate(self, n_train: int) -> None:
         if self.epochs < 1:
@@ -328,22 +303,22 @@ def _state_rows(Z) -> np.ndarray:
     return Z.astype(complex if np.iscomplexobj(Z) else float, copy=False)
 
 
-def _forward_parts(theta: np.ndarray, Z: np.ndarray, sources: np.ndarray,
+def _forward_parts(weights: np.ndarray, Z: np.ndarray, sources: np.ndarray,
                    feats: np.ndarray):
     """Batched readout rows and norm of the post-selected states.
 
-    Returns (F, G) with logit e = (F @ readout) / G: G[i] is the LCU
-    post-selection probability of sample i and F[i, j] the expectation of
-    the j-th readout diagonal against the unnormalised pooled operator.
-    Equal to composing conv_lcu, pool_discard and readout_expectation
-    sample by sample.
+    Returns (F, G, V) with logit e = (F @ readout) / G: V[i] is the
+    unnormalised convolution image of sample i, G[i] its LCU post-selection
+    probability and F[i, j] the expectation of the j-th readout diagonal
+    against the unnormalised pooled operator.  Equal to composing conv_lcu,
+    pool_discard and readout_expectation sample by sample.
     """
-    weights = branch_weights(prepare_lcu(theta))
-    P = np.abs(_apply_branches(weights, Z, sources)) ** 2
+    V = _apply_branches(weights, Z, sources)
+    P = np.abs(V) ** 2
     G = P.sum(axis=1)
     dh = feats.shape[1]
     F = P.reshape(P.shape[0], dh, dh).sum(axis=2) @ feats.T
-    return F, G
+    return F, G, V
 
 
 def logits(model: QcnnModel, Z: np.ndarray) -> np.ndarray:
@@ -351,7 +326,8 @@ def logits(model: QcnnModel, Z: np.ndarray) -> np.ndarray:
     Z = _state_rows(Z)
     sources = branch_sources(model.r)
     feats = readout_features(model.r // 2)
-    F, G = _forward_parts(model.theta, Z, sources, feats)
+    weights = branch_weights(prepare_lcu(model.theta))
+    F, G, _ = _forward_parts(weights, Z, sources, feats)
     if np.any(G < MIN_LCU_PROB):
         bad = int(np.argmin(G))
         raise ValueError(
@@ -380,69 +356,51 @@ def accuracy_from_logits(e: np.ndarray, labels: np.ndarray) -> float:
 # central finite-difference step of the "fd" gradient
 FD_STEP = 1e-5
 
-# five-point stencil recovering g'(x) exactly for trigonometric polynomials
-# of degree <= 2: g evaluated at x + 2 pi m / 5, m = 0..4
-_SHIFTS = 2.0 * math.pi * np.arange(5) / 5.0
-_STENCIL = np.array([
-    (2.0 / 5.0) * (math.sin(2.0 * math.pi * m / 5.0)
-                   + 2.0 * math.sin(4.0 * math.pi * m / 5.0))
-    for m in range(5)
-])
-
 
 def loss_and_grad(model: QcnnModel, Z: np.ndarray, labels: np.ndarray,
                   cfg: TrainConfig):
     """Batch loss and gradient over all trainable parameters.
 
-    ``cfg.gradient`` selects central finite differences on every parameter
-    or the exact path: trigonometric parameter shifts for the 28 rotation
-    parameters (five evaluations each, quotient rule for the post-selected
-    logit) and analytic derivatives for the readout coefficients.
+    The default ``cfg.gradient`` is the exact path.  One batched preparation
+    gives the ancilla a at theta and at theta +/- pi/2 on each angle, hence
+    da/dtheta_p and dw/dtheta = 2 Re(conj(a) da/dtheta).  With V the
+    convolution image, c the readout diagonal and g = dl/de, the branch
+    weights get dL/dw_k = 2 Re sum(U * Z[:, sources[k]]) for
+    U = (g / G) conj(V) (c - e), and the readout coefficients get g F / G.
+    ``"fd"`` takes central finite differences on every parameter instead.
     """
     Z = _state_rows(Z)
     labels = np.asarray(labels)
     sources = branch_sources(model.r)
     feats = readout_features(model.r // 2)
-    params = model.params()
-
-    def loss_at(flat: np.ndarray) -> float:
-        F, G = _forward_parts(flat[:N_ANSATZ_PARAMS], Z, sources, feats)
-        return bce_loss((F @ flat[N_ANSATZ_PARAMS:]) / G, labels)
-
-    loss = loss_at(params)
-    grad = np.empty_like(params)
     if cfg.gradient == "fd":
-        h = FD_STEP
-        for i in range(params.size):
-            up = params.copy()
-            dn = params.copy()
-            up[i] += h
-            dn[i] -= h
-            grad[i] = (loss_at(up) - loss_at(dn)) / (2.0 * h)
-        return loss, grad
+        def loss_at(flat: np.ndarray) -> float:
+            weights = branch_weights(prepare_lcu(flat[:N_ANSATZ_PARAMS]))
+            F, G, _ = _forward_parts(weights, Z, sources, feats)
+            return bce_loss((F @ flat[N_ANSATZ_PARAMS:]) / G, labels)
 
-    # parameter-shift path
-    F0, G0 = _forward_parts(model.theta, Z, sources, feats)
-    N0 = F0 @ model.readout
-    e0 = N0 / G0
-    y = (labels + 1) / 2.0
-    dl_de = (1.0 / (1.0 + np.exp(-e0)) - y) / Z.shape[0]
-    for i in range(N_ANSATZ_PARAMS):
-        Ns = np.empty((5, Z.shape[0]))
-        Gs = np.empty((5, Z.shape[0]))
-        Ns[0], Gs[0] = N0, G0
-        for m in range(1, 5):
-            th = model.theta.copy()
-            th[i] += _SHIFTS[m]
-            F, Gs[m] = _forward_parts(th, Z, sources, feats)
-            Ns[m] = F @ model.readout
-        dN = _STENCIL @ Ns
-        dG = _STENCIL @ Gs
-        de = (dN * G0 - N0 * dG) / G0 ** 2
-        grad[i] = float(dl_de @ de)
-    # readout coefficients enter the logit linearly: de/dh_j = F_j / G
-    grad[N_ANSATZ_PARAMS:] = dl_de @ (F0 / G0[:, None])
-    return loss, grad
+        params = model.params()
+        steps = FD_STEP * np.eye(params.size)
+        grad = np.array([loss_at(params + step) - loss_at(params - step)
+                         for step in steps]) / (2.0 * FD_STEP)
+        return loss_at(params), grad
+
+    # rows: theta, then theta + pi/2 and theta - pi/2 on each angle in turn
+    steps = (math.pi / 2.0) * np.eye(N_ANSATZ_PARAMS)
+    ancillas = prepare_lcu(model.theta + np.vstack(
+        [np.zeros(N_ANSATZ_PARAMS), steps, -steps]))
+    a = ancillas[0]
+    da = (ancillas[1:N_ANSATZ_PARAMS + 1]
+          - ancillas[N_ANSATZ_PARAMS + 1:]) / (2.0 * math.sqrt(2.0))
+    F, G, V = _forward_parts(branch_weights(a), Z, sources, feats)
+    e = (F @ model.readout) / G
+    loss = bce_loss(e, labels)
+    dl_de = (1.0 / (1.0 + np.exp(-e)) - (labels + 1) / 2.0) / Z.shape[0]
+    c = np.repeat(model.readout @ feats, feats.shape[1])
+    U = (dl_de / G)[:, None] * V.conj() * (c[None, :] - e[:, None])
+    dl_dw = 2.0 * np.einsum("ij,ikj->k", U, Z[:, sources]).real
+    grad_theta = (2.0 * (a.conj() * da).real) @ dl_dw
+    return loss, np.concatenate([grad_theta, dl_de @ (F / G[:, None])])
 
 
 class _Adam:

@@ -5,8 +5,8 @@ the resonant pair (probe flip onto the matching component) undergoes a full
 Rabi swap at t = 1/c, while every off-resonant pair with detuning Delta
 acquires amplitude at most c*pi/||Delta|.  These small leakages set the
 infidelity floor epsilon = O(c^2 / delta_min^2); this module provides the
-closed-form pieces, a certified lower bound on the retained amplitude, and
-the coupling sweep that exhibits the quadratic law on real data.
+closed-form pieces and the coupling sweep that exhibits the quadratic law
+on real data.
 """
 
 from __future__ import annotations
@@ -41,39 +41,6 @@ def offresonance_bound(c: float, weight: float, detuning: float) -> float:
     if detuning == 0:
         raise ValueError("detuning must be nonzero for an off-resonant pair")
     return abs(c * math.pi * weight / detuning)
-
-
-def alpha_lower_bound(eigenvalues: np.ndarray, rank: int, c: float,
-                      r_qubits: int | None = None) -> float:
-    """Certified lower bound on the retained amplitude |alpha_k|^2.
-
-    Subtracts the summed squared leakage bounds from 1, for the worst
-    resonant component k.  Two certificates are computed -- one from the
-    actual pairwise gaps, one from the index distances scaled by the
-    minimal gap (valid for any sorted spectrum) -- and the smaller is
-    returned.  When ``r_qubits`` is given, leakage into the padding levels
-    at +eigenvalues[0] is included as well.
-    """
-    lam = np.asarray(eigenvalues, dtype=float)[:rank]
-    d = c * math.pi
-    worst_gap = 0.0
-    worst_idx = 0.0
-    delta_min = np.inf
-    for k in range(rank):
-        for j in range(rank):
-            if j != k:
-                delta_min = min(delta_min, abs(lam[j] - lam[k]))
-    for k in range(rank):
-        s_gap = sum((d / (lam[j] - lam[k])) ** 2 for j in range(rank) if j != k)
-        s_idx = sum((d / delta_min) ** 2 / (j - k) ** 2
-                    for j in range(rank) if j != k)
-        if r_qubits is not None:
-            pad = (2 ** r_qubits - rank) * (d / (lam[0] + lam[k])) ** 2
-            s_gap += pad
-            s_idx += pad
-        worst_gap = max(worst_gap, s_gap)
-        worst_idx = max(worst_idx, s_idx)
-    return 1.0 - max(worst_gap, worst_idx)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

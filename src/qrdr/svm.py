@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import holdout_split, kfold_split
+from .dataset import holdout_split, kfold_split, require_finite
 from .pca import fit_pca, project
 
 GAMMA_GRID = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -40,7 +40,11 @@ class LssvmModel:
 
 
 def train_lssvm(X: np.ndarray, y: np.ndarray, gamma: float) -> LssvmModel:
-    """Fit the least-squares SVM by solving the bordered kernel system."""
+    """Fit the least-squares SVM by solving the bordered kernel system.
+
+    The protocols below call this per gamma; they check their features once
+    per call (:func:`dataset.require_finite`), so it does not.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     m = X.shape[0]
@@ -78,7 +82,7 @@ def accuracy(model: LssvmModel, X: np.ndarray, y: np.ndarray) -> float:
 def select_gamma(X: np.ndarray, y: np.ndarray, gammas=GAMMA_GRID,
                  inner_k: int = 4, seed: int = 7, stream: int = 0) -> float:
     """Pick gamma by inner cross-validation; ties go to the smallest value."""
-    X = np.asarray(X, dtype=float)
+    X = require_finite(X)
     y = np.asarray(y)
     folds = kfold_split(X.shape[0], inner_k, seed, stream=stream)
     scores = []
@@ -112,7 +116,7 @@ class CvResult:
 def cross_validate(X: np.ndarray, y: np.ndarray, k: int = 8, seed: int = 7,
                    gammas=GAMMA_GRID, inner_k: int = 4) -> CvResult:
     """k-fold accuracy with gamma chosen by nested CV inside each fold."""
-    X = np.asarray(X, dtype=float)
+    X = require_finite(X)
     y = np.asarray(y)
     folds = kfold_split(X.shape[0], k, seed)
     accs = np.empty(k)
@@ -176,7 +180,7 @@ def r_sweep(X: np.ndarray, y: np.ndarray, ranks=(4, 8, 16, 32), reps: int = 8,
     powers of two in [2, N]; the full dimension N is also allowed as the
     isometric reference point (it cannot change the linear kernel).
     """
-    X = np.asarray(X, dtype=float)
+    X = require_finite(X)
     y = np.asarray(y)
     m, n_feat = X.shape
     for rank in ranks:

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import load_jsonl, make_rng, require_finite, save_jsonl
+from .dataset import (load_jsonl, make_rng, require_finite, require_labels,
+                      save_jsonl)
 
 
 def _validate(n_sites: int, J: float, h: float) -> None:
@@ -81,21 +82,14 @@ def ground_state(n_sites: int, J: float, h: float) -> GroundState:
     return GroundState(energy=float(w[0]), amplitudes=state)
 
 
-def squared_magnetization(state: np.ndarray, n_sites: int) -> float:
-    """<(sum_i Z_i / n)^2>: order parameter for the ferromagnetic phase."""
-    dim = 2 ** n_sites
-    state = np.asarray(state)
-    ztot = np.array([
-        sum(1 - 2 * ((s >> (n_sites - 1 - i)) & 1) for i in range(n_sites))
-        for s in range(dim)
-    ], dtype=float)
-    return float(np.sum(np.abs(state) ** 2 * ztot ** 2) / n_sites ** 2)
-
-
 @dataclass
 class TfimDataset:
-    """Ground-state amplitudes with phase labels, sorted by ratio h/J; a NaN
-    or infinite amplitude is rejected, naming its 1-based record and index."""
+    """Ground-state amplitudes with phase labels, sorted by ratio h/J.
+
+    Each record holds 2^n_sites finite real amplitudes and a +1/-1 label;
+    the first bad value is rejected, naming its 1-based record (and
+    amplitude).
+    """
 
     features: np.ndarray   # (count, 2^n_sites) real amplitudes
     labels: np.ndarray     # +1 paramagnetic, -1 ferromagnetic
@@ -106,8 +100,12 @@ class TfimDataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        require_finite(self.features, "record", "amplitude")
+        self.features = require_finite(self.features, "record", "amplitude")
+        if self.features.shape[1] != 2 ** self.n_sites:
+            raise ValueError(f"{self.n_sites} sites need {2 ** self.n_sites} "
+                             f"amplitudes per record, got "
+                             f"{self.features.shape[1]}")
+        self.labels = require_labels(self.labels, self.count, "record")
 
     @property
     def count(self) -> int:
@@ -177,19 +175,37 @@ def save_dataset(path, ds: TfimDataset) -> None:
     save_jsonl(path, header, records)
 
 
+def _fields(obj, keys, where: str) -> list:
+    # the values of ``keys`` in one JSON object of a phase file
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"{where}: missing field {key!r}")
+    return [obj[key] for key in keys]
+
+
 def load_dataset(path) -> TfimDataset:
+    """Read a file written by :func:`save_dataset`.
+
+    A missing field raises ``ValueError`` naming the header or the 1-based
+    record, as do the checks of :class:`TfimDataset`.
+    """
     header, records = load_jsonl(path)
-    if header.get("kind") != "tfim-phase":
+    if not isinstance(header, dict) or header.get("kind") != "tfim-phase":
         raise ValueError(f"{path}: not a phase dataset file")
-    features = np.array([rec["amplitudes"] for rec in records])
+    if not records:
+        raise ValueError(f"{path}: no records")
+    n_sites, J, seed = _fields(header, ("n_sites", "J", "seed"), "header")
+    amplitudes, labels, ratios = zip(*(
+        _fields(rec, ("amplitudes", "label", "h_over_j"), f"record {i}")
+        for i, rec in enumerate(records, start=1)))
     meta = {k: header[k] for k in ("ratio_range", "exclusion") if k in header}
     return TfimDataset(
-        features=features,
-        labels=np.array([rec["label"] for rec in records], dtype=int),
-        ratios=np.array([rec["h_over_j"] for rec in records]),
-        n_sites=int(header["n_sites"]),
-        J=float(header["J"]),
-        seed=int(header["seed"]),
+        features=amplitudes,
+        labels=labels,
+        ratios=np.array(ratios),
+        n_sites=int(n_sites),
+        J=float(J),
+        seed=int(seed),
         meta=meta,
     )
 

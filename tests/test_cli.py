@@ -133,6 +133,7 @@ def test_config_seeds_list_and_flag_override(tmp_path, tiny_phase_file,
     ("qcnn-train", {"r": 8}, "even reduced register"),
     ("qsvm", {"folds": 1}, "folds:"),
     ("reduce", {"config": "other.json"}, "config:"),
+    ("qcnn-train", {"gradient": "fd"}, "unrecognized arguments: --gradient=fd"),
 ])
 def test_config_values_are_checked_like_flags(tmp_path, capsys, command,
                                               values, cause):
@@ -370,9 +371,39 @@ def test_qcnn_train_non_finite_data_exits_one_without_report(
     assert not list(out.glob("report_*.json"))
 
 
+@pytest.mark.parametrize("edit, cause", [
+    (lambda rec: rec.update(label=0), "data: record 3: label 0 is not +1/-1"),
+    (lambda rec: rec.pop("label"), "data: record 3: missing field 'label'"),
+], ids=["label-0", "no-label"])
+def test_qcnn_train_bad_record_exits_one_without_report(
+        tmp_path, tiny_phase_file, capsys, edit, cause):
+    lines = tiny_phase_file.read_text().splitlines()
+    rec = json.loads(lines[3])
+    edit(rec)
+    lines[3] = json.dumps(rec)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run_cli(["qcnn-train", "--data", bad, "--r", "4", "--arms", "mlp",
+                    "--epochs", "1", "--batch-size", "4", "--out", out]) == 1
+    assert cause in capsys.readouterr().err
+    assert not list(out.glob("report_*.json"))
+
+
+def test_qcnn_train_has_no_gradient_flag(tmp_path, tiny_phase_file, capsys):
+    # training has one gradient path; finite differences are only reachable
+    # through qcnn.TrainConfig, as the reference of the checks
+    assert run_cli(["qcnn-train", "--data", tiny_phase_file, "--r", "4",
+                    "--arms", "qcnn", "--epochs", "1", "--batch-size", "4",
+                    "--gradient", "fd", "--out", tmp_path]) == 1
+    assert "unrecognized arguments: --gradient fd" in capsys.readouterr().err
+    assert not list(tmp_path.glob("report_*.json"))
+
+
 def test_qcnn_train_reduces_at_an_admissible_rank(tmp_path, capsys):
-    # 6-site ground states have numerical rank 6; their top-16 boundary is
-    # degenerate, so the reduction must target fewer levels of the register
+    # 6-site ground states reduce at rank 6: delta_min(7) lies below the gap
+    # floor, and their top-16 boundary is degenerate, so the reduction must
+    # target fewer levels of the register
     phase = tmp_path / "phase.jsonl"
     ds = tfim.generate_dataset(n_sites=6, count=40, seed=3)
     tfim.save_dataset(phase, ds)

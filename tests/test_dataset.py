@@ -28,6 +28,10 @@ def test_labeled_dataset_validation():
         LabeledDataset(np.zeros((3, 2)), np.array([1, -1]))
     with pytest.raises(ValueError, match=r"\+1/-1"):
         LabeledDataset(np.zeros((2, 2)), np.array([1, 0]))
+    with pytest.raises(ValueError, match=r"row 2: label 1.5 is not \+1/-1"):
+        LabeledDataset(np.zeros((2, 2)), np.array([1, 1.5]))
+    with pytest.raises(ValueError, match="complex"):
+        LabeledDataset(np.ones((2, 2)) * 1j, np.array([1, -1]))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -36,6 +36,21 @@ def test_fit_rank_range():
         fit_pca(X, 4)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_fit_rejects_non_finite_entries(sonar_features, value):
+    X = sonar_features.copy()
+    X[4, 9] = value
+    with pytest.raises(ValueError, match="row 5, column 10: non-finite"):
+        fit_pca(X, 4)
+
+
+def test_fit_rejects_complex_entries(rng):
+    X = rng.normal(size=(6, 4)) + 0j
+    X[2, 1] += 1e-3j
+    with pytest.raises(ValueError, match="complex"):
+        fit_pca(X, 2)
+
+
 def test_fit_eigensystem_properties(rng):
     X = rng.normal(size=(12, 6))
     m = fit_pca(X, 3)

@@ -3,16 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qrdr import qcnn
 from qrdr.dataset import make_rng
 from qrdr.qcnn import (ANCILLA_DIM, MlpModel, N_ANSATZ_PARAMS, QcnnModel,
                        SplitData, TrainConfig, accuracy_from_logits,
-                       ansatz_amplitude_gradient, bce_loss, branch_matrix,
-                       branch_sources, branch_weights, conv_lcu, logits,
-                       loss_and_grad, mlp_baseline, mlp_logits,
-                       mlp_loss_and_grad, n_readout, pool_discard,
-                       prepare_ansatz, prepare_lcu, readout_expectation,
-                       readout_features, shift_operator, train)
+                       bce_loss, branch_matrix, branch_sources,
+                       branch_weights, conv_lcu, logits, loss_and_grad,
+                       mlp_baseline, mlp_logits, mlp_loss_and_grad,
+                       n_readout, pool_discard, prepare_ansatz, prepare_lcu,
+                       readout_expectation, readout_features, train)
 
 
 def _unit_rows(rng, m, dim):
@@ -20,26 +22,21 @@ def _unit_rows(rng, m, dim):
     return Z / np.linalg.norm(Z, axis=1, keepdims=True)
 
 
+def _complex_unit_rows(rng, m, dim):
+    Z = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
+    return Z / np.linalg.norm(Z, axis=1, keepdims=True)
+
+
 # ---------------------------------------------------------------------------
-# shift operators and LCU branches
+# LCU branches
 
 
-def test_shift_operator_smallest_is_x():
-    np.testing.assert_array_equal(shift_operator(1), [[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ValueError, match="at least one"):
-        shift_operator(0)
-
-
-def test_shift_operator_cycles():
-    for r_half in (1, 2, 3):
-        E = shift_operator(r_half)
-        d = 2 ** r_half
-        np.testing.assert_allclose(E @ E.T, np.eye(d), atol=1e-12)
-        np.testing.assert_allclose(np.linalg.matrix_power(E, d), np.eye(d),
-                                   atol=1e-12)
-        vec = np.zeros(d)
-        vec[0] = 1.0
-        np.testing.assert_array_equal(E @ vec, np.eye(d)[1])
+def shift_operator(r_half: int) -> np.ndarray:
+    """Cyclic increment E1 on 2^r_half basis states: E1|j> = |j+1 mod d>."""
+    d = 2 ** r_half
+    E = np.zeros((d, d))
+    E[(np.arange(d) + 1) % d, np.arange(d)] = 1.0
+    return E
 
 
 def test_branch_matrices_match_kron_forms():
@@ -89,17 +86,16 @@ def test_ansatz_unit_norm_and_size_check(rng):
         prepare_ansatz(np.zeros(27))
 
 
-def test_ansatz_gradient_matches_finite_differences(rng):
-    theta = rng.uniform(-1.0, 1.0, N_ANSATZ_PARAMS)
-    h = 1e-6
-    for index in (0, 7, 13, 27):
-        exact = ansatz_amplitude_gradient(theta, index)
-        up = theta.copy()
-        dn = theta.copy()
-        up[index] += h
-        dn[index] -= h
-        fd = (prepare_ansatz(up) - prepare_ansatz(dn)) / (2.0 * h)
-        assert np.abs(exact - fd).max() <= 1e-5 * max(1.0, np.abs(exact).max())
+def test_ansatz_prepares_one_state_per_parameter_row(rng):
+    thetas = rng.uniform(-2.0, 2.0, (5, N_ANSATZ_PARAMS))
+    batch = prepare_ansatz(thetas)
+    assert batch.shape == (5, ANCILLA_DIM)
+    for theta, psi in zip(thetas, batch):
+        np.testing.assert_allclose(psi, prepare_ansatz(theta), atol=1e-15)
+    np.testing.assert_allclose(prepare_lcu(thetas),
+                               [prepare_lcu(t) for t in thetas], atol=1e-15)
+    with pytest.raises(ValueError, match="28"):
+        prepare_ansatz(np.zeros((2, 27)))
 
 
 def test_branch_weights_normalized(rng):
@@ -331,6 +327,90 @@ def test_gradient_methods_agree(rng):
                                        TrainConfig(gradient="parameter-shift"))
             assert l_fd == pytest.approx(l_ps, abs=1e-12)
             assert np.linalg.norm(g_fd - g_ps) <= 1e-4 * np.linalg.norm(g_ps)
+
+
+# five-point stencil: the exact derivative of a trigonometric polynomial of
+# degree <= 2 from its values at x + 2 pi m / 5, m = 0..4
+_SHIFTS = 2.0 * math.pi * np.arange(5) / 5.0
+_STENCIL = (2.0 / 5.0) * (np.sin(_SHIFTS) + 2.0 * np.sin(2.0 * _SHIFTS))
+
+
+def _pooled_readouts(theta, Z, r):
+    # per sample: post-selection probability and the pooled state's
+    # expectation of every readout diagonal, composed stage by stage
+    ancilla = prepare_lcu(theta)
+    probs, rows = [], []
+    for z in Z:
+        prob, out = conv_lcu(z, ancilla)
+        rho = pool_discard(out)
+        probs.append(prob)
+        rows.append([readout_expectation(rho, unit)
+                     for unit in np.eye(n_readout(r))])
+    return np.array(probs), np.array(rows)
+
+
+def _five_point_gradient(model, Z, labels):
+    """Reference gradient: every angle sits in one gate, so the post-selected
+    numerator N = G e and norm G are degree-2 trigonometric polynomials in it;
+    the five-point rule gives dN and dG, the quotient rule de, and the
+    readout coefficients enter e linearly."""
+    G0, E0 = _pooled_readouts(model.theta, Z, model.r)
+    e0 = E0 @ model.readout
+    dl_de = (1.0 / (1.0 + np.exp(-e0)) - (labels + 1) / 2.0) / len(labels)
+    grad = []
+    for p in range(N_ANSATZ_PARAMS):
+        Ns, Gs = [], []
+        for shift in _SHIFTS:
+            theta = model.theta.copy()
+            theta[p] += shift
+            G, E = _pooled_readouts(theta, Z, model.r)
+            Ns.append(G * (E @ model.readout))
+            Gs.append(G)
+        dN, dG = _STENCIL @ np.array(Ns), _STENCIL @ np.array(Gs)
+        grad.append(dl_de @ ((dN * G0 - G0 * e0 * dG) / G0 ** 2))
+    return np.concatenate([grad, dl_de @ E0])
+
+
+def _random_case(seed, r, complex_rows, m, scale=1.0):
+    rng = make_rng(seed, 77)
+    base = QcnnModel.initial(r, seed)
+    model = base.with_params(rng.uniform(-scale, scale, base.params().size))
+    rows = _complex_unit_rows if complex_rows else _unit_rows
+    return model, rows(rng, m, 2 ** r), rng.choice([-1, 1], size=m)
+
+
+@pytest.mark.parametrize("r", [4, 8])
+@pytest.mark.parametrize("complex_rows", [False, True])
+def test_exact_gradient_matches_five_point_rule(r, complex_rows):
+    model, Z, y = _random_case(11, r, complex_rows, 5)
+    loss, grad = loss_and_grad(model, Z, y, TrainConfig())
+    ref = _five_point_gradient(model, Z, y)
+    assert loss == pytest.approx(bce_loss(logits(model, Z), y), abs=1e-15)
+    assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), r=st.sampled_from([2, 4]),
+       complex_rows=st.booleans(), m=st.integers(1, 6),
+       scale=st.floats(0.05, 3.0))
+def test_exact_gradient_property(seed, r, complex_rows, m, scale):
+    model, Z, y = _random_case(seed, r, complex_rows, m, scale)
+    _, grad = loss_and_grad(model, Z, y, TrainConfig())
+    ref = _five_point_gradient(model, Z, y)
+    assert np.linalg.norm(grad - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_default_gradient_prepares_the_ancilla_once(monkeypatch):
+    model, Z, y = _random_case(4, 4, True, 6)
+    calls = []
+
+    def counted(theta):
+        calls.append(np.shape(theta))
+        return prepare_lcu(theta)
+
+    monkeypatch.setattr(qcnn, "prepare_lcu", counted)
+    loss_and_grad(model, Z, y, TrainConfig())
+    assert calls == [(2 * N_ANSATZ_PARAMS + 1, N_ANSATZ_PARAMS)]
 
 
 def test_gradient_mean_reweighting(rng):

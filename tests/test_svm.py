@@ -146,6 +146,21 @@ def test_cross_validate_warns_on_single_class_fold():
         cross_validate(X, y, k=5, inner_k=2)
 
 
+@pytest.mark.parametrize("protocol", [
+    lambda X, y: cross_validate(X, y),
+    lambda X, y: select_gamma(X, y),
+    lambda X, y: r_sweep(X, y, ranks=(4,), reps=1),
+    lambda X, y: reduced_features(X, 4),
+], ids=["cross_validate", "select_gamma", "r_sweep", "reduced_features"])
+def test_protocols_reject_non_finite_and_complex_features(sonar, protocol):
+    X = sonar.features.copy()
+    X[4, 9] = np.nan
+    with pytest.raises(ValueError, match="row 5, column 10: non-finite"):
+        protocol(X, sonar.labels)
+    with pytest.raises(ValueError, match="complex"):
+        protocol(sonar.features * (1 + 1e-3j), sonar.labels)
+
+
 def test_cross_validate_sonar_raw_regression(sonar):
     res = cross_validate(sonar.features, sonar.labels)
     assert res.mean_accuracy == pytest.approx(0.75, abs=1e-9)

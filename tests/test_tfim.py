@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from qrdr.tfim import (TfimDataset, build_tfim, default_dataset_path,
                        generate_dataset, ground_state, load_dataset,
-                       parity_operator, save_dataset, squared_magnetization)
+                       parity_operator, save_dataset)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -104,26 +105,6 @@ def test_high_field_limit_is_minus_product():
     for _ in range(3):
         target = np.kron(target, minus)
     assert abs(np.dot(gs.amplitudes, target)) ** 2 >= 0.999
-
-
-# ---------------------------------------------------------------------------
-# order parameter
-
-
-def test_magnetization_polarized_and_uniform():
-    n = 5
-    polar = np.zeros(2 ** n)
-    polar[0] = 1.0
-    assert squared_magnetization(polar, n) == pytest.approx(1.0)
-    uniform = np.full(2 ** n, 2.0 ** (-n / 2))
-    assert squared_magnetization(uniform, n) == pytest.approx(1.0 / n)
-
-
-def test_magnetization_separates_phases():
-    ferro = ground_state(6, 1.0, 0.05)
-    para = ground_state(6, 1.0, 3.0)
-    assert squared_magnetization(ferro.amplitudes, 6) >= 0.8
-    assert squared_magnetization(para.amplitudes, 6) <= 0.3
 
 
 # ---------------------------------------------------------------------------
@@ -227,3 +208,46 @@ def test_load_rejects_non_finite_amplitude(tmp_path, small_set, value):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="record 3, amplitude 8: non-finite"):
         load_dataset(path)
+
+
+def _edit_record(path, line, edit):
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[line])
+    edit(rec)
+    lines[line] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("edit, cause", [
+    (lambda rec: rec.update(label=0), "record 4: label 0 is not +1/-1"),
+    (lambda rec: rec.update(label=2.5), "record 4: label 2.5 is not +1/-1"),
+    (lambda rec: rec.pop("label"), "record 4: missing field 'label'"),
+    (lambda rec: rec.pop("amplitudes"), "record 4: missing field 'amplitudes'"),
+    (lambda rec: rec.pop("h_over_j"), "record 4: missing field 'h_over_j'"),
+], ids=["label-0", "label-2.5", "no-label", "no-amplitudes", "no-ratio"])
+def test_load_rejects_malformed_record(tmp_path, small_set, edit, cause):
+    path = tmp_path / "bad.jsonl"
+    save_dataset(path, small_set)
+    _edit_record(path, 4, edit)    # line 0 is the header
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("edit, cause", [
+    (lambda header: header.pop("n_sites"), "header: missing field 'n_sites'"),
+    (lambda header: header.update(n_sites=3),
+     "3 sites need 8 amplitudes per record, got 16"),
+], ids=["no-sites", "wrong-sites"])
+def test_load_rejects_malformed_header(tmp_path, small_set, edit, cause):
+    path = tmp_path / "bad.jsonl"
+    save_dataset(path, small_set)
+    _edit_record(path, 0, edit)
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        load_dataset(path)
+
+
+def test_dataset_rejects_labels_other_than_plus_minus_one(small_set):
+    labels = small_set.labels.copy()
+    labels[2] = 0
+    with pytest.raises(ValueError, match=r"record 3: label 0 is not \+1/-1"):
+        TfimDataset(small_set.features, labels, small_set.ratios, 4, 1.0, 5)
