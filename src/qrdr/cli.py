@@ -241,23 +241,37 @@ def _load(cfg: ExperimentConfig, key: str, loader):
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _run_reduce(cfg: ExperimentConfig) -> ReportRecord:
+def _sonar(cfg: ExperimentConfig, reduces: bool = True):
+    """The --dataset matrix, checked against --r when the run reduces it."""
     ds = _load(cfg, "dataset", dataset_mod.load_sonar)
+    if reduces and cfg["r"] > ds.n_features:
+        raise ConfigError(f"r: rank {cfg['r']} exceeds {ds.n_features} features")
+    return ds
+
+
+def _writable(path: Path) -> Path:
+    # an output directory is made only when something is written to it
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _run_reduce(cfg: ExperimentConfig) -> ReportRecord:
+    ds = _sonar(cfg)
     out = run_qrdr(ds.features, cfg["r"], cfg["c"])
     return ReportRecord("reduce", _config_echo(cfg), out.to_metrics())
 
 
 def _run_sweep(cfg: ExperimentConfig) -> ReportRecord:
-    ds = _load(cfg, "dataset", dataset_mod.load_sonar)
+    ds = _sonar(cfg)
     result = resonance.sweep_c(ds.features, cfg["r"], cfg["c_grid"])
-    csv_path = cfg.out_dir / f"sweep_c_r{cfg['r']}.csv"
+    csv_path = _writable(cfg.out_dir / f"sweep_c_r{cfg['r']}.csv")
     result.write_csv(csv_path)
     return ReportRecord("sweep-c", _config_echo(cfg), result.to_metrics(),
                         artifacts={"sweep_csv": csv_path.name})
 
 
 def _run_qsvm(cfg: ExperimentConfig) -> ReportRecord:
-    ds = _load(cfg, "dataset", dataset_mod.load_sonar)
+    ds = _sonar(cfg, reduces=cfg["arm"] != "raw")
     metrics = {}
     gammas = tuple(cfg["gammas"])
     if cfg["arm"] in ("raw", "both"):
@@ -279,7 +293,8 @@ def _run_tfim_gen(cfg: ExperimentConfig) -> ReportRecord:
         exclusion=tuple(cfg["exclusion"]), J=cfg["j"],
     )
     out_file = cfg["out_file"]
-    path = Path(out_file) if out_file else tfim.default_dataset_path(cfg.out_dir)
+    path = _writable(Path(out_file) if out_file
+                     else tfim.default_dataset_path(cfg.out_dir))
     tfim.save_dataset(path, ds)
     metrics = {
         "count": ds.count,
@@ -354,7 +369,7 @@ def _run_qcnn_train(cfg: ExperimentConfig) -> ReportRecord:
     artifacts = {}
     for arm, seed, result, checkpoint in outputs:
         tag = f"{arm.replace('+', '_')}_s{seed}"
-        hist_path = cfg.out_dir / f"history_{tag}.csv"
+        hist_path = _writable(cfg.out_dir / f"history_{tag}.csv")
         result.write_csv(hist_path)
         ckpt_path = cfg.out_dir / f"model_{tag}.json"
         with open(ckpt_path, "w", encoding="ascii") as fh:
@@ -405,9 +420,9 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ReportRecord:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     record = _RUNNERS[cfg.command](cfg)
-    report_path = cfg.out_dir / f"report_{cfg.command.replace('-', '_')}.json"
+    report_path = _writable(
+        cfg.out_dir / f"report_{cfg.command.replace('-', '_')}.json")
     emit_report(record, report_path)
     print(f"wrote {report_path}", file=sys.stderr)
     return record

@@ -48,9 +48,9 @@ def require_finite(values, row: str = "row",
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D array ({row}s x {column}s), "
                          f"got shape {values.shape}")
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, j = bad[0]
+    finite = np.isfinite(values)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
         raise ValueError(f"{row} {i + 1}, {column} {j + 1}: non-finite "
                          f"value {values[i, j]}")
     return values

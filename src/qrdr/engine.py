@@ -181,6 +181,10 @@ class QrdrHamiltonian:
         return hermitian_eig(self.dense(), check=False)
 
 
+class InadmissibleCoupling(ValueError):
+    """The coupling c is not positive or reaches the minimal spectral gap."""
+
+
 def build_hamiltonian(model: PcaModel, c: float,
                       layout: RegisterLayout | None = None) -> QrdrHamiltonian:
     """Assemble the reduction Hamiltonian, enforcing admissibility of c.
@@ -191,7 +195,7 @@ def build_hamiltonian(model: PcaModel, c: float,
     to visibly bend.
     """
     if c <= 0:
-        raise ValueError(f"coupling c must be positive, got {c}")
+        raise InadmissibleCoupling(f"coupling c must be positive, got {c}")
     if model.boundary_degenerate:
         lam = model.eigenvalues
         raise ValueError(
@@ -202,7 +206,7 @@ def build_hamiltonian(model: PcaModel, c: float,
         )
     delta = model.delta_min
     if c >= delta:
-        raise ValueError(
+        raise InadmissibleCoupling(
             f"coupling c = {c:.3e} is not admissible: it reaches the minimal "
             f"spectral gap delta_min = {delta:.3e}, so off-resonant levels "
             "are no longer suppressed; reduce c or reduce the rank"

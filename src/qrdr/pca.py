@@ -122,11 +122,9 @@ def fit_pca(X: np.ndarray, rank: int) -> PcaModel:
 def project(X: np.ndarray, model: PcaModel) -> np.ndarray:
     """Project sample rows onto the top-R principal directions."""
     X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        return X @ model.components[:, : model.rank]
-    if X.shape[1] != model.n_features:
+    if X.shape[-1] != model.n_features:
         raise ValueError(
-            f"feature count {X.shape[1]} does not match model ({model.n_features})"
+            f"feature count {X.shape[-1]} does not match model ({model.n_features})"
         )
     return X @ model.components[:, : model.rank]
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import make_rng
+from .dataset import make_rng, require_finite
 from .linalg import kron_all
 
 N_ANSATZ_PARAMS = 28
@@ -300,6 +300,7 @@ class TrainConfig:
 def _state_rows(Z) -> np.ndarray:
     # complex amplitudes are kept: the forward pass only uses |V|^2
     Z = np.asarray(Z)
+    require_finite(np.abs(Z), column="amplitude")
     return Z.astype(complex if np.iscomplexobj(Z) else float, copy=False)
 
 
@@ -536,15 +537,8 @@ class MlpModel:
         return MlpModel(weights=weights, biases=biases)
 
 
-def _real_rows(X) -> np.ndarray:
-    X = np.asarray(X)
-    if np.iscomplexobj(X):
-        raise ValueError("MLP inputs must be real, got complex amplitudes")
-    return X.astype(float, copy=False)
-
-
 def mlp_logits(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    a = _real_rows(X).T
+    a = require_finite(X, column="amplitude").T
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         a = np.tanh(w @ a + b[:, None])
     return (model.weights[-1] @ a + model.biases[-1][:, None])[0]
@@ -552,7 +546,7 @@ def mlp_logits(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 def mlp_loss_and_grad(model: MlpModel, X: np.ndarray, labels: np.ndarray):
     """Loss plus backpropagated gradient in ``model.params()`` order."""
-    X = _real_rows(X)
+    X = require_finite(X, column="amplitude")
     y = (np.asarray(labels) + 1) / 2.0
     acts = [X.T]
     a = acts[0]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import run_qrdr
+from .engine import InadmissibleCoupling, run_qrdr
 
 # epsilon values below this are rounding noise, not a measurable error law
 EPSILON_FLOOR = 1e-10
@@ -143,15 +143,15 @@ DEFAULT_C_GRID = (0.001, 0.002, 0.004, 0.008, 0.016, 0.032)
 def sweep_c(X: np.ndarray, rank: int, c_values=DEFAULT_C_GRID) -> SweepResult:
     """Run the reduction once per coupling and collect the error curve.
 
-    Couplings the Hamiltonian builder rejects (c at or beyond the minimal
-    gap) are skipped with a warning and listed in ``skipped_c`` rather than
-    aborting the whole sweep.
+    Couplings that build_hamiltonian rejects (:class:`InadmissibleCoupling`)
+    are skipped with a warning and listed in ``skipped_c``; any other error,
+    such as a non-finite X or a rank out of range, is raised.
     """
     kept, skipped, outcomes = [], [], []
     for c in sorted(float(c) for c in c_values):
         try:
             out = run_qrdr(X, rank, c)
-        except ValueError as exc:
+        except InadmissibleCoupling as exc:
             warnings.warn(f"skipping inadmissible coupling c = {c:g}: {exc}",
                           stacklevel=2)
             skipped.append(c)

@@ -163,8 +163,26 @@ def test_reduce_report(tmp_path, capsys):
 
 
 def test_reduce_runtime_failure_exits_two(tmp_path, capsys):
-    assert run_cli(["reduce", "--c", "10", "--out", tmp_path]) == 2
+    out = tmp_path / "out"
+    assert run_cli(["reduce", "--c", "10", "--out", out]) == 2
     assert "failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce"], ["sweep-c"], ["qsvm", "--arm", "reduced"], ["qsvm"],
+], ids=["reduce", "sweep-c", "qsvm-reduced", "qsvm-both"])
+def test_rank_above_feature_count_exits_one(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--r", "100", "--out", out]) == 1
+    assert "r: rank 100 exceeds 60 features" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_qsvm_raw_arm_ignores_rank(tmp_path, capsys):
+    assert run_cli(["qsvm", "--arm", "raw", "--r", "100", "--folds", "2",
+                    "--out", tmp_path]) == 0
+    assert list(read_report(tmp_path, "qsvm")["metrics"]) == ["raw"]
 
 
 @pytest.mark.parametrize("command", ["reduce", "qsvm"])
@@ -179,7 +197,7 @@ def test_non_finite_dataset_exits_one_without_report(tmp_path, capsys,
     out = tmp_path / "out"
     assert run_cli([command, "--dataset", bad, "--out", out]) == 1
     assert "row 5, column 10: non-finite" in capsys.readouterr().err
-    assert not list(out.glob("report_*.json"))
+    assert not out.exists()
 
 
 def test_reduce_rerun_byte_identical(tmp_path, capsys):
@@ -368,7 +386,7 @@ def test_qcnn_train_non_finite_data_exits_one_without_report(
                     "qcnn+qrdr,mlp", "--epochs", "1", "--batch-size", "4",
                     "--out", out]) == 1
     assert "data: record 3, amplitude 5: non-finite" in capsys.readouterr().err
-    assert not list(out.glob("report_*.json"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("edit, cause", [
@@ -387,7 +405,7 @@ def test_qcnn_train_bad_record_exits_one_without_report(
     assert run_cli(["qcnn-train", "--data", bad, "--r", "4", "--arms", "mlp",
                     "--epochs", "1", "--batch-size", "4", "--out", out]) == 1
     assert cause in capsys.readouterr().err
-    assert not list(out.glob("report_*.json"))
+    assert not out.exists()
 
 
 def test_qcnn_train_has_no_gradient_flag(tmp_path, tiny_phase_file, capsys):

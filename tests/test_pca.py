@@ -135,6 +135,14 @@ def test_project_dimension_mismatch(rng):
     m = fit_pca(rng.normal(size=(5, 3)), 2)
     with pytest.raises(ValueError, match="feature count"):
         project(np.zeros((4, 5)), m)
+    with pytest.raises(ValueError, match="feature count 5 does not match"):
+        project(np.zeros(5), m)
+
+
+def test_project_single_row_matches_matrix_row(rng):
+    X = rng.normal(size=(5, 3))
+    m = fit_pca(X, 2)
+    np.testing.assert_array_equal(project(X[1], m), project(X, m)[1])
 
 
 def test_target_state_single_sample():

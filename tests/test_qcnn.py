@@ -293,6 +293,25 @@ def test_mlp_rejects_complex_rows():
         mlp_logits(MlpModel.initial(2, 0), np.ones((2, 2)) * 1j)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)],
+                         ids=["nan", "inf", "complex-nan"])
+def test_non_finite_rows_are_rejected_at_the_boundary(bad):
+    model, Z, y = _random_case(3, 4, np.iscomplexobj(bad), 4)
+    Z = Z.copy()
+    Z[1, 5] = bad
+    cause = "row 2, amplitude 6: non-finite"
+    with pytest.raises(ValueError, match=cause):
+        logits(model, Z)
+    with pytest.raises(ValueError, match=cause):
+        loss_and_grad(model, Z, y, TrainConfig())
+    if not np.iscomplexobj(bad):
+        mlp = MlpModel.initial(Z.shape[1], 0)
+        with pytest.raises(ValueError, match=cause):
+            mlp_logits(mlp, Z)
+        with pytest.raises(ValueError, match=cause):
+            mlp_loss_and_grad(mlp, Z, y)
+
+
 # ---------------------------------------------------------------------------
 # loss and gradients
 

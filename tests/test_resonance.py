@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,21 @@ def test_sweep_all_inadmissible_raises(rng):
     with pytest.warns(UserWarning, match="inadmissible"):
         with pytest.raises(ValueError, match="no admissible coupling"):
             sweep_c(X, 2, c_values=(50.0, 80.0))
+
+
+@pytest.mark.parametrize("edit, rank, cause", [
+    (lambda X: X.__setitem__((4, 9), np.nan), 8, "row 5, column 10: non-finite"),
+    (lambda X: None, 100, "rank must be in \\[1, 60\\], got 100"),
+], ids=["nan", "rank-100"])
+def test_sweep_raises_input_errors_without_skipping(sonar_features, edit,
+                                                    rank, cause):
+    # only coupling rejections are skipped: bad input names its own cause
+    X = sonar_features.copy()
+    edit(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=cause):
+            sweep_c(X, rank)
 
 
 def test_sweep_flags_exactly_compressible_data():

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qrdr import svm
 from qrdr.dataset import holdout_split, make_rng
 from qrdr.svm import (GAMMA_GRID, LssvmModel, accuracy, cross_validate,
-                      decision_values, kernel_matrix, predict, r_sweep,
-                      reduced_features, select_gamma, train_lssvm)
+                      decision_values, predict, r_sweep, reduced_features,
+                      select_gamma, train_lssvm)
 
 
 def _two_clusters(m_per_side=6, spread=0.1, seed=2):
@@ -16,28 +19,26 @@ def _two_clusters(m_per_side=6, spread=0.1, seed=2):
     return X, y
 
 
-# ---------------------------------------------------------------------------
-# kernel
+def _bordered_system(X, gamma):
+    m = X.shape[0]
+    system = np.zeros((m + 1, m + 1))
+    system[0, 1:] = 1.0
+    system[1:, 0] = 1.0
+    system[1:, 1:] = X @ X.T + np.eye(m) / gamma
+    return system
 
 
-def test_kernel_orthonormal_rows_give_identity():
-    np.testing.assert_allclose(kernel_matrix(np.eye(4)), np.eye(4))
+def _dual_lssvm(X, y, gamma):
+    """The LS-SVM dual, the oracle of the primal solve: (eta, b) from
 
+        [ 0    1^T             ] [ b   ]   [ 0 ]
+        [ 1    X X^T + I/gamma ] [ eta ] = [ y ]
 
-def test_kernel_duplicate_rows():
-    X = np.array([[1.0, 2.0], [1.0, 2.0]])
-    np.testing.assert_allclose(kernel_matrix(X), 5.0 * np.ones((2, 2)))
-
-
-def test_kernel_matches_loop_oracle(rng):
-    A = rng.normal(size=(5, 3))
-    B = rng.normal(size=(4, 3))
-    K = kernel_matrix(A, B)
-    assert K.shape == (5, 4)
-    for j in range(5):
-        for k in range(4):
-            assert K[j, k] == pytest.approx(np.dot(A[j], B[k]))
-    np.testing.assert_allclose(kernel_matrix(A), A @ A.T)
+    with decision function sum_j eta_j x_j . x + b.
+    """
+    sol = np.linalg.solve(_bordered_system(X, gamma),
+                          np.concatenate([[0.0], y]))
+    return sol[1:], sol[0]
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +47,14 @@ def test_kernel_matches_loop_oracle(rng):
 
 def test_train_mirror_pair_is_antisymmetric():
     X = np.array([[1.0, 2.0], [-1.0, -2.0]])
-    model = train_lssvm(X, np.array([1.0, -1.0]), gamma=2.0)
+    y = np.array([1.0, -1.0])
+    model = train_lssvm(X, y, gamma=2.0)
     assert model.bias == pytest.approx(0.0, abs=1e-12)
-    assert model.coefficients[0] == pytest.approx(-model.coefficients[1])
+    eta, b = _dual_lssvm(X, y, 2.0)
+    assert eta[0] == pytest.approx(-eta[1])
+    np.testing.assert_allclose(model.weights, X.T @ eta, atol=1e-12)
+    vals = decision_values(model, X)
+    assert vals[0] == pytest.approx(-vals[1])
     np.testing.assert_array_equal(predict(model, X), [1, -1])
 
 
@@ -69,29 +75,64 @@ def test_train_matches_block_elimination_solver(rng):
     b = (ones @ om_inv @ y) / (ones @ om_inv @ ones)
     eta = om_inv @ (y - b * ones)
     assert model.bias == pytest.approx(b, abs=1e-10)
-    np.testing.assert_allclose(model.coefficients, eta, atol=1e-10)
+    np.testing.assert_allclose(model.weights, X.T @ eta, atol=1e-10)
 
 
 def test_train_residual_and_constraint(rng):
+    # the primal fit satisfies the dual conditions with eta = gamma * residual:
+    # w = X^T eta, sum(eta) = 0, and the bordered system holds
     X = rng.normal(size=(9, 5))
     y = np.sign(rng.normal(size=9)) + (rng.normal(size=9) == 0)
     model = train_lssvm(X, y, gamma=4.0)
-    assert abs(model.coefficients.sum()) <= 1e-9
-    system = np.zeros((10, 10))
-    system[0, 1:] = 1.0
-    system[1:, 0] = 1.0
-    system[1:, 1:] = X @ X.T + np.eye(9) / 4.0
-    sol = np.concatenate([[model.bias], model.coefficients])
+    eta = 4.0 * (y - decision_values(model, X))
+    assert abs(eta.sum()) <= 1e-9
+    np.testing.assert_allclose(model.weights, X.T @ eta, atol=1e-10)
+    sol = np.concatenate([[model.bias], eta])
     rhs = np.concatenate([[0.0], y])
-    assert np.linalg.norm(system @ sol - rhs) <= 1e-8 * np.linalg.norm(y)
+    residual = _bordered_system(X, 4.0) @ sol - rhs
+    assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(y)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), m=st.integers(1, 59),
+       n_feat=st.integers(1, 40), gamma=st.sampled_from(GAMMA_GRID))
+def test_train_matches_dual_decision_values(seed, m, n_feat, gamma):
+    # m < N (the dual is the smaller system) and m > N (the primal is)
+    rng = make_rng(seed, 0)
+    X = rng.normal(size=(m, n_feat))
+    y = np.where(rng.normal(size=m) >= 0, 1.0, -1.0)
+    X_eval = rng.normal(size=(5, n_feat))
+    eta, b = _dual_lssvm(X, y, gamma)
+    dual = X_eval @ (X.T @ eta) + b
+    primal = decision_values(train_lssvm(X, y, gamma), X_eval)
+    assert np.linalg.norm(primal - dual) <= 1e-10 * np.linalg.norm(dual)
 
 
 def test_train_validation_errors(rng):
     X = rng.normal(size=(4, 2))
     with pytest.raises(ValueError, match="gamma"):
         train_lssvm(X, np.ones(4), gamma=0.0)
+    with pytest.raises(ValueError, match="gamma must be positive, got -1.0"):
+        select_gamma(X, np.array([1, -1, 1, -1]), gammas=(1.0, -1.0),
+                     inner_k=2)
     with pytest.raises(ValueError, match="align"):
         train_lssvm(X, np.ones(3), gamma=1.0)
+    with pytest.raises(ValueError, match="align"):
+        train_lssvm(X[:0], np.ones(0), gamma=1.0)
+
+
+def test_train_and_decision_values_reject_non_finite_features(rng):
+    X = rng.normal(size=(4, 3))
+    model = train_lssvm(X, np.array([1.0, -1.0, 1.0, -1.0]), gamma=1.0)
+    for bad in (np.nan, np.inf):
+        Xb = X.copy()
+        Xb[2, 1] = bad
+        with pytest.raises(ValueError, match="row 3, column 2: non-finite"):
+            train_lssvm(Xb, np.ones(4), gamma=1.0)
+        with pytest.raises(ValueError, match="row 3, column 2: non-finite"):
+            predict(model, Xb)
+    with pytest.raises(ValueError, match="complex"):
+        decision_values(model, X * 1j)
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +155,7 @@ def test_decision_values_shape_and_single_row():
 
 
 def test_predict_tie_resolves_positive():
-    model = LssvmModel(support=np.zeros((1, 2)),
-                       coefficients=np.zeros(1), bias=0.0, gamma=1.0)
+    model = LssvmModel(weights=np.zeros(2), bias=0.0, gamma=1.0)
     np.testing.assert_array_equal(predict(model, np.ones((3, 2))), [1, 1, 1])
 
 
@@ -126,6 +166,20 @@ def test_predict_tie_resolves_positive():
 def test_select_gamma_tie_takes_smallest():
     X, y = _two_clusters()
     assert select_gamma(X, y) == GAMMA_GRID[0] == 0.5
+
+
+def test_cross_validate_makes_one_factorisation_per_training_set(monkeypatch):
+    # inner_k eigensolves in select_gamma and one for the final fit, per fold
+    X, y = _two_clusters(m_per_side=12)
+    fits, eighs = [], []
+    train, eigh = svm.train_lssvm, np.linalg.eigh
+    monkeypatch.setattr(svm, "train_lssvm",
+                        lambda *a: fits.append(a) or train(*a))
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda A: eighs.append(A.shape) or eigh(A))
+    cross_validate(X, y, k=4, inner_k=3)
+    assert len(fits) == 4
+    assert eighs == [(3, 3)] * (4 * (3 + 1))
 
 
 def test_cross_validate_separable_is_perfect():
@@ -182,7 +236,7 @@ def test_reduced_features_nested_and_isometric(sonar_features):
     Z16 = reduced_features(sonar_features, 16)
     np.testing.assert_allclose(Z32[:, :16], Z16, atol=1e-10)
     Z60 = reduced_features(sonar_features, 60)
-    np.testing.assert_allclose(kernel_matrix(Z60), kernel_matrix(sonar_features),
+    np.testing.assert_allclose(Z60 @ Z60.T, sonar_features @ sonar_features.T,
                                atol=1e-8)
 
 
