@@ -28,7 +28,8 @@ import numpy as np
 
 from . import dataset as dataset_mod
 from . import qcnn, resonance, svm, tfim
-from .engine import reduce_rows, run_qrdr, sample_rows
+from .engine import build_hamiltonian, reduce_rows, run_qrdr, sample_rows
+from .pca import fit_pca
 
 
 class ConfigError(Exception):
@@ -257,7 +258,7 @@ def _writable(path: Path) -> Path:
 
 def _run_reduce(cfg: ExperimentConfig) -> ReportRecord:
     ds = _sonar(cfg)
-    out = run_qrdr(ds.features, cfg["r"], cfg["c"])
+    out = run_qrdr(build_hamiltonian(fit_pca(ds.features), cfg["r"], cfg["c"]))
     return ReportRecord("reduce", _config_echo(cfg), out.to_metrics())
 
 

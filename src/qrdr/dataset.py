@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-SONAR_SAMPLES = 208
 SONAR_FEATURES = 60
 
 # label encoding for the sonar task: mine (metal cylinder) = +1, rock = -1
@@ -89,18 +88,8 @@ class LabeledDataset:
         self.labels = require_labels(self.labels, self.features.shape[0])
 
     @property
-    def n_samples(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def n_features(self) -> int:
         return self.features.shape[1]
-
-    def class_counts(self) -> dict:
-        return {
-            "+1": int(np.sum(self.labels == 1)),
-            "-1": int(np.sum(self.labels == -1)),
-        }
 
 
 def sonar_path() -> Path:

@@ -13,7 +13,16 @@ A = X^T X is the data second-moment matrix, H_lam = diag(-lam_1..-lam_R,
 times the r-fold Hadamard (entries +/-1, first row all ones) spreads the
 component register over all basis states.  Evolving for t = 1/c and
 post-selecting the probe on |1> transfers amplitude into the top-R
-principal subspace with error epsilon = O(c^2 / delta_min^2).
+principal subspace with error epsilon = O(c^2 / gap^2).  The protecting
+gap is min(delta_min, 2^-r): delta_min(R) separates the target levels in
+the data spectrum, and the probe-|0> register puts level 0 at energy 0 and
+the other 2^r - 1 levels at -1, all tied to each resonant level by the
+spread coupling.
+
+A reduction reads fit -> build -> run: :func:`pca.fit_pca` eigendecomposes
+A once per dataset, :func:`build_hamiltonian` is the only place where the
+rank R and the coupling c meet that spectrum, and :func:`run_qrdr` evolves
+the data the model was fitted on under the built Hamiltonian.
 
 Two evolution paths are provided.  ``evolve_full`` exponentiates the dense
 2^(1+r+n) Hamiltonian.  ``evolve_blockwise`` exploits that sectors with a
@@ -22,20 +31,19 @@ to 2^n independent blocks of dimension 2^(r+1) that differ only by lam_k
 on the probe-|1> diagonal.  The blocks are built as one stacked array and
 diagonalised in one stacked eigensolve (:meth:`QrdrHamiltonian.sector_eig`);
 a reduction stacks only the sectors its data populates.  Both paths agree
-to rounding error, and the blockwise one is what makes realistic instances
-cheap.
+to rounding error, and the blockwise one (:func:`run_qrdr`) is what makes
+realistic instances cheap; :func:`_run_full` is its dense reference.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .dataset import require_finite
 from .linalg import (SpectralDecomposition, evolve_spectral, hermitian_eig,
                      kron_all)
 from .pca import PcaModel, fit_pca, target_state
@@ -45,10 +53,12 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 # post-selection below this probability is reported as a failure
 MIN_POSTSELECT_PROB = 1e-12
 
-# reduce_rows evolves at c = delta_min / REDUCTION_C_DIVISOR, and accepts a
-# rank only if delta_min >= REDUCTION_GAP_RTOL * lam_1.  The evolution time
-# is then t = 1/c <= 100 / (sqrt(eps) lam_1), so eigenvalue rounding
-# (about eps * lam_1) dephases the sectors by at most 100 sqrt(eps) ~ 1.5e-6.
+# reduce_rows evolves at c = min(delta_min, 2^-r) / REDUCTION_C_DIVISOR, a
+# hundredth of the protecting gap, and accepts a rank only if
+# delta_min >= REDUCTION_GAP_RTOL * lam_1.  Where delta_min sets the gap,
+# the evolution time is t = 1/c <= 100 / (sqrt(eps) lam_1), so eigenvalue
+# rounding (about eps * lam_1) dephases the sectors by at most
+# 100 sqrt(eps) ~ 1.5e-6; where 2^-r sets it, by 100 * 2^r * eps * lam_1.
 REDUCTION_C_DIVISOR = 100.0
 REDUCTION_GAP_RTOL = math.sqrt(np.finfo(float).eps)
 
@@ -76,9 +86,6 @@ class RegisterLayout:
     @property
     def dim(self) -> int:
         return 2 * self.dim_r * self.dim_n
-
-    def index(self, p: int, j: int, d: int) -> int:
-        return (p * self.dim_r + j) * self.dim_n + d
 
     @staticmethod
     def for_sizes(n_features: int, rank: int, r_qubits: int | None = None,
@@ -121,12 +128,14 @@ def encode_dataset_state(X: np.ndarray, layout: RegisterLayout) -> np.ndarray:
 class QrdrHamiltonian:
     """Assembled reduction Hamiltonian for one (dataset, rank, c) instance.
 
-    Stores the ingredients (PCA model, padded data spectrum/eigenbasis,
-    component-register diagonal, coupling); the dense matrix is materialised
-    lazily since the blockwise path never needs it.
+    Stores the ingredients (PCA model with its data, target rank, padded
+    data spectrum/eigenbasis, component-register diagonal, coupling); the
+    dense matrix is materialised lazily since the blockwise path never
+    needs it.
     """
 
     model: PcaModel
+    rank: int
     layout: RegisterLayout
     c: float
     hdiag: np.ndarray            # component-register diagonal, length 2^r
@@ -139,7 +148,7 @@ class QrdrHamiltonian:
 
     @property
     def delta_min(self) -> float:
-        return self.model.delta_min
+        return self.model.delta_min(self.rank)
 
     def sector_eig(self, count: int | None = None) -> SpectralDecomposition:
         """Eigensystems of the first ``count`` sector blocks (all 2^n by
@@ -182,52 +191,60 @@ class QrdrHamiltonian:
 
 
 class InadmissibleCoupling(ValueError):
-    """The coupling c is not positive or reaches the minimal spectral gap."""
+    """The coupling c is not positive or reaches a protecting gap."""
 
 
-def build_hamiltonian(model: PcaModel, c: float,
+def build_hamiltonian(model: PcaModel, rank: int, c: float,
                       layout: RegisterLayout | None = None) -> QrdrHamiltonian:
-    """Assemble the reduction Hamiltonian, enforcing admissibility of c.
+    """Assemble the reduction Hamiltonian of rank R, enforcing admissibility.
 
-    Rejects couplings at or beyond the minimal spectral gap (the resonance
-    structure would be lost) and spectra degenerate across the R-boundary;
-    warns when c exceeds delta_min / 10, where the O(c^2) error law starts
-    to visibly bend.
+    Rejects spectra degenerate across the R-boundary and couplings at or
+    beyond either protecting gap: the minimal spectral gap delta_min(R),
+    and 2^-r, the unit gap of the probe-|0> levels shared among the 2^r
+    levels the spread coupling ties to each resonance.  Past either, the
+    resonance structure is lost.  Warns when c exceeds a tenth of either
+    gap, where the O(c^2) error law starts to visibly bend.  The layout
+    defaults to the smallest registers that hold R components and the
+    features.
     """
     if c <= 0:
         raise InadmissibleCoupling(f"coupling c must be positive, got {c}")
-    if model.boundary_degenerate:
+    if model.boundary_degenerate(rank):
         lam = model.eigenvalues
         raise ValueError(
             "spectrum degenerate at the rank boundary: "
-            f"lam[{model.rank}] = {lam[model.rank - 1]:.6e} vs "
-            f"lam[{model.rank + 1}] = {lam[model.rank]:.6e}; the top-R "
+            f"lam[{rank}] = {lam[rank - 1]:.6e} vs "
+            f"lam[{rank + 1}] = {lam[rank]:.6e}; the top-R "
             "subspace is not well defined"
         )
-    delta = model.delta_min
-    if c >= delta:
-        raise InadmissibleCoupling(
-            f"coupling c = {c:.3e} is not admissible: it reaches the minimal "
-            f"spectral gap delta_min = {delta:.3e}, so off-resonant levels "
-            "are no longer suppressed; reduce c or reduce the rank"
-        )
-    if c > delta / 10.0:
-        warnings.warn(
-            f"coupling c = {c:.3e} exceeds delta_min/10 = {delta / 10:.3e}; "
-            "the quadratic error law degrades in this regime",
-            stacklevel=2,
-        )
     if layout is None:
-        layout = RegisterLayout.for_sizes(model.n_features, model.rank)
+        layout = RegisterLayout.for_sizes(model.n_features, rank)
+    gaps = (("delta_min", model.delta_min(rank)),
+            ("2^-r", 2.0 ** -layout.r_qubits))
+    for name, gap in gaps:
+        if c >= gap:
+            raise InadmissibleCoupling(
+                f"coupling c = {c:.3e} is not admissible: it reaches the "
+                f"protecting gap {name} = {gap:.3e}, so off-resonant levels "
+                "are no longer suppressed; reduce c or reduce the rank"
+            )
+    for name, gap in gaps:
+        if c > gap / 10.0:
+            warnings.warn(
+                f"coupling c = {c:.3e} exceeds {name}/10 = {gap / 10:.3e}; "
+                "the quadratic error law degrades in this regime",
+                stacklevel=2,
+            )
     lam = model.eigenvalues
     hdiag = np.full(layout.dim_r, lam[0])
-    hdiag[: model.rank] = -lam[: model.rank]
+    hdiag[:rank] = -lam[:rank]
     data_eigenvalues = np.zeros(layout.dim_n)
     data_eigenvalues[: model.n_features] = lam
     data_vectors = np.eye(layout.dim_n)
     data_vectors[: model.n_features, : model.n_features] = model.components
     return QrdrHamiltonian(
         model=model,
+        rank=rank,
         layout=layout,
         c=c,
         hdiag=hdiag,
@@ -314,7 +331,7 @@ def disentangle(psi: np.ndarray, h: QrdrHamiltonian) -> np.ndarray:
     dim_r, dim_n = h.layout.dim_r, h.layout.dim_n
     m = psi2.shape[1]
     work = psi2.reshape(dim_r, dim_n, m).copy()
-    for k in range(h.model.rank):
+    for k in range(h.rank):
         work[k] = _householder_apply(work[k], h.data_vectors[:, k])
     out = work.reshape(psi2.shape)
     return out[:, 0] if squeeze else out
@@ -349,61 +366,64 @@ class QrdrOutcome:
         }
 
 
-def _finish_outcome(h: QrdrHamiltonian, X: np.ndarray, prob: float,
+def _finish_outcome(h: QrdrHamiltonian, prob: float,
                     on_zero: np.ndarray) -> QrdrOutcome:
     # on_zero: post-selected, disentangled amplitudes on data |0..0>, (j, i)
     on_zero = on_zero.reshape(-1)
-    target = target_state(X, h.model, r_qubits=h.layout.r_qubits)
+    target = target_state(h.model, h.rank, h.layout.r_qubits)
     overlap = np.vdot(target, on_zero)
     epsilon = float(1.0 - np.abs(overlap) ** 2)
     weight = float(np.sum(np.abs(on_zero) ** 2))
     reduced = on_zero / math.sqrt(weight) if weight > 0 else on_zero
     return QrdrOutcome(
-        rank=h.model.rank,
+        rank=h.rank,
         c=h.c,
         layout=h.layout,
         success_probability=prob,
-        ideal_probability=h.model.variance_fraction(),
+        ideal_probability=h.model.variance_fraction(h.rank),
         epsilon=epsilon,
         fidelity=1.0 - epsilon,
-        residual_weight=float(1.0 - weight),
+        residual_weight=max(0.0, 1.0 - weight),   # weight rounds up to 1 + eps
         delta_min=h.delta_min,
         reduced_state=reduced,
         target=target,
     )
 
 
-def _run_full(h: QrdrHamiltonian, X: np.ndarray) -> QrdrOutcome:
-    """Dense reference for :func:`_run_blockwise`: the whole register is
-    evolved, post-selected and disentangled."""
+def _run_full(h: QrdrHamiltonian) -> QrdrOutcome:
+    """Dense reference for :func:`run_qrdr`: the whole register is evolved,
+    post-selected and disentangled."""
     layout = h.layout
-    m = X.shape[0]
-    encoded = encode_dataset_state(X, layout).reshape(layout.dim_n, m)
+    m = h.model.data.shape[0]
+    encoded = encode_dataset_state(h.model.data, layout).reshape(
+        layout.dim_n, m)
     psi0 = np.zeros((layout.dim, m))
     psi0.reshape(2, layout.dim_r, layout.dim_n, m)[0, 0] = encoded
     psi1 = evolve_full(h, psi0)
     prob, collapsed = postselect_probe(psi1, layout)
     cleaned = disentangle(collapsed, h)
     on_zero = cleaned.reshape(layout.dim_r, layout.dim_n, m)[:, 0, :]
-    return _finish_outcome(h, X, prob, on_zero)
+    return _finish_outcome(h, prob, on_zero)
 
 
-def _run_blockwise(h: QrdrHamiltonian, X: np.ndarray) -> QrdrOutcome:
-    """Sector-resolved fast path.
+def run_qrdr(h: QrdrHamiltonian) -> QrdrOutcome:
+    """End-to-end reduction of the data ``h`` was built from: evolve,
+    post-select, disentangle and compare with the ideal top-R state.
 
-    The initial state only populates sector k with weight |X v_k|^2, and
-    within each sector the dynamics acts on the (probe, component) factor
-    alone.  Post-selection and disentangling are evaluated directly from
-    the sector amplitudes: <0..0| W_j |v_k> = v_j . v_k collapses to a
-    Kronecker delta for resonant j, k, and to the leading eigenvector
-    entries otherwise.
+    Returns a :class:`QrdrOutcome` holding the success probability, the
+    infidelity epsilon against the ideal reduced state, and the normalised
+    reduced state itself.  This is the sector-resolved fast path; its dense
+    reference is :func:`_run_full`.  The initial state only populates
+    sector k with weight |X v_k|^2, and within each sector the dynamics
+    acts on the (probe, component) factor alone.  Post-selection and
+    disentangling are evaluated directly from the sector amplitudes:
+    <0..0| W_j |v_k> = v_j . v_k collapses to a Kronecker delta for
+    resonant j, k, and to the leading eigenvector entries otherwise.
     """
-    X = np.asarray(X, dtype=float)
+    X = h.model.data
     m, n_feat = X.shape
-    dim_r, rank = h.layout.dim_r, h.model.rank
+    dim_r, rank = h.layout.dim_r, h.rank
     f = np.linalg.norm(X)
-    if f == 0:
-        raise ValueError("dataset has zero Frobenius norm")
     # sector amplitudes of the initial state: z[:, k] over samples
     z = (X @ h.data_vectors[:n_feat, :n_feat]) / f
     e00 = np.eye(2 * dim_r)[0]
@@ -427,23 +447,7 @@ def _run_blockwise(h: QrdrHamiltonian, X: np.ndarray) -> QrdrOutcome:
     on_zero[:rank] = (scale * np.diagonal(upper)[:rank, None]) * z[:, :rank].T
     lead = h.data_vectors[0, :n_feat]          # first entry of each v_k
     on_zero[rank:] = scale * (upper[rank:] @ (z * lead).T)
-    return _finish_outcome(h, X, prob, on_zero)
-
-
-def run_qrdr(X: np.ndarray, rank: int, c: float, *,
-             r_qubits: int | None = None,
-             n_qubits: int | None = None) -> QrdrOutcome:
-    """End-to-end reduction of a dataset: fit, evolve, post-select, compare.
-
-    Returns a :class:`QrdrOutcome` holding the success probability, the
-    infidelity epsilon against the ideal top-R reduced state, and the
-    normalised reduced state itself.  The evolution takes the blockwise
-    path; ``_run_full`` is its dense reference.  :func:`fit_pca` checks X.
-    """
-    model = fit_pca(X, rank)
-    layout = RegisterLayout.for_sizes(model.n_features, rank,
-                                      r_qubits=r_qubits, n_qubits=n_qubits)
-    return _run_blockwise(build_hamiltonian(model, c, layout=layout), X)
+    return _finish_outcome(h, prob, on_zero)
 
 
 def admissible_rank(model: PcaModel, max_rank: int) -> int:
@@ -458,8 +462,8 @@ def admissible_rank(model: PcaModel, max_rank: int) -> int:
     """
     floor = REDUCTION_GAP_RTOL * float(model.eigenvalues[0])
     for rank in range(min(max_rank, model.n_features), 0, -1):
-        trial = replace(model, rank=rank)
-        if not trial.boundary_degenerate and trial.delta_min >= floor:
+        if (not model.boundary_degenerate(rank)
+                and model.delta_min(rank) >= floor):
             return rank
     raise ValueError(
         f"no rank <= {max_rank} has a protecting gap >= {floor:.3e}; "
@@ -482,19 +486,21 @@ def sample_rows(state: np.ndarray, m: int) -> np.ndarray:
 def reduce_rows(X: np.ndarray, r_qubits: int):
     """Reduce every sample into an r_qubits component register.
 
-    This is the entry point for downstream classifiers.  The rank is the
-    :func:`admissible_rank` of X up to 2^r_qubits; register indices at and
-    beyond it hold only leakage, which epsilon counts.  The coupling is
-    c = delta_min / REDUCTION_C_DIVISOR, and the evolution takes the
-    blockwise path.  Returns ``(rows, outcome)``.
+    This is the entry point for downstream classifiers.  X is fitted once.
+    The rank is the :func:`admissible_rank` of X up to 2^r_qubits; register
+    indices at and beyond it hold only leakage, which epsilon counts.  The
+    coupling is c = min(delta_min, 2^-r_qubits) / REDUCTION_C_DIVISOR, a
+    hundredth of the protecting gap, and the evolution takes the blockwise
+    path.  Returns ``(rows, outcome)``.
     ``rows[i]`` is the simulator's unit-norm reduced state of sample i.  It
     is complex, because the evolution leaves small relative phases.
     ``sample_rows(outcome.target, M)`` gives the ideal classical
     counterpart.
     """
-    X = require_finite(X)
-    model = fit_pca(X, 1)
+    model = fit_pca(X)
     rank = admissible_rank(model, 2 ** r_qubits)
-    c = replace(model, rank=rank).delta_min / REDUCTION_C_DIVISOR
-    outcome = run_qrdr(X, rank, c, r_qubits=r_qubits)
-    return sample_rows(outcome.reduced_state, X.shape[0]), outcome
+    c = min(model.delta_min(rank), 2.0 ** -r_qubits) / REDUCTION_C_DIVISOR
+    layout = RegisterLayout.for_sizes(model.n_features, rank,
+                                      r_qubits=r_qubits)
+    outcome = run_qrdr(build_hamiltonian(model, rank, c, layout=layout))
+    return sample_rows(outcome.reduced_state, model.data.shape[0]), outcome

@@ -1,8 +1,9 @@
 """Classical principal-component oracle.
 
 Works on the uncentred second-moment matrix A = X^T X of a dataset whose
-rows are samples.  The eigensystem of A fixes everything the resonant
-reduction needs: the top-R spectrum (resonance targets), the eigenbasis
+rows are samples.  Its eigensystem belongs to the dataset and is computed
+once by :func:`fit_pca`; a reduction rank R is an argument of the questions
+asked of it: the top-R spectrum (resonance targets), the eigenbasis
 (disentangling directions), the minimal spectral gap (admissibility of the
 coupling strength), and the ideal reduced state used as the fidelity
 reference.
@@ -10,7 +11,6 @@ reference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,42 +41,44 @@ def _fix_signs(V: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PcaModel:
-    """Eigensystem of A = X^T X with the reduction rank R attached.
+    """Eigensystem of A = X^T X and the checked data X it was fitted on.
 
     ``eigenvalues`` are descending; ``components[:, k]`` is the k-th
     principal direction, sign-fixed so the largest-magnitude entry is
     positive.  ``degenerate_pairs`` lists adjacent indices (k, k+1), 0-based,
-    with an eigenvalue spacing below ``DEGENERACY_ATOL``.
+    with an eigenvalue spacing below ``DEGENERACY_ATOL``.  Every question
+    about a reduction takes its rank R, which must lie in [1, N].
     """
 
     eigenvalues: np.ndarray
     components: np.ndarray
-    rank: int
-    frobenius_norm: float
+    data: np.ndarray
     degenerate_pairs: list = field(default_factory=list)
 
     @property
     def n_features(self) -> int:
         return self.components.shape[0]
 
-    @property
-    def boundary_degenerate(self) -> bool:
-        """True when the spectrum is degenerate across the R-boundary."""
-        return self.rank < self.n_features and (self.rank - 1, self.rank) in set(
-            self.degenerate_pairs
-        )
+    def check_rank(self, rank: int) -> None:
+        if not 1 <= rank <= self.n_features:
+            raise ValueError(
+                f"rank must be in [1, {self.n_features}], got {rank}")
 
-    def variance_fraction(self, rank: int | None = None) -> float:
-        """Fraction of total variance carried by the top eigenvalues."""
-        r = self.rank if rank is None else rank
+    def boundary_degenerate(self, rank: int) -> bool:
+        """True when the spectrum is degenerate across the R-boundary."""
+        self.check_rank(rank)
+        return (rank - 1, rank) in set(self.degenerate_pairs)
+
+    def variance_fraction(self, rank: int) -> float:
+        """Fraction of total variance carried by the top-R eigenvalues."""
+        self.check_rank(rank)
         total = float(np.sum(self.eigenvalues))
         if total <= 0:
             raise ValueError("total variance is zero")
-        return float(np.sum(self.eigenvalues[:r]) / total)
+        return float(np.sum(self.eigenvalues[:rank]) / total)
 
-    @property
-    def delta_min(self) -> float:
-        """Smallest detuning protecting the resonant transitions.
+    def delta_min(self, rank: int) -> float:
+        """Smallest spectral detuning protecting the resonant transitions.
 
         Off-resonant leakage couples every populated eigenvalue sector to
         each of the R target levels, so the minimum runs over adjacent gaps
@@ -84,23 +86,23 @@ class PcaModel:
         the nearest contaminant) and over the distance from the last target
         level down to the zero levels of padded sectors.
         """
+        self.check_rank(rank)
         lam = self.eigenvalues
-        lead = lam[: min(self.rank + 1, lam.size)]
-        gaps = [lam[self.rank - 1]]  # padded sectors sit at eigenvalue 0
+        lead = lam[: min(rank + 1, lam.size)]
+        gaps = [lam[rank - 1]]  # padded sectors sit at eigenvalue 0
         if lead.size > 1:
             gaps.extend(np.diff(lead) * -1.0)
         return float(min(gaps))
 
 
-def fit_pca(X: np.ndarray, rank: int) -> PcaModel:
-    """Eigendecompose A = X^T X and package the top-``rank`` description.
+def fit_pca(X: np.ndarray) -> PcaModel:
+    """Eigendecompose A = X^T X, once per dataset.
 
-    X must hold finite reals (:func:`dataset.require_finite`).
+    X must hold finite reals (:func:`dataset.require_finite`); the model
+    keeps the checked array as ``data``.
     """
     X = require_finite(X)
     n = X.shape[1]
-    if not 1 <= rank <= n:
-        raise ValueError(f"rank must be in [1, {n}], got {rank}")
     values, vectors = np.linalg.eigh(covariance(X))
     order = np.argsort(values)[::-1]
     values = values[order]
@@ -110,42 +112,35 @@ def fit_pca(X: np.ndarray, rank: int) -> PcaModel:
         for k in range(n - 1)
         if values[k] - values[k + 1] <= DEGENERACY_ATOL
     ]
-    return PcaModel(
-        eigenvalues=values,
-        components=vectors,
-        rank=rank,
-        frobenius_norm=float(np.linalg.norm(X)),
-        degenerate_pairs=pairs,
-    )
+    return PcaModel(eigenvalues=values, components=vectors, data=X,
+                    degenerate_pairs=pairs)
 
 
-def project(X: np.ndarray, model: PcaModel) -> np.ndarray:
+def project(X: np.ndarray, model: PcaModel, rank: int) -> np.ndarray:
     """Project sample rows onto the top-R principal directions."""
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != model.n_features:
         raise ValueError(
             f"feature count {X.shape[-1]} does not match model ({model.n_features})"
         )
-    return X @ model.components[:, : model.rank]
+    model.check_rank(rank)
+    return X @ model.components[:, :rank]
 
 
-def target_state(X: np.ndarray, model: PcaModel, r_qubits: int | None = None) -> np.ndarray:
+def target_state(model: PcaModel, rank: int, r_qubits: int) -> np.ndarray:
     """Ideal joint reduced state over (component register, sample register).
 
     The amplitude of |j>|i> is proportional to the projection of sample i
-    onto component j; the vector is unit-normalised.  The component register
-    holds ``r_qubits`` qubits (default: just enough for R values), so indices
-    j >= R carry zeros; the flattened index is j * M + i.
+    of the fitted data onto component j; the vector is unit-normalised.
+    The component register holds ``r_qubits`` qubits, so indices j >= R
+    carry zeros; the flattened index is j * M + i.
     """
-    Z = project(X, model)
-    m, rank = Z.shape
-    if r_qubits is None:
-        r_qubits = max(1, math.ceil(math.log2(rank))) if rank > 1 else 1
+    Z = project(model.data, model, rank)
     dim_r = 2 ** r_qubits
     if dim_r < rank:
         raise ValueError(f"2^{r_qubits} register cannot hold {rank} components")
-    out = np.zeros(dim_r * m)
-    out[: rank * m] = Z.T.reshape(-1)
+    out = np.zeros(dim_r * Z.shape[0])
+    out[: rank * Z.shape[0]] = Z.T.reshape(-1)
     norm = np.linalg.norm(out)
     if norm == 0:
         raise ValueError("projections vanish; cannot form a target state")

@@ -13,7 +13,7 @@ Training uses one exact gradient (:func:`loss_and_grad`): every angle sits
 in one half-angle rotation, so the ancilla states at theta_p +/- pi/2 give
 its derivative exactly, and the chain rule through the branch weights, the
 convolution and the pooled readout is closed form.  Central finite
-differences (``TrainConfig.gradient = "fd"``) stay as the checks' reference.
+differences (:func:`fd_gradient`) stay as the checks' reference.
 
 The classical baseline is a three-layer 128-unit tanh MLP with an explicit
 backward pass, trained under identical batching and optimiser settings.
@@ -284,7 +284,6 @@ class TrainConfig:
     batch_size: int = 20
     epochs: int = 20
     seed: int = 7
-    gradient: str = "parameter-shift"   # the exact path; "fd" is its reference
 
     def validate(self, n_train: int) -> None:
         if self.epochs < 1:
@@ -293,8 +292,6 @@ class TrainConfig:
             raise ValueError(
                 f"batch size must be in [1, {n_train}], got {self.batch_size}"
             )
-        if self.gradient not in ("fd", "parameter-shift"):
-            raise ValueError(f"unknown gradient method {self.gradient!r}")
 
 
 def _state_rows(Z) -> np.ndarray:
@@ -354,38 +351,44 @@ def accuracy_from_logits(e: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(pred == np.asarray(labels)))
 
 
-# central finite-difference step of the "fd" gradient
+# central finite-difference step of :func:`fd_gradient`
 FD_STEP = 1e-5
 
 
-def loss_and_grad(model: QcnnModel, Z: np.ndarray, labels: np.ndarray,
-                  cfg: TrainConfig):
-    """Batch loss and gradient over all trainable parameters.
+def fd_gradient(model: QcnnModel, Z: np.ndarray,
+                labels: np.ndarray) -> np.ndarray:
+    """Central finite differences of the batch loss on every parameter: the
+    reference that the checks hold :func:`loss_and_grad` against."""
+    Z = _state_rows(Z)
+    labels = np.asarray(labels)
+    sources = branch_sources(model.r)
+    feats = readout_features(model.r // 2)
 
-    The default ``cfg.gradient`` is the exact path.  One batched preparation
-    gives the ancilla a at theta and at theta +/- pi/2 on each angle, hence
-    da/dtheta_p and dw/dtheta = 2 Re(conj(a) da/dtheta).  With V the
-    convolution image, c the readout diagonal and g = dl/de, the branch
-    weights get dL/dw_k = 2 Re sum(U * Z[:, sources[k]]) for
-    U = (g / G) conj(V) (c - e), and the readout coefficients get g F / G.
-    ``"fd"`` takes central finite differences on every parameter instead.
+    def loss_at(flat: np.ndarray) -> float:
+        weights = branch_weights(prepare_lcu(flat[:N_ANSATZ_PARAMS]))
+        F, G, _ = _forward_parts(weights, Z, sources, feats)
+        return bce_loss((F @ flat[N_ANSATZ_PARAMS:]) / G, labels)
+
+    params = model.params()
+    steps = FD_STEP * np.eye(params.size)
+    return np.array([loss_at(params + step) - loss_at(params - step)
+                     for step in steps]) / (2.0 * FD_STEP)
+
+
+def loss_and_grad(model: QcnnModel, Z: np.ndarray, labels: np.ndarray):
+    """Batch loss and its exact gradient over all trainable parameters.
+
+    One batched preparation gives the ancilla a at theta and at
+    theta +/- pi/2 on each angle, hence da/dtheta_p and
+    dw/dtheta = 2 Re(conj(a) da/dtheta).  With V the convolution image, c
+    the readout diagonal and g = dl/de, the branch weights get
+    dL/dw_k = 2 Re sum(U * Z[:, sources[k]]) for U = (g / G) conj(V) (c - e),
+    and the readout coefficients get g F / G.
     """
     Z = _state_rows(Z)
     labels = np.asarray(labels)
     sources = branch_sources(model.r)
     feats = readout_features(model.r // 2)
-    if cfg.gradient == "fd":
-        def loss_at(flat: np.ndarray) -> float:
-            weights = branch_weights(prepare_lcu(flat[:N_ANSATZ_PARAMS]))
-            F, G, _ = _forward_parts(weights, Z, sources, feats)
-            return bce_loss((F @ flat[N_ANSATZ_PARAMS:]) / G, labels)
-
-        params = model.params()
-        steps = FD_STEP * np.eye(params.size)
-        grad = np.array([loss_at(params + step) - loss_at(params - step)
-                         for step in steps]) / (2.0 * FD_STEP)
-        return loss_at(params), grad
-
     # rows: theta, then theta + pi/2 and theta - pi/2 on each angle in turn
     steps = (math.pi / 2.0) * np.eye(N_ANSATZ_PARAMS)
     ancillas = prepare_lcu(model.theta + np.vstack(
@@ -494,7 +497,7 @@ def train(model: QcnnModel, data: SplitData, cfg: TrainConfig) -> TrainResult:
     """Minibatch Adam training; history records one entry per epoch."""
     # the lambdas look the functions up per call, so wrapped ones are seen
     return _fit(model, data, cfg,
-                lambda m, X, y: loss_and_grad(m, X, y, cfg),
+                lambda m, X, y: loss_and_grad(m, X, y),
                 lambda m, X: logits(m, X))
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import InadmissibleCoupling, run_qrdr
+from .engine import InadmissibleCoupling, build_hamiltonian, run_qrdr
+from .pca import fit_pca
 
 # epsilon values below this are rounding noise, not a measurable error law
 EPSILON_FLOOR = 1e-10
@@ -141,23 +142,24 @@ DEFAULT_C_GRID = (0.001, 0.002, 0.004, 0.008, 0.016, 0.032)
 
 
 def sweep_c(X: np.ndarray, rank: int, c_values=DEFAULT_C_GRID) -> SweepResult:
-    """Run the reduction once per coupling and collect the error curve.
+    """Fit X once, then build and run the reduction once per coupling.
 
     Couplings that build_hamiltonian rejects (:class:`InadmissibleCoupling`)
     are skipped with a warning and listed in ``skipped_c``; any other error,
     such as a non-finite X or a rank out of range, is raised.
     """
+    model = fit_pca(X)
     kept, skipped, outcomes = [], [], []
     for c in sorted(float(c) for c in c_values):
         try:
-            out = run_qrdr(X, rank, c)
+            h = build_hamiltonian(model, rank, c)
         except InadmissibleCoupling as exc:
             warnings.warn(f"skipping inadmissible coupling c = {c:g}: {exc}",
                           stacklevel=2)
             skipped.append(c)
             continue
         kept.append(c)
-        outcomes.append(out)
+        outcomes.append(run_qrdr(h))
     if not outcomes:
         raise ValueError("no admissible coupling in the sweep grid")
     return SweepResult(
@@ -166,7 +168,7 @@ def sweep_c(X: np.ndarray, rank: int, c_values=DEFAULT_C_GRID) -> SweepResult:
         epsilon=np.array([o.epsilon for o in outcomes]),
         fidelity=np.array([o.fidelity for o in outcomes]),
         success_probability=np.array([o.success_probability for o in outcomes]),
-        ideal_probability=float(outcomes[-1].ideal_probability),
-        delta_min=float(outcomes[-1].delta_min),
+        ideal_probability=model.variance_fraction(rank),
+        delta_min=model.delta_min(rank),
         skipped_c=skipped,
     )

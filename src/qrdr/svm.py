@@ -130,7 +130,7 @@ def reduced_features(X: np.ndarray, rank: int) -> np.ndarray:
     The projection basis is fit on the full dataset before any splitting,
     matching the evaluation protocol of the downstream comparisons.
     """
-    return project(X, fit_pca(X, rank))
+    return project(X, fit_pca(X), rank)
 
 
 @dataclass

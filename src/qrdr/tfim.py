@@ -33,17 +33,13 @@ def _validate(n_sites: int, J: float, h: float) -> None:
 def build_tfim(n_sites: int, J: float = 1.0, h: float = 1.0) -> np.ndarray:
     """Dense open-chain Hamiltonian matrix, dimension 2^n_sites."""
     _validate(n_sites, J, h)
-    dim = 2 ** n_sites
-    H = np.zeros((dim, dim))
-    for s in range(dim):
-        zz = 0.0
-        for i in range(n_sites - 1):
-            za = 1 - 2 * ((s >> (n_sites - 1 - i)) & 1)
-            zb = 1 - 2 * ((s >> (n_sites - 2 - i)) & 1)
-            zz += za * zb
-        H[s, s] = -J * zz
-        for i in range(n_sites):
-            H[s ^ (1 << (n_sites - 1 - i)), s] += h
+    s = np.arange(2 ** n_sites)
+    # z[s, i] = +/-1: the Z eigenvalue of site i (bit n - 1 - i) in state s
+    z = 1 - 2 * ((s[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1)
+    H = np.zeros((s.size, s.size))
+    H[s, s] = -J * (z[:, :-1] * z[:, 1:]).sum(axis=1)
+    for i in range(n_sites):
+        H[s ^ (1 << (n_sites - 1 - i)), s] = h
     return H
 
 

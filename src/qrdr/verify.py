@@ -33,7 +33,7 @@ def _check_evolution_unitary():
 def _check_pca_reconstruction():
     rng = make_rng(0, 92)
     X = rng.normal(size=(9, 5))
-    model = pca.fit_pca(X, 3)
+    model = pca.fit_pca(X)
     A = (model.components * model.eigenvalues) @ model.components.T
     assert np.abs(A - pca.covariance(X)).max() < 1e-9, "eigensystem broken"
 
@@ -41,7 +41,7 @@ def _check_pca_reconstruction():
 def _check_engine_paths_agree():
     rng = make_rng(0, 93)
     X = rng.normal(size=(6, 4))
-    h = build_hamiltonian(pca.fit_pca(X, 2), 1e-3)
+    h = build_hamiltonian(pca.fit_pca(X), 2, 1e-3)
     psi = rng.normal(size=h.layout.dim) + 1j * rng.normal(size=h.layout.dim)
     psi /= np.linalg.norm(psi)
     a = evolve_full(h, psi)
@@ -52,7 +52,7 @@ def _check_engine_paths_agree():
 def _check_low_rank_reduction():
     rng = make_rng(0, 94)
     X = rng.normal(size=(8, 3)) @ rng.normal(size=(3, 8))
-    out = run_qrdr(X, 3, 1e-4)
+    out = run_qrdr(build_hamiltonian(pca.fit_pca(X), 3, 1e-4))
     assert out.epsilon < 1e-6, f"rank-3 data should reduce losslessly: {out.epsilon}"
     assert out.success_probability > 0.999, "success probability too low"
 
@@ -103,12 +103,10 @@ def _check_gradient_methods():
     Z /= np.linalg.norm(Z, axis=1, keepdims=True)
     y = np.array([1, -1, 1, -1, 1, -1])
     model = qcnn.QcnnModel.initial(4, 3)
-    cfg_fd = qcnn.TrainConfig(gradient="fd", seed=3)
-    cfg_ps = qcnn.TrainConfig(gradient="parameter-shift", seed=3)
-    _, g_fd = qcnn.loss_and_grad(model, Z, y, cfg_fd)
-    _, g_ps = qcnn.loss_and_grad(model, Z, y, cfg_ps)
-    scale = max(np.abs(g_ps).max(), 1e-12)
-    assert np.abs(g_fd - g_ps).max() / scale < 1e-4, "gradient methods disagree"
+    g_fd = qcnn.fd_gradient(model, Z, y)
+    _, g_ex = qcnn.loss_and_grad(model, Z, y)
+    scale = max(np.abs(g_ex).max(), 1e-12)
+    assert np.abs(g_fd - g_ex).max() / scale < 1e-4, "gradient methods disagree"
 
 
 def _check_split_partition():

@@ -16,7 +16,7 @@ from qrdr.dataset import load_sonar, make_rng
 from qrdr.engine import build_hamiltonian, encode_dataset_state, \
     evolve_blockwise, evolve_full, run_qrdr
 from qrdr.pca import fit_pca
-from qrdr.qcnn import QcnnModel, TrainConfig, loss_and_grad
+from qrdr.qcnn import QcnnModel, fd_gradient, loss_and_grad
 from qrdr.resonance import sweep_c
 from qrdr.svm import cross_validate, r_sweep, reduced_features
 
@@ -43,11 +43,11 @@ def test_criterion_01_fidelity_bound_on_random_instances():
     rng = make_rng(7, 9)
     for _ in range(20):
         X = rng.normal(size=(16, 8))
-        model = fit_pca(X, 4)
+        model = fit_pca(X)
         assert not model.degenerate_pairs          # distinct spectrum
-        c = model.delta_min / 100.0
-        out = run_qrdr(X, 4, c)
-        bound = 1.0 - 10.0 * (c / model.delta_min) ** 2
+        c = model.delta_min(4) / 100.0
+        out = run_qrdr(build_hamiltonian(model, 4, c))
+        bound = 1.0 - 10.0 * (c / model.delta_min(4)) ** 2
         assert out.fidelity >= bound, (
             f"fidelity {out.fidelity:.8f} below bound {bound:.8f}"
         )
@@ -63,7 +63,7 @@ def test_criterion_02_blockwise_matches_dense(sonar_features):
     cases.append((sonar_features, 8, 0.004))
     cases.append((sonar_features, 16, 0.004))
     for X, rank, c in cases:
-        h = build_hamiltonian(fit_pca(X, rank), c)
+        h = build_hamiltonian(fit_pca(X), rank, c)
         lay = h.layout
         assert lay.dim <= 4096
         m = X.shape[0]
@@ -123,7 +123,7 @@ def test_criterion_06_rank_sweep_shape(sonar):
 
 
 def test_criterion_07_success_probability_tracks_variance(sonar_features):
-    out = run_qrdr(sonar_features, 16, 0.004)
+    out = run_qrdr(build_hamiltonian(fit_pca(sonar_features), 16, 0.004))
     gap = abs(out.success_probability - out.ideal_probability)
     assert gap <= out.epsilon + 0.01, (
         f"probability gap {gap:.4f} exceeds epsilon + 0.01"
@@ -195,9 +195,8 @@ def test_criterion_10_gradient_methods_cross_check():
     n_par = base.params().size
     for point in range(10):
         model = base.with_params(rng.uniform(-1.0, 1.0, n_par))
-        _, g_fd = loss_and_grad(model, Z, y, TrainConfig(gradient="fd"))
-        _, g_ps = loss_and_grad(model, Z, y,
-                                TrainConfig(gradient="parameter-shift"))
+        g_fd = fd_gradient(model, Z, y)
+        _, g_ps = loss_and_grad(model, Z, y)
         rel = np.linalg.norm(g_fd - g_ps) / np.linalg.norm(g_ps)
         assert rel <= 1e-4, f"point {point}: relative deviation {rel:.3e}"
 

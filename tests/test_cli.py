@@ -425,7 +425,8 @@ def test_qcnn_train_reduces_at_an_admissible_rank(tmp_path, capsys):
     phase = tmp_path / "phase.jsonl"
     ds = tfim.generate_dataset(n_sites=6, count=40, seed=3)
     tfim.save_dataset(phase, ds)
-    assert fit_pca(ds.features, 16).boundary_degenerate
+    model = fit_pca(ds.features)
+    assert model.boundary_degenerate(16)
     assert run_cli(["qcnn-train", "--data", phase, "--r", "16",
                     "--arms", "qcnn+qrdr,mlp+dr", "--epochs", "1",
                     "--batch-size", "8", "--out", tmp_path]) == 0
@@ -434,10 +435,10 @@ def test_qcnn_train_reduces_at_an_admissible_rank(tmp_path, capsys):
     red = metrics["qcnn+qrdr"]["reduction"]
     assert metrics["mlp+dr"]["reduction"] == red
     assert red["rank"] == 6
-    model = fit_pca(ds.features, red["rank"])
-    assert not model.boundary_degenerate
-    assert red["delta_min"] == pytest.approx(model.delta_min)
-    assert red["c"] == pytest.approx(model.delta_min / 100.0)
+    assert not model.boundary_degenerate(red["rank"])
+    assert red["delta_min"] == pytest.approx(model.delta_min(red["rank"]))
+    # the spectral gap, far below the probe gap 2^-4, sets the coupling
+    assert red["c"] == pytest.approx(model.delta_min(red["rank"]) / 100.0)
     assert red["epsilon"] <= 1e-8
     with open(tmp_path / "model_qcnn_qrdr_s7.json") as fh:
         assert json.load(fh)["r"] == 4

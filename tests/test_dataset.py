@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qrdr.dataset import (LabeledDataset, SONAR_FEATURES, SONAR_SAMPLES,
+from qrdr.dataset import (LabeledDataset, SONAR_FEATURES,
                           holdout_split, kfold_split, load_jsonl, load_sonar,
                           make_rng, save_csv, save_jsonl, sonar_path)
 
@@ -51,8 +51,7 @@ def test_load_rejects_nan_feature(tmp_path):
 
 
 def test_sonar_shape(sonar):
-    assert sonar.features.shape == (SONAR_SAMPLES, SONAR_FEATURES)
-    assert sonar.n_samples == 208
+    assert sonar.features.shape == (208, SONAR_FEATURES)
     assert sonar.n_features == 60
 
 
@@ -62,7 +61,8 @@ def test_sonar_class_counts_against_raw_file(sonar):
     counts = {"M": 0, "R": 0}
     for line in text:
         counts[line.rsplit(",", 1)[1]] += 1
-    assert sonar.class_counts() == {"+1": counts["M"], "-1": counts["R"]}
+    assert np.sum(sonar.labels == 1) == counts["M"]
+    assert np.sum(sonar.labels == -1) == counts["R"]
     assert counts["M"] + counts["R"] == 208
 
 

@@ -1,17 +1,28 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from qrdr.dataset import make_rng
-from qrdr.engine import (REDUCTION_C_DIVISOR, RegisterLayout, _run_full,
-                         admissible_rank, build_hamiltonian, disentangle,
-                         encode_dataset_state, evolve_blockwise, evolve_full,
-                         postselect_probe, reduce_rows, run_qrdr,
-                         spread_operator)
+from qrdr.engine import (REDUCTION_C_DIVISOR, InadmissibleCoupling,
+                         RegisterLayout, _run_full, admissible_rank,
+                         build_hamiltonian, disentangle, encode_dataset_state,
+                         evolve_blockwise, evolve_full, postselect_probe,
+                         reduce_rows, run_qrdr, spread_operator)
 from qrdr.pca import fit_pca
 
 
 def _spectrum_matrix(eigenvalues):
     return np.diag(np.sqrt(np.asarray(eigenvalues, dtype=float)))
+
+
+def _reduce(X, rank, c, layout=None):
+    return run_qrdr(build_hamiltonian(fit_pca(X), rank, c, layout=layout))
+
+
+def _index(lay, p, j, d):
+    # basis-state index of |p>|j>|d>: C order over (probe, component, data)
+    return int(np.ravel_multi_index((p, j, d), (2, lay.dim_r, lay.dim_n)))
 
 
 # ---------------------------------------------------------------------------
@@ -21,7 +32,7 @@ def _spectrum_matrix(eigenvalues):
 def test_layout_index_and_dims():
     lay = RegisterLayout(r_qubits=2, n_qubits=3)
     assert (lay.dim_r, lay.dim_n, lay.dim) == (4, 8, 64)
-    assert lay.index(1, 2, 5) == (1 * 4 + 2) * 8 + 5
+    assert _index(lay, 1, 2, 5) == (1 * 4 + 2) * 8 + 5
 
 
 def test_layout_for_sizes():
@@ -90,9 +101,9 @@ def _popcount_sign(j, k):
 def test_dense_matches_entrywise_oracle(rng):
     # rebuild every matrix element of the composite operator from scratch
     X = rng.normal(size=(5, 3))
-    model = fit_pca(X, 2)
-    c = model.delta_min / 50.0
-    h = build_hamiltonian(model, c)
+    model = fit_pca(X)
+    c = model.delta_min(2) / 50.0
+    h = build_hamiltonian(model, 2, c)
     lay = h.layout
     assert (lay.r_qubits, lay.n_qubits) == (1, 2)
 
@@ -106,11 +117,11 @@ def test_dense_matches_entrywise_oracle(rng):
     for p in range(2):
         for j in range(lay.dim_r):
             for d in range(lay.dim_n):
-                row = lay.index(p, j, d)
+                row = _index(lay, p, j, d)
                 for q in range(2):
                     for i in range(lay.dim_r):
                         for e in range(lay.dim_n):
-                            col = lay.index(q, i, e)
+                            col = _index(lay, q, i, e)
                             val = 0.0 + 0.0j
                             if p == 0 and q == 0 and j == i and d == e:
                                 val += 0.0 if j == 0 else -1.0
@@ -127,8 +138,8 @@ def test_dense_matches_entrywise_oracle(rng):
 
 
 def test_build_pads_registers(sonar_features):
-    model = fit_pca(sonar_features, 4)
-    h = build_hamiltonian(model, 1e-3)
+    model = fit_pca(sonar_features)
+    h = build_hamiltonian(model, 4, 1e-3)
     assert (h.layout.r_qubits, h.layout.n_qubits) == (2, 6)
     np.testing.assert_allclose(h.hdiag, [-model.eigenvalues[0],
                                          -model.eigenvalues[1],
@@ -140,30 +151,47 @@ def test_build_pads_registers(sonar_features):
 
 
 def test_build_rejects_non_positive_c(rng):
-    model = fit_pca(rng.normal(size=(6, 4)), 2)
+    model = fit_pca(rng.normal(size=(6, 4)))
     with pytest.raises(ValueError, match="positive"):
-        build_hamiltonian(model, 0.0)
+        build_hamiltonian(model, 2, 0.0)
 
 
 def test_build_rejects_coupling_at_gap():
-    model = fit_pca(_spectrum_matrix([4.0, 3.0, 1.0]), 2)
-    assert model.delta_min == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="not admissible"):
-        build_hamiltonian(model, model.delta_min)
-    with pytest.raises(ValueError, match="not admissible"):
-        build_hamiltonian(model, 2.5)
+    # delta_min(2) = 0.01 lies far below the probe gap 2^-1
+    model = fit_pca(_spectrum_matrix([0.04, 0.03, 0.01]))
+    assert model.delta_min(2) == pytest.approx(0.01)
+    with pytest.raises(ValueError, match="not admissible.*delta_min = "):
+        build_hamiltonian(model, 2, model.delta_min(2))
+    with pytest.raises(ValueError, match="not admissible.*delta_min = "):
+        build_hamiltonian(model, 2, 0.025)
 
 
 def test_build_warns_in_bent_regime():
-    model = fit_pca(_spectrum_matrix([4.0, 3.0, 1.0]), 2)
+    model = fit_pca(_spectrum_matrix([0.04, 0.03, 0.01]))
     with pytest.warns(UserWarning, match="delta_min/10"):
-        build_hamiltonian(model, 0.2)
+        build_hamiltonian(model, 2, 0.002)
+
+
+def test_build_rejects_coupling_at_probe_gap():
+    # delta_min(2) = 100: the probe-|0> gap 2^-r protects the resonances
+    model = fit_pca(_spectrum_matrix([400.0, 300.0, 100.0]))
+    assert model.delta_min(2) == pytest.approx(100.0)
+    with pytest.raises(InadmissibleCoupling, match="2\\^-r = 5.000e-01"):
+        build_hamiltonian(model, 2, 0.5)
+    wide = RegisterLayout.for_sizes(3, 2, r_qubits=3)
+    with pytest.raises(InadmissibleCoupling, match="2\\^-r = 1.250e-01"):
+        build_hamiltonian(model, 2, 0.2, layout=wide)
+    with pytest.warns(UserWarning, match="2\\^-r/10"):
+        build_hamiltonian(model, 2, 0.06)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_hamiltonian(model, 2, 0.04)
 
 
 def test_build_rejects_degenerate_boundary():
-    model = fit_pca(_spectrum_matrix([4.0, 2.0, 2.0, 1.0]), 2)
+    model = fit_pca(_spectrum_matrix([4.0, 2.0, 2.0, 1.0]))
     with pytest.raises(ValueError, match="degenerate at the rank boundary"):
-        build_hamiltonian(model, 1e-4)
+        build_hamiltonian(model, 2, 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +201,9 @@ def test_build_rejects_degenerate_boundary():
 @pytest.fixture(scope="module")
 def small_instance():
     X = make_rng(3, 42).normal(size=(12, 6))
-    model = fit_pca(X, 3)
-    c = model.delta_min / 500.0
-    return X, model, build_hamiltonian(model, c)
+    model = fit_pca(X)
+    c = model.delta_min(3) / 500.0
+    return X, model, build_hamiltonian(model, 3, c)
 
 
 def _eigenstate_input(h, k):
@@ -190,7 +218,7 @@ def test_resonant_transfer_per_component(small_instance):
     # |0>|0..0>|v_k> with k < R ends almost entirely on |1>|k>|v_k>
     _, model, h = small_instance
     ratio2 = (h.c / h.delta_min) ** 2
-    for k in range(model.rank):
+    for k in range(h.rank):
         out = evolve_full(h, _eigenstate_input(h, k))
         tgt = np.zeros(h.layout.dim, dtype=complex)
         tgt.reshape(2, h.layout.dim_r, h.layout.dim_n)[1, k, :6] = \
@@ -202,7 +230,7 @@ def test_resonant_transfer_per_component(small_instance):
 def test_offresonant_sectors_stay_put(small_instance):
     _, model, h = small_instance
     ratio2 = (h.c / h.delta_min) ** 2
-    for k in range(model.rank, 6):
+    for k in range(h.rank, 6):
         psi = _eigenstate_input(h, k)
         out = evolve_full(h, psi)
         mag2 = abs(np.vdot(psi, out)) ** 2
@@ -210,8 +238,8 @@ def test_offresonant_sectors_stay_put(small_instance):
 
 
 def test_epsilon_quarters_when_c_halves(sonar_features):
-    e_large = run_qrdr(sonar_features, 16, 0.008).epsilon
-    e_small = run_qrdr(sonar_features, 16, 0.004).epsilon
+    e_large = _reduce(sonar_features, 16, 0.008).epsilon
+    e_small = _reduce(sonar_features, 16, 0.004).epsilon
     assert 3.0 <= e_large / e_small <= 5.0
 
 
@@ -221,7 +249,7 @@ def test_epsilon_quarters_when_c_halves(sonar_features):
 
 def test_paths_agree_small_instance(rng):
     X = rng.normal(size=(6, 4))
-    h = build_hamiltonian(fit_pca(X, 2), 1e-3)
+    h = build_hamiltonian(fit_pca(X), 2, 1e-3)
     psi = rng.normal(size=h.layout.dim) + 1j * rng.normal(size=h.layout.dim)
     psi /= np.linalg.norm(psi)
     a = evolve_full(h, psi)
@@ -260,7 +288,7 @@ def test_blockwise_reduction_solves_one_stack(monkeypatch, rng):
     monkeypatch.setattr(engine, "hermitian_eig", counted_eig)
     monkeypatch.setattr(engine, "spread_operator", counted_spread)
     X = rng.normal(size=(10, 6))
-    run_qrdr(X, 2, 1e-3)
+    _reduce(X, 2, 1e-3)
     # one stacked eigensolve over the 6 populated sectors, not the 8 padded
     assert calls == {"eig": [(6, 4, 4)], "spread": 1}
 
@@ -285,8 +313,8 @@ def test_blockwise_preserves_sector(small_instance):
 
 def test_paths_agree_on_sonar_truncation(sonar_features):
     X = sonar_features[:, :16]
-    full = _run_full(build_hamiltonian(fit_pca(X, 4), 2e-3), X)
-    block = run_qrdr(X, 4, 2e-3)
+    h = build_hamiltonian(fit_pca(X), 4, 2e-3)
+    full, block = _run_full(h), run_qrdr(h)
     assert abs(full.epsilon - block.epsilon) <= 1e-10
     assert abs(full.success_probability - block.success_probability) <= 1e-10
     np.testing.assert_allclose(full.reduced_state, block.reduced_state,
@@ -331,7 +359,7 @@ def test_postselect_errors():
 def test_disentangle_maps_component_states(small_instance):
     _, model, h = small_instance
     lay = h.layout
-    for k in range(model.rank):
+    for k in range(h.rank):
         psi = np.zeros(lay.dim_r * lay.dim_n)
         psi.reshape(lay.dim_r, lay.dim_n)[k, :6] = model.components[:, k]
         out = disentangle(psi, h).reshape(lay.dim_r, lay.dim_n)
@@ -345,9 +373,9 @@ def test_disentangle_fixed_point():
     X = np.zeros((3, 4))
     X[:, 0] = [3.0, 2.0, 1.0]
     X[:, 1] = [0.1, -0.1, -0.1]   # orthogonal to column 0
-    model = fit_pca(X, 1)
+    model = fit_pca(X)
     np.testing.assert_allclose(model.components[:, 0], [1, 0, 0, 0], atol=1e-12)
-    h = build_hamiltonian(model, model.delta_min / 100)
+    h = build_hamiltonian(model, 1, 1e-3)
     psi = make_rng(8, 0).normal(size=h.layout.dim_r * h.layout.dim_n)
     psi /= np.linalg.norm(psi)
     out = disentangle(psi, h)
@@ -356,7 +384,7 @@ def test_disentangle_fixed_point():
 
 def test_disentangled_weight_concentrates(rng):
     X = rng.normal(size=(10, 8))
-    out = run_qrdr(X, 4, 1e-3)
+    out = _reduce(X, 4, 1e-3)
     assert out.residual_weight <= 2.0 * out.epsilon + 1e-12
 
 
@@ -366,7 +394,7 @@ def test_disentangled_weight_concentrates(rng):
 
 def test_rank_limited_data_reduces_losslessly(rng):
     X = rng.normal(size=(9, 3)) @ rng.normal(size=(3, 8))
-    out = run_qrdr(X, 3, 1e-4)
+    out = _reduce(X, 3, 1e-4)
     assert out.epsilon <= 1e-4
     assert out.success_probability >= 0.999
     assert out.ideal_probability == pytest.approx(1.0)
@@ -376,21 +404,21 @@ def test_random_instance_meets_error_bound():
     rng = make_rng(21, 0)
     for _ in range(5):
         X = rng.normal(size=(16, 8))
-        model = fit_pca(X, 4)
-        out = run_qrdr(X, 4, 1e-3)
-        bound = 1.0 - 10.0 * (1e-3 / model.delta_min) ** 2
+        model = fit_pca(X)
+        out = run_qrdr(build_hamiltonian(model, 4, 1e-3))
+        bound = 1.0 - 10.0 * (1e-3 / model.delta_min(4)) ** 2
         assert out.fidelity >= bound
 
 
 def test_success_probability_tracks_variance(sonar_features):
-    out = run_qrdr(sonar_features, 16, 0.004)
+    out = _reduce(sonar_features, 16, 0.004)
     assert abs(out.success_probability - out.ideal_probability) <= \
         out.epsilon + 0.01
 
 
 def test_outcome_metrics_and_overrides(rng):
     X = rng.normal(size=(7, 6))
-    out = run_qrdr(X, 2, 1e-3, r_qubits=3)
+    out = _reduce(X, 2, 1e-3, RegisterLayout.for_sizes(6, 2, r_qubits=3))
     assert out.layout.r_qubits == 3
     assert out.reduced_state.shape == (8 * 7,)
     assert np.linalg.norm(out.reduced_state) == pytest.approx(1.0)
@@ -404,31 +432,34 @@ def test_outcome_metrics_and_overrides(rng):
 
 
 def test_admissible_rank_stops_at_numerical_rank():
-    model = fit_pca(_spectrum_matrix([4.0, 2.0, 1.0, 1e-12, 0, 0, 0, 0]), 1)
+    model = fit_pca(_spectrum_matrix([4.0, 2.0, 1.0, 1e-12, 0, 0, 0, 0]))
     assert admissible_rank(model, 8) == 3
     assert admissible_rank(model, 2) == 2
-    chosen = fit_pca(_spectrum_matrix([4.0, 2.0, 1.0, 1e-12]), 3)
-    build_hamiltonian(chosen, chosen.delta_min / REDUCTION_C_DIVISOR)
+    chosen = fit_pca(_spectrum_matrix([4.0, 2.0, 1.0, 1e-12]))
+    build_hamiltonian(chosen, 3, chosen.delta_min(3) / REDUCTION_C_DIVISOR)
     with pytest.raises(ValueError, match="rank boundary"):
-        build_hamiltonian(fit_pca(_spectrum_matrix([4.0, 2.0, 1.0, 0, 0]), 4),
+        build_hamiltonian(fit_pca(_spectrum_matrix([4.0, 2.0, 1.0, 0, 0])), 4,
                           1e-4)
 
 
 def test_admissible_rank_skips_degenerate_levels():
-    model = fit_pca(_spectrum_matrix([3.0, 2.0, 2.0, 1.0]), 1)
+    model = fit_pca(_spectrum_matrix([3.0, 2.0, 2.0, 1.0]))
     assert admissible_rank(model, 2) == 1     # boundary inside the pair
     assert admissible_rank(model, 3) == 1     # pair inside the targets
     with pytest.raises(ValueError, match="degenerate at the top"):
-        admissible_rank(fit_pca(np.eye(4), 1), 4)
+        admissible_rank(fit_pca(np.eye(4)), 4)
 
 
 def test_reduce_rows_follow_the_target(rng):
     X = rng.normal(size=(12, 3)) @ rng.normal(size=(3, 8))   # rank 3
     rows, out = reduce_rows(X, 2)
     assert out.rank == 3 and out.layout.r_qubits == 2
-    assert out.c == pytest.approx(fit_pca(X, 3).delta_min / REDUCTION_C_DIVISOR)
-    bound = 10.0 / REDUCTION_C_DIVISOR ** 2    # 10 (c / delta_min)^2
+    gap = min(fit_pca(X).delta_min(3), 2.0 ** -2)    # spectral or probe gap
+    assert out.c == pytest.approx(gap / REDUCTION_C_DIVISOR)
+    bound = 10.0 / REDUCTION_C_DIVISOR ** 2    # 10 (c / gap)^2
     assert out.epsilon <= bound
+    assert abs(out.success_probability - out.ideal_probability) <= \
+        out.epsilon + 0.01
     assert rows.shape == (12, 4) and np.iscomplexobj(rows)
     np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
     assert np.max(np.abs(rows[:, 3]) ** 2) <= bound   # level past the rank
@@ -436,3 +467,26 @@ def test_reduce_rows_follow_the_target(rng):
     target /= np.linalg.norm(target, axis=1, keepdims=True)
     overlap = np.abs(np.sum(target.conj() * rows, axis=1)) ** 2
     assert overlap.min() >= 1.0 - bound
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0])
+def test_reduce_rows_success_tracks_variance_on_sonar(sonar_features, scale):
+    # the coupling stays below the probe gap 2^-r at any data scale
+    rows, out = reduce_rows(scale * sonar_features, 2)
+    assert out.c <= 2.0 ** -2 / REDUCTION_C_DIVISOR
+    assert abs(out.success_probability - out.ideal_probability) <= \
+        out.epsilon + 0.01
+
+
+def test_reduce_rows_fits_once(monkeypatch, rng):
+    import qrdr.engine as engine
+
+    calls = []
+
+    def counted(X):
+        calls.append(np.shape(X))
+        return fit_pca(X)
+
+    monkeypatch.setattr(engine, "fit_pca", counted)
+    reduce_rows(rng.normal(size=(10, 6)), 2)
+    assert calls == [(10, 6)]

@@ -1,0 +1,98 @@
+"""Property tests: invariants checked on random instances, not hand-picked
+ones.
+
+Every property runs derandomized, so a failure reproduces on rerun.
+"""
+
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from qrdr.dataset import (SONAR_FEATURES, LabeledDataset, kfold_split,
+                          load_sonar, make_rng, save_csv)
+from qrdr.engine import (REDUCTION_C_DIVISOR, RegisterLayout, _run_full,
+                         build_hamiltonian, reduce_rows, run_qrdr)
+from qrdr.pca import fit_pca
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def reductions(draw):
+    """(model, rank, c): M <= 12 samples of N <= 8 features drawn from
+    N(0, 1) 10^U(-1, 1), a rank with no degeneracy at its boundary and
+    delta_min >= 1e-3 lambda_1, and a hundredth of the protecting gap."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 8))
+    rank = draw(st.integers(1, n))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    scale = 10.0 ** draw(st.floats(-1.0, 1.0))
+    model = fit_pca(scale * make_rng(seed, 0).normal(size=(m, n)))
+    assume(not model.boundary_degenerate(rank))
+    assume(model.delta_min(rank) >= 1e-3 * model.eigenvalues[0])
+    r_qubits = RegisterLayout.for_sizes(n, rank).r_qubits
+    gap = min(model.delta_min(rank), 2.0 ** -r_qubits)
+    return model, rank, gap / REDUCTION_C_DIVISOR
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(reductions())
+def test_blockwise_run_matches_dense_reference(instance):
+    model, rank, c = instance
+    h = build_hamiltonian(model, rank, c)
+    block, full = run_qrdr(h), _run_full(h)
+    state_tol = 10.0 * EPS * max(1.0, model.eigenvalues[0]) / c
+    assert np.abs(block.reduced_state - full.reduced_state).max() <= state_tol
+    assert abs(block.success_probability - full.success_probability) <= 1e-11
+    assert abs(block.epsilon - full.epsilon) <= 1e-12
+    for out in (block, full):
+        assert abs(np.linalg.norm(out.reduced_state) - 1.0) <= 1e-12
+        assert 0.0 <= out.residual_weight <= 1.0
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(reductions())
+def test_reduce_rows_success_tracks_variance(instance):
+    model, rank, _ = instance
+    r_qubits = RegisterLayout.for_sizes(model.n_features, rank).r_qubits
+    _, out = reduce_rows(model.data, r_qubits)
+    assert abs(out.success_probability - out.ideal_probability) <= \
+        out.epsilon + 0.01
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(2, 300), k=st.integers(2, 300),
+       seed=st.integers(0, 2 ** 32 - 1), stream=st.integers(0, 300))
+def test_kfold_splits_partition_the_samples(n, k, seed, stream):
+    assume(k <= n)
+    folds = kfold_split(n, k, seed, stream=stream)
+    assert len(folds) == k
+    tests = np.concatenate([te for _, te in folds])
+    assert np.array_equal(np.sort(tests), np.arange(n))
+    for train, test in folds:
+        assert test.size in (n // k, n // k + 1)
+        assert np.array_equal(np.union1d(train, test), np.arange(n))
+        assert np.intersect1d(train, test).size == 0
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(rows=st.lists(st.tuples(st.lists(_finite, min_size=SONAR_FEATURES,
+                                        max_size=SONAR_FEATURES),
+                               st.sampled_from([1, -1])),
+                     min_size=1, max_size=4))
+def test_csv_round_trip_is_bit_exact(rows):
+    ds = LabeledDataset(np.array([f for f, _ in rows]),
+                        np.array([y for _, y in rows]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_csv(path, ds)
+        back = load_sonar(path)
+    assert np.array_equal(back.features.view(np.uint64),
+                          ds.features.view(np.uint64))
+    assert np.array_equal(back.labels, ds.labels)

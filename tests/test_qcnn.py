@@ -11,7 +11,8 @@ from qrdr.dataset import make_rng
 from qrdr.qcnn import (ANCILLA_DIM, MlpModel, N_ANSATZ_PARAMS, QcnnModel,
                        SplitData, TrainConfig, accuracy_from_logits,
                        bce_loss, branch_matrix, branch_sources,
-                       branch_weights, conv_lcu, logits, loss_and_grad,
+                       branch_weights, conv_lcu, fd_gradient, logits,
+                       loss_and_grad,
                        mlp_baseline, mlp_logits, mlp_loss_and_grad,
                        n_readout, pool_discard, prepare_ansatz, prepare_lcu,
                        readout_expectation, readout_features, train)
@@ -303,7 +304,7 @@ def test_non_finite_rows_are_rejected_at_the_boundary(bad):
     with pytest.raises(ValueError, match=cause):
         logits(model, Z)
     with pytest.raises(ValueError, match=cause):
-        loss_and_grad(model, Z, y, TrainConfig())
+        loss_and_grad(model, Z, y)
     if not np.iscomplexobj(bad):
         mlp = MlpModel.initial(Z.shape[1], 0)
         with pytest.raises(ValueError, match=cause):
@@ -340,11 +341,8 @@ def test_gradient_methods_agree(rng):
         model = base.with_params(
             make_rng(seed, 90).uniform(-0.8, 0.8, base.params().size))
         for states in (Z, phased):
-            l_fd, g_fd = loss_and_grad(model, states, y,
-                                       TrainConfig(gradient="fd"))
-            l_ps, g_ps = loss_and_grad(model, states, y,
-                                       TrainConfig(gradient="parameter-shift"))
-            assert l_fd == pytest.approx(l_ps, abs=1e-12)
+            g_fd = fd_gradient(model, states, y)
+            _, g_ps = loss_and_grad(model, states, y)
             assert np.linalg.norm(g_fd - g_ps) <= 1e-4 * np.linalg.norm(g_ps)
 
 
@@ -402,7 +400,7 @@ def _random_case(seed, r, complex_rows, m, scale=1.0):
 @pytest.mark.parametrize("complex_rows", [False, True])
 def test_exact_gradient_matches_five_point_rule(r, complex_rows):
     model, Z, y = _random_case(11, r, complex_rows, 5)
-    loss, grad = loss_and_grad(model, Z, y, TrainConfig())
+    loss, grad = loss_and_grad(model, Z, y)
     ref = _five_point_gradient(model, Z, y)
     assert loss == pytest.approx(bce_loss(logits(model, Z), y), abs=1e-15)
     assert np.linalg.norm(grad - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -414,7 +412,7 @@ def test_exact_gradient_matches_five_point_rule(r, complex_rows):
        scale=st.floats(0.05, 3.0))
 def test_exact_gradient_property(seed, r, complex_rows, m, scale):
     model, Z, y = _random_case(seed, r, complex_rows, m, scale)
-    _, grad = loss_and_grad(model, Z, y, TrainConfig())
+    _, grad = loss_and_grad(model, Z, y)
     ref = _five_point_gradient(model, Z, y)
     assert np.linalg.norm(grad - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -428,7 +426,7 @@ def test_default_gradient_prepares_the_ancilla_once(monkeypatch):
         return prepare_lcu(theta)
 
     monkeypatch.setattr(qcnn, "prepare_lcu", counted)
-    loss_and_grad(model, Z, y, TrainConfig())
+    loss_and_grad(model, Z, y)
     assert calls == [(2 * N_ANSATZ_PARAMS + 1, N_ANSATZ_PARAMS)]
 
 
@@ -437,10 +435,9 @@ def test_gradient_mean_reweighting(rng):
     Z = _unit_rows(rng, 2, 4)
     y = np.array([1, -1])
     model = QcnnModel.initial(2, 5)
-    cfg = TrainConfig(gradient="parameter-shift")
-    _, g1 = loss_and_grad(model, Z[:1], y[:1], cfg)
-    _, g2 = loss_and_grad(model, Z[1:], y[1:], cfg)
-    _, g3 = loss_and_grad(model, Z[[0, 1, 1]], y[[0, 1, 1]], cfg)
+    _, g1 = loss_and_grad(model, Z[:1], y[:1])
+    _, g2 = loss_and_grad(model, Z[1:], y[1:])
+    _, g3 = loss_and_grad(model, Z[[0, 1, 1]], y[[0, 1, 1]])
     np.testing.assert_allclose(g3, (g1 + 2.0 * g2) / 3.0, atol=1e-10)
 
 
@@ -495,9 +492,6 @@ def test_train_config_validation():
         train(QcnnModel.initial(2, 0), data, TrainConfig(epochs=0))
     with pytest.raises(ValueError, match="batch size"):
         train(QcnnModel.initial(2, 0), data, TrainConfig(batch_size=9))
-    with pytest.raises(ValueError, match="gradient method"):
-        train(QcnnModel.initial(2, 0), data,
-              TrainConfig(batch_size=4, gradient="exact"))
 
 
 def test_history_csv_round_trip(tmp_path):

@@ -91,9 +91,9 @@ def test_alpha_bound_certifies_simulated_transfer():
     # post-selected per-component weight from the actual dynamics must beat
     # the certificate built from the spectrum alone
     X = make_rng(3, 42).normal(size=(12, 6))
-    model = fit_pca(X, 3)
-    c = model.delta_min / 200.0
-    h = build_hamiltonian(model, c)
+    model = fit_pca(X)
+    c = model.delta_min(3) / 200.0
+    h = build_hamiltonian(model, 3, c)
     lay = h.layout
     bound = alpha_lower_bound(model.eigenvalues, 3, c, r_qubits=lay.r_qubits)
     assert 0.9 < bound < 1.0
@@ -230,3 +230,26 @@ def test_sweep_csv_round_trip(tmp_path, sonar_features):
         assert float(row["epsilon"]) == res.epsilon[i]
         assert float(row["fidelity"]) == res.fidelity[i]
         assert float(row["success_probability"]) == res.success_probability[i]
+
+
+def test_sweep_fits_once_and_builds_once_per_coupling(monkeypatch,
+                                                       sonar_features):
+    import qrdr.resonance as resonance
+
+    calls = {"fit": 0, "build": []}
+    fit, build = resonance.fit_pca, resonance.build_hamiltonian
+
+    def counted_fit(X):
+        calls["fit"] += 1
+        return fit(X)
+
+    def counted_build(model, rank, c):
+        calls["build"].append(c)
+        return build(model, rank, c)
+
+    monkeypatch.setattr(resonance, "fit_pca", counted_fit)
+    monkeypatch.setattr(resonance, "build_hamiltonian", counted_build)
+    with pytest.warns(UserWarning, match="inadmissible"):
+        res = sweep_c(sonar_features, 32)
+    assert calls == {"fit": 1, "build": list(DEFAULT_C_GRID)}
+    assert res.skipped_c == [0.032]

@@ -47,6 +47,29 @@ def test_matrix_matches_kron_oracle():
                                    atol=1e-12)
 
 
+def _loop_build_tfim(n, J, h):
+    # the per-state loop that build_tfim vectorises, kept as its reference
+    H = np.zeros((2 ** n, 2 ** n))
+    for s in range(2 ** n):
+        zz = 0.0
+        for i in range(n - 1):
+            za = 1 - 2 * ((s >> (n - 1 - i)) & 1)
+            zb = 1 - 2 * ((s >> (n - 2 - i)) & 1)
+            zz += za * zb
+        H[s, s] = -J * zz
+        for i in range(n):
+            H[s ^ (1 << (n - 1 - i)), s] += h
+    return H
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 10])
+def test_matrix_equals_per_state_loop_bit_for_bit(n):
+    for J, h in [(1.0, 1.0), (1.0, 0.0), (0.7, 1.3), (2.5, 0.37)]:
+        built, ref = build_tfim(n, J, h), _loop_build_tfim(n, J, h)
+        assert np.array_equal(built, ref)
+        assert np.array_equal(np.signbit(built), np.signbit(ref))
+
+
 def test_open_boundary_has_no_wrap_term():
     # closing the chain would add -J Z_0 Z_{n-1}, turning +2 into +1 here
     H = build_tfim(3, J=1.0, h=1e-300)
