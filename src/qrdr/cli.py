@@ -7,21 +7,23 @@
     qcnn-train  train the quantum/classical classifier arms
     verify      run the cross-module invariant battery
 
-Reports are JSON with sorted keys plus CSV side files, and contain no
-volatile fields: rerunning any experiment with the same config and seed
-reproduces the report byte for byte (wall-clock timing goes to stderr
-only).  Flag precedence is flag > config file > built-in default.  Exit
-codes: 0 success, 1 configuration/validation error, 2 runtime failure.
+Reports are JSON with sorted keys plus CSV side files, all written by the
+two writers below, and contain no volatile fields: rerunning any experiment
+with the same config and seed reproduces the report byte for byte
+(wall-clock timing goes to stderr only).  Flag precedence is flag > config
+file > built-in default.  Exit codes: 0 success, 1 configuration/validation
+error, 2 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
-import os
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,43 +38,32 @@ class ConfigError(Exception):
     """Invalid configuration; maps to exit code 1."""
 
 
-@dataclass
-class ExperimentConfig:
-    command: str
-    values: dict
-    out_dir: Path
-    seed: int
-    threads: int
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-
-@dataclass
-class ReportRecord:
-    experiment: str
-    config: dict
-    metrics: dict
-    artifacts: dict = field(default_factory=dict)
-
-
-def emit_report(record: ReportRecord, path) -> None:
-    text = json.dumps(asdict(record), sort_keys=True, indent=2)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text + "\n")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit 2; we reserve 2 for failed runs
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _finite(text: str) -> float:
+    """Flag type for a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r} "
+                                         "(finite numbers only)")
+    return value
+
+
 def _comma_list(convert):
-    """Flag type for a comma-separated list of ``convert``-ed items."""
+    """Flag type for a non-empty comma-separated list of converted items."""
     def parse(text: str):
+        items = [x.strip() for x in text.split(",") if x.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError(f"{text!r}: empty list")
         try:
-            return [convert(x.strip()) for x in text.split(",") if x.strip()]
-        except ValueError as exc:
+            return [convert(x) for x in items]
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
     return parse
 
@@ -86,10 +77,6 @@ def _arm(name: str) -> str:
     return name
 
 
-# flags every subcommand takes; the rest are the experiment's own values
-_COMMON = ("command", "seed", "threads", "config", "out")
-
-
 def build_parser() -> _Parser:
     """The one place where every setting is declared, defaulted and typed.
 
@@ -98,9 +85,8 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=7,
                         help="base random seed (default 7)")
-    common.add_argument("--threads", type=int,
-                        default=os.environ.get("QRDR_THREADS", "1"),
-                        help="worker thread bound (default QRDR_THREADS or 1)")
+    common.add_argument("--threads", type=int, default=1,
+                        help="worker thread bound (default 1)")
     common.add_argument("--config", type=str, default=None,
                         help="JSON object of flag values; explicit flags win")
     common.add_argument("--out", type=Path, default=".",
@@ -117,12 +103,12 @@ def build_parser() -> _Parser:
     p = command("reduce", "run the resonant reduction once")
     p.add_argument("--dataset", type=str, default=sonar)
     p.add_argument("--r", type=int, default=16, help="target rank R")
-    p.add_argument("--c", type=float, default=0.004, help="resonant coupling")
+    p.add_argument("--c", type=_finite, default=0.004, help="resonant coupling")
 
     p = command("sweep-c", "infidelity across a coupling grid")
     p.add_argument("--dataset", type=str, default=sonar)
     p.add_argument("--r", type=int, default=16)
-    p.add_argument("--c-grid", dest="c_grid", type=_comma_list(float),
+    p.add_argument("--c-grid", dest="c_grid", type=_comma_list(_finite),
                    default=list(resonance.DEFAULT_C_GRID))
 
     p = command("qsvm", "LS-SVM cross-validation")
@@ -130,16 +116,16 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, default=16)
     p.add_argument("--folds", type=int, default=8)
     p.add_argument("--arm", choices=("raw", "reduced", "both"), default="both")
-    p.add_argument("--gammas", type=_comma_list(float),
+    p.add_argument("--gammas", type=_comma_list(_finite),
                    default=list(svm.GAMMA_GRID))
 
     p = command("tfim-gen", "generate the Ising phase dataset")
     p.add_argument("--n-sites", dest="n_sites", type=int, default=8)
     p.add_argument("--count", type=int, default=200)
-    p.add_argument("--j", type=float, default=1.0)
+    p.add_argument("--j", type=_finite, default=1.0)
     p.add_argument("--ratio-range", dest="ratio_range",
-                   type=_comma_list(float), default=[0.2, 1.8])
-    p.add_argument("--exclusion", type=_comma_list(float),
+                   type=_comma_list(_finite), default=[0.2, 1.8])
+    p.add_argument("--exclusion", type=_comma_list(_finite),
                    default=[0.95, 1.05])
     p.add_argument("--out-file", dest="out_file", type=str, default=None)
 
@@ -153,7 +139,7 @@ def build_parser() -> _Parser:
                    help="comma list of training seeds (default: the base seed)")
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=20)
-    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--lr", type=_finite, default=0.01)
 
     command("verify", "run the invariant battery")
     return parser
@@ -183,7 +169,7 @@ def _config_flags(path) -> list:
     return flags
 
 
-def parse_config(argv) -> ExperimentConfig:
+def parse_config(argv) -> argparse.Namespace:
     """Parse flags, with config-file values read as flags, and check ranges.
 
     The config file's flags go right after the subcommand, so flags given
@@ -194,26 +180,26 @@ def parse_config(argv) -> ExperimentConfig:
     if ns.config is not None:
         ns = parser.parse_args([ns.command, *_config_flags(ns.config),
                                 *argv[1:]])
-    values = {key: val for key, val in vars(ns).items() if key not in _COMMON}
+    values = vars(ns)
     if ns.threads < 1:
         raise ConfigError(f"threads: must be >= 1, got {ns.threads}")
-    if "r" in values and values["r"] < 1:
-        raise ConfigError(f"r: rank must be >= 1, got {values['r']}")
-    if "folds" in values and values["folds"] < 2:
-        raise ConfigError(f"folds: need at least 2, got {values['folds']}")
+    if "r" in values and ns.r < 1:
+        raise ConfigError(f"r: rank must be >= 1, got {ns.r}")
+    if "folds" in values and ns.folds < 2:
+        raise ConfigError(f"folds: need at least 2, got {ns.folds}")
+    if "lr" in values and ns.lr <= 0:
+        raise ConfigError(f"lr: learning rate must be positive, got {ns.lr}")
     for key in ("dataset", "data"):
         if values.get(key) is not None and not Path(values[key]).is_file():
             raise ConfigError(f"{key}: file not found: {values[key]}")
     if ns.command == "qcnn-train":
-        rank = values["r"]
-        if rank & (rank - 1) or (rank.bit_length() - 1) % 2:
+        if ns.r & (ns.r - 1) or (ns.r.bit_length() - 1) % 2:
             raise ConfigError(
-                f"r: rank {rank} does not map to an even reduced register"
+                f"r: rank {ns.r} does not map to an even reduced register"
             )
-        if values["seeds"] is None:
-            values["seeds"] = [ns.seed]
-    return ExperimentConfig(command=ns.command, values=values,
-                            out_dir=ns.out, seed=ns.seed, threads=ns.threads)
+        if ns.seeds is None:
+            ns.seeds = [ns.seed]
+    return ns
 
 
 def _bounded_map(fn, items, threads: int):
@@ -225,77 +211,93 @@ def _bounded_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {"command": cfg.command, "seed": cfg.seed, "threads": cfg.threads,
-            **cfg.values}
+# ---------------------------------------------------------------------------
+# the two writers of every run output; each returns the file name
+
+
+def _write(path: Path, text: str) -> str:
+    # the text exists before the directory or file does, so a value that
+    # cannot be serialised leaves neither behind
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="ascii", newline="")
+    return path.name
+
+
+def _write_json(path: Path, obj, indent: int | None = None) -> str:
+    """``obj`` as JSON with sorted keys; NaN or infinity raises."""
+    return _write(path, json.dumps(obj, sort_keys=True, indent=indent,
+                                   allow_nan=False) + "\n")
+
+
+def _write_csv(path: Path, fields, rows) -> str:
+    """Dict rows under a ``fields`` header, every value through ``repr``."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=fields)
+    writer.writeheader()
+    writer.writerows({k: repr(v) for k, v in row.items()} for row in rows)
+    return _write(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners: parsed flags in, (metrics, artifacts) out
 
 
-def _load(cfg: ExperimentConfig, key: str, loader):
+def _load(ns: argparse.Namespace, key: str, loader):
     # a malformed or non-finite input file is an input error (exit 1)
     try:
-        return loader(cfg[key])
+        return loader(getattr(ns, key))
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _sonar(cfg: ExperimentConfig, reduces: bool = True):
+def _sonar(ns: argparse.Namespace, reduces: bool = True):
     """The --dataset matrix, checked against --r when the run reduces it."""
-    ds = _load(cfg, "dataset", dataset_mod.load_sonar)
-    if reduces and cfg["r"] > ds.n_features:
-        raise ConfigError(f"r: rank {cfg['r']} exceeds {ds.n_features} features")
+    ds = _load(ns, "dataset", dataset_mod.load_sonar)
+    if reduces and ns.r > ds.n_features:
+        raise ConfigError(f"r: rank {ns.r} exceeds {ds.n_features} features")
     return ds
 
 
-def _writable(path: Path) -> Path:
-    # an output directory is made only when something is written to it
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+def _run_reduce(ns: argparse.Namespace):
+    ds = _sonar(ns)
+    out = run_qrdr(build_hamiltonian(fit_pca(ds.features), ns.r, ns.c))
+    return out.to_metrics(), {}
 
 
-def _run_reduce(cfg: ExperimentConfig) -> ReportRecord:
-    ds = _sonar(cfg)
-    out = run_qrdr(build_hamiltonian(fit_pca(ds.features), cfg["r"], cfg["c"]))
-    return ReportRecord("reduce", _config_echo(cfg), out.to_metrics())
+def _run_sweep(ns: argparse.Namespace):
+    ds = _sonar(ns)
+    result = resonance.sweep_c(ds.features, ns.r, ns.c_grid)
+    metrics = result.to_metrics()   # before the CSV: it can raise
+    name = _write_csv(ns.out / f"sweep_c_r{ns.r}.csv",
+                      resonance.SWEEP_FIELDS, result.rows())
+    return metrics, {"sweep_csv": name}
 
 
-def _run_sweep(cfg: ExperimentConfig) -> ReportRecord:
-    ds = _sonar(cfg)
-    result = resonance.sweep_c(ds.features, cfg["r"], cfg["c_grid"])
-    csv_path = _writable(cfg.out_dir / f"sweep_c_r{cfg['r']}.csv")
-    result.write_csv(csv_path)
-    return ReportRecord("sweep-c", _config_echo(cfg), result.to_metrics(),
-                        artifacts={"sweep_csv": csv_path.name})
-
-
-def _run_qsvm(cfg: ExperimentConfig) -> ReportRecord:
-    ds = _sonar(cfg, reduces=cfg["arm"] != "raw")
+def _run_qsvm(ns: argparse.Namespace):
+    ds = _sonar(ns, reduces=ns.arm != "raw")
     metrics = {}
-    gammas = tuple(cfg["gammas"])
-    if cfg["arm"] in ("raw", "both"):
-        res = svm.cross_validate(ds.features, ds.labels, k=cfg["folds"],
-                                 seed=cfg.seed, gammas=gammas)
+    gammas = tuple(ns.gammas)
+    if ns.arm in ("raw", "both"):
+        res = svm.cross_validate(ds.features, ds.labels, k=ns.folds,
+                                 seed=ns.seed, gammas=gammas)
         metrics["raw"] = res.to_metrics()
-    if cfg["arm"] in ("reduced", "both"):
-        reduced = svm.reduced_features(ds.features, cfg["r"])
-        res = svm.cross_validate(reduced, ds.labels, k=cfg["folds"],
-                                 seed=cfg.seed, gammas=gammas)
+    if ns.arm in ("reduced", "both"):
+        reduced = svm.reduced_features(ds.features, ns.r)
+        res = svm.cross_validate(reduced, ds.labels, k=ns.folds,
+                                 seed=ns.seed, gammas=gammas)
         metrics["reduced"] = res.to_metrics()
-    return ReportRecord("qsvm", _config_echo(cfg), metrics)
+    return metrics, {}
 
 
-def _run_tfim_gen(cfg: ExperimentConfig) -> ReportRecord:
+def _run_tfim_gen(ns: argparse.Namespace):
     ds = tfim.generate_dataset(
-        n_sites=cfg["n_sites"], count=cfg["count"], seed=cfg.seed,
-        ratio_range=tuple(cfg["ratio_range"]),
-        exclusion=tuple(cfg["exclusion"]), J=cfg["j"],
+        n_sites=ns.n_sites, count=ns.count, seed=ns.seed,
+        ratio_range=tuple(ns.ratio_range), exclusion=tuple(ns.exclusion),
+        J=ns.j,
     )
-    out_file = cfg["out_file"]
-    path = _writable(Path(out_file) if out_file
-                     else tfim.default_dataset_path(cfg.out_dir))
+    path = (Path(ns.out_file) if ns.out_file
+            else tfim.default_dataset_path(ns.out))
+    path.parent.mkdir(parents=True, exist_ok=True)
     tfim.save_dataset(path, ds)
     metrics = {
         "count": ds.count,
@@ -305,8 +307,7 @@ def _run_tfim_gen(cfg: ExperimentConfig) -> ReportRecord:
         "ratio_min": float(ds.ratios.min()),
         "ratio_max": float(ds.ratios.max()),
     }
-    return ReportRecord("tfim-gen", _config_echo(cfg), metrics,
-                        artifacts={"dataset": path.name})
+    return metrics, {"dataset": path.name}
 
 
 _REDUCED_ARMS = ("qcnn+qrdr", "mlp+dr")
@@ -330,16 +331,16 @@ def _phase_features(ds: tfim.TfimDataset, r_qubits: int, arms):
     return feats, reduction
 
 
-def _run_qcnn_train(cfg: ExperimentConfig) -> ReportRecord:
-    if cfg["data"] is not None:
-        ds = _load(cfg, "data", tfim.load_dataset)
+def _run_qcnn_train(ns: argparse.Namespace):
+    if ns.data is not None:
+        ds = _load(ns, "data", tfim.load_dataset)
     else:
-        ds = tfim.generate_dataset(seed=cfg.seed)
-    r_reduced = cfg["r"].bit_length() - 1   # r is 4^k, checked in parse_config
+        ds = tfim.generate_dataset(seed=ns.seed)
+    r_reduced = ns.r.bit_length() - 1   # r is 4^k, checked in parse_config
     n_sites = ds.n_sites
     if n_sites % 2:
         raise ConfigError(f"data: odd register of {n_sites} qubits unsupported")
-    feats, reduction = _phase_features(ds, r_reduced, cfg["arms"])
+    feats, reduction = _phase_features(ds, r_reduced, ns.arms)
     labels = ds.labels
 
     def run_one(job):
@@ -349,9 +350,9 @@ def _run_qcnn_train(cfg: ExperimentConfig) -> ReportRecord:
         use = feats[arm]
         split = qcnn.SplitData(use[train_idx], labels[train_idx],
                                use[test_idx], labels[test_idx])
-        tcfg = qcnn.TrainConfig(learning_rate=cfg["lr"],
-                                batch_size=cfg["batch_size"],
-                                epochs=cfg["epochs"], seed=seed)
+        tcfg = qcnn.TrainConfig(learning_rate=ns.lr,
+                                batch_size=ns.batch_size,
+                                epochs=ns.epochs, seed=seed)
         if arm.startswith("qcnn"):
             r = r_reduced if arm == "qcnn+qrdr" else n_sites
             model = qcnn.QcnnModel.initial(r, seed)
@@ -363,51 +364,41 @@ def _run_qcnn_train(cfg: ExperimentConfig) -> ReportRecord:
                           "params": [float(p) for p in result.final_params]}
         return arm, seed, result, checkpoint
 
-    jobs = [(arm, seed) for arm in cfg["arms"] for seed in cfg["seeds"]]
-    outputs = _bounded_map(run_one, jobs, cfg.threads)
+    jobs = [(arm, seed) for arm in ns.arms for seed in ns.seeds]
+    outputs = _bounded_map(run_one, jobs, ns.threads)
 
     metrics = {}
     artifacts = {}
     for arm, seed, result, checkpoint in outputs:
         tag = f"{arm.replace('+', '_')}_s{seed}"
-        hist_path = _writable(cfg.out_dir / f"history_{tag}.csv")
-        result.write_csv(hist_path)
-        ckpt_path = cfg.out_dir / f"model_{tag}.json"
-        with open(ckpt_path, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(checkpoint, sort_keys=True) + "\n")
-        artifacts[f"history_{tag}"] = hist_path.name
-        artifacts[f"model_{tag}"] = ckpt_path.name
+        artifacts[f"history_{tag}"] = _write_csv(
+            ns.out / f"history_{tag}.csv", qcnn.HISTORY_FIELDS, result.history)
+        artifacts[f"model_{tag}"] = _write_json(
+            ns.out / f"model_{tag}.json", checkpoint)
         metrics.setdefault(arm, {})[str(seed)] = {
-            "final_train_acc": result.final["train_acc"],
-            "final_test_acc": result.final["test_acc"],
-            "final_test_loss": result.final["test_loss"],
-        }
-    for arm in cfg["arms"]:
-        per_seed = metrics[arm]
+            f"final_{key}": result.final[key]
+            for key in ("train_acc", "test_acc", "test_loss")}
+    for arm in ns.arms:
         metrics[arm]["mean_final_test_acc"] = float(np.mean(
-            [per_seed[str(s)]["final_test_acc"] for s in cfg["seeds"]]
-        ))
+            [metrics[arm][str(s)]["final_test_acc"] for s in ns.seeds]))
         if arm in _REDUCED_ARMS:
             metrics[arm]["reduction"] = reduction
-    return ReportRecord("qcnn-train", _config_echo(cfg), metrics,
-                        artifacts=artifacts)
+    return metrics, artifacts
 
 
-def _run_verify(cfg: ExperimentConfig) -> ReportRecord:
+def _run_verify(ns: argparse.Namespace):
     from .verify import run_invariants
 
     results = run_invariants()
-    failed = [name for name, ok, _ in results if not ok]
     for name, ok, detail in results:
         line = f"{'ok  ' if ok else 'FAIL'}  {name}"
         if detail and not ok:
             line += f"  ({detail})"
         print(line)
-    if failed:
-        raise RuntimeError(f"{len(failed)} invariant check(s) failed: "
-                           + ", ".join(failed))
-    return ReportRecord("verify", _config_echo(cfg),
-                        {"checks": len(results), "failed": 0})
+    return {"checks": len(results),
+            "failed": sum(not ok for _, ok, _ in results),
+            "results": {name: {"passed": ok, "detail": detail}
+                        for name, ok, detail in results}}, {}
 
 
 _RUNNERS = {
@@ -420,29 +411,40 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig) -> ReportRecord:
-    record = _RUNNERS[cfg.command](cfg)
-    report_path = _writable(
-        cfg.out_dir / f"report_{cfg.command.replace('-', '_')}.json")
-    emit_report(record, report_path)
-    print(f"wrote {report_path}", file=sys.stderr)
-    return record
+def run_experiment(ns: argparse.Namespace) -> dict:
+    """Run the subcommand and write its report, which echoes every flag
+    but --config and --out.  A failing verify check raises only after the
+    report that names it is written."""
+    metrics, artifacts = _RUNNERS[ns.command](ns)
+    report = {
+        "experiment": ns.command,
+        "config": {key: value for key, value in vars(ns).items()
+                   if key not in ("config", "out")},
+        "metrics": metrics,
+        "artifacts": artifacts,
+    }
+    path = ns.out / f"report_{ns.command.replace('-', '_')}.json"
+    _write_json(path, report, indent=2)
+    print(f"wrote {path}", file=sys.stderr)
+    if ns.command == "verify" and metrics["failed"]:
+        raise RuntimeError(f"{metrics['failed']} invariant check(s) failed")
+    return report
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cfg = parse_config(argv)
+        ns = parse_config(argv)
     except ConfigError as exc:
         print(f"qrdr: error: {exc}", file=sys.stderr)
         return 1
     try:
-        run_experiment(cfg)
+        run_experiment(ns)
     except ConfigError as exc:
         print(f"qrdr: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure in a pipeline stage
-        print(f"qrdr: {cfg.command} failed: {exc}", file=sys.stderr)
+        print(f"qrdr: {ns.command} failed: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -62,6 +62,13 @@ MIN_POSTSELECT_PROB = 1e-12
 REDUCTION_C_DIVISOR = 100.0
 REDUCTION_GAP_RTOL = math.sqrt(np.finfo(float).eps)
 
+# build_hamiltonian warns when eigenvalue rounding (about eps * lam_1) can
+# dephase the sectors by more than this many radians over t = 1/c.  A phase
+# error phi costs up to about phi^2 of fidelity.  On reduce_rows(s * sonar,
+# 2), eps lam_1 / c = 1.5e-2 rad (s = 1e4) still gave epsilon 1.3e-6, and
+# 1.5 rad (s = 1e5) gave epsilon 6.7e-3.
+DEPHASING_TOL = 0.1
+
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -88,16 +95,13 @@ class RegisterLayout:
         return 2 * self.dim_r * self.dim_n
 
     @staticmethod
-    def for_sizes(n_features: int, rank: int, r_qubits: int | None = None,
-                  n_qubits: int | None = None) -> "RegisterLayout":
+    def for_sizes(n_features: int, rank: int,
+                  r_qubits: int | None = None) -> "RegisterLayout":
         r_min = max(1, math.ceil(math.log2(rank))) if rank > 1 else 1
-        n_min = max(1, math.ceil(math.log2(n_features))) if n_features > 1 else 1
+        n = max(1, math.ceil(math.log2(n_features))) if n_features > 1 else 1
         r = r_min if r_qubits is None else r_qubits
-        n = n_min if n_qubits is None else n_qubits
-        if r < r_min or n < n_min:
-            raise ValueError(
-                f"registers too small: need r >= {r_min}, n >= {n_min}"
-            )
+        if r < r_min:
+            raise ValueError(f"component register too small: need r >= {r_min}")
         return RegisterLayout(r_qubits=r, n_qubits=n)
 
 
@@ -203,10 +207,14 @@ def build_hamiltonian(model: PcaModel, rank: int, c: float,
     and 2^-r, the unit gap of the probe-|0> levels shared among the 2^r
     levels the spread coupling ties to each resonance.  Past either, the
     resonance structure is lost.  Warns when c exceeds a tenth of either
-    gap, where the O(c^2) error law starts to visibly bend.  The layout
-    defaults to the smallest registers that hold R components and the
-    features.
+    gap, where the O(c^2) error law starts to visibly bend, and when
+    eigenvalue rounding can dephase the resonances by more than
+    :data:`DEPHASING_TOL`.  The layout defaults to the smallest registers
+    that hold R components and the features.  A non-finite c is a plain
+    ``ValueError``, which a sweep does not skip.
     """
+    if not math.isfinite(c):
+        raise ValueError(f"coupling c must be finite, got {c}")
     if c <= 0:
         raise InadmissibleCoupling(f"coupling c must be positive, got {c}")
     if model.boundary_degenerate(rank):
@@ -236,6 +244,10 @@ def build_hamiltonian(model: PcaModel, rank: int, c: float,
                 stacklevel=2,
             )
     lam = model.eigenvalues
+    phase = np.finfo(float).eps * float(lam[0]) / c
+    if phase > DEPHASING_TOL:
+        warnings.warn(f"eigenvalue rounding can dephase the resonances by "
+                      f"eps lam_1 / c = {phase:.2e} rad", stacklevel=2)
     hdiag = np.full(layout.dim_r, lam[0])
     hdiag[:rank] = -lam[:rank]
     data_eigenvalues = np.zeros(layout.dim_n)
@@ -260,28 +272,24 @@ def _as_columns(psi: np.ndarray):
     return psi, False
 
 
-def evolve_full(h: QrdrHamiltonian, psi: np.ndarray,
-                t: float | None = None) -> np.ndarray:
-    """Reference evolution through the dense Hamiltonian's eigensystem."""
-    t = h.t_resonant if t is None else t
-    return evolve_spectral(h._dense_eig, t, psi)
+def evolve_full(h: QrdrHamiltonian, psi: np.ndarray) -> np.ndarray:
+    """Reference evolution to t = 1/c through the dense eigensystem."""
+    return evolve_spectral(h._dense_eig, h.t_resonant, psi)
 
 
-def evolve_blockwise(h: QrdrHamiltonian, psi: np.ndarray,
-                     t: float | None = None) -> np.ndarray:
-    """Evolution through the invariant data-eigenvector sectors.
+def evolve_blockwise(h: QrdrHamiltonian, psi: np.ndarray) -> np.ndarray:
+    """Evolution to t = 1/c through the invariant data-eigenvector sectors.
 
     Rotates the data register into the eigenbasis of A, evolves all 2^n
     sectors at once with their stacked 2^(r+1)-dimensional blocks, and
     rotates back.
     """
-    t = h.t_resonant if t is None else t
     psi2, squeeze = _as_columns(psi)
     dim_r, dim_n = h.layout.dim_r, h.layout.dim_n
     # (p, j, d, i) -> (k, (p, j), i): data axis in the eigenbasis, leading
     work = psi2.reshape(2 * dim_r, dim_n, -1).swapaxes(0, 1)
     work = np.tensordot(h.data_vectors, work, axes=(0, 0))
-    work = evolve_spectral(h.sector_eig(), t, work)
+    work = evolve_spectral(h.sector_eig(), h.t_resonant, work)
     out = np.tensordot(h.data_vectors, work, axes=(1, 0)).swapaxes(0, 1)
     out = out.reshape(psi2.shape)
     return out[:, 0] if squeeze else out

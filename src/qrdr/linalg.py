@@ -57,10 +57,6 @@ class SpectralDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[-1]
-
     def reconstruct(self) -> np.ndarray:
         return ((self.vectors * self.values[..., None, :])
                 @ np.swapaxes(self.vectors, -1, -2).conj())

@@ -21,7 +21,6 @@ backward pass, trained under identical batching and optimiser settings.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -288,6 +287,9 @@ class TrainConfig:
     def validate(self, n_train: int) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning rate must be positive and finite, "
+                             f"got {self.learning_rate}")
         if not 1 <= self.batch_size <= n_train:
             raise ValueError(
                 f"batch size must be in [1, {n_train}], got {self.batch_size}"
@@ -443,16 +445,9 @@ class TrainResult:
     def final(self) -> dict:
         return self.history[-1]
 
-    def write_csv(self, path) -> None:
-        fields = ["epoch", "train_loss", "train_acc", "test_loss", "test_acc"]
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            for row in self.history:
-                writer.writerow({
-                    "epoch": row["epoch"],
-                    **{k: repr(row[k]) for k in fields[1:]},
-                })
+
+# keys of one TrainResult.history entry, in column order
+HISTORY_FIELDS = ("epoch", "train_loss", "train_acc", "test_loss", "test_acc")
 
 
 def _epoch_entry(epoch, tr_loss, tr_e, tr_y, te_loss, te_e, te_y) -> dict:

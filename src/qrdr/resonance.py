@@ -23,6 +23,9 @@ from .pca import fit_pca
 # epsilon values below this are rounding noise, not a measurable error law
 EPSILON_FLOOR = 1e-10
 
+# columns of a sweep table, in the order SweepResult.rows() gives them
+SWEEP_FIELDS = ("c", "epsilon", "fidelity", "success_probability")
+
 
 def offresonance_amplitude(c: float, weight: float, detuning: float) -> float:
     """Peak amplitude of an off-resonant transition.
@@ -92,24 +95,10 @@ class SweepResult:
         return float(coef[0]), float(coef[1])
 
     def rows(self):
-        for i, c in enumerate(self.c_values):
-            yield {
-                "c": float(c),
-                "epsilon": float(self.epsilon[i]),
-                "fidelity": float(self.fidelity[i]),
-                "success_probability": float(self.success_probability[i]),
-            }
-
-    def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["c", "epsilon", "fidelity", "success_probability"]
-            )
-            writer.writeheader()
-            for row in self.rows():
-                writer.writerow({k: repr(v) for k, v in row.items()})
+        """One dict per kept coupling, keyed by :data:`SWEEP_FIELDS`."""
+        for row in zip(self.c_values, self.epsilon, self.fidelity,
+                       self.success_probability):
+            yield dict(zip(SWEEP_FIELDS, map(float, row)))
 
     def to_metrics(self) -> dict:
         metrics = {

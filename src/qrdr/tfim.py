@@ -24,10 +24,10 @@ from .dataset import (load_jsonl, make_rng, require_finite, require_labels,
 def _validate(n_sites: int, J: float, h: float) -> None:
     if n_sites < 2:
         raise ValueError("need at least 2 sites for a coupling term")
-    if J <= 0:
-        raise ValueError(f"coupling J must be positive, got {J}")
-    if h < 0:
-        raise ValueError(f"field h must be non-negative, got {h}")
+    if not 0 < J < np.inf:
+        raise ValueError(f"coupling J must be positive and finite, got {J}")
+    if not 0 <= h < np.inf:
+        raise ValueError(f"field h must be non-negative and finite, got {h}")
 
 
 def build_tfim(n_sites: int, J: float = 1.0, h: float = 1.0) -> np.ndarray:

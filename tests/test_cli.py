@@ -60,18 +60,34 @@ def test_threads_validation(tmp_path, capsys):
     assert "threads:" in capsys.readouterr().err
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QRDR_THREADS", "3")
-    assert run_cli(["verify", "--out", tmp_path]) == 0
-    capsys.readouterr()
-    assert read_report(tmp_path, "verify")["config"]["threads"] == 3
+@pytest.mark.parametrize("argv, cause", [
+    (["reduce", "--c", "nan"], "argument --c: invalid float value: 'nan' "
+                               "(finite numbers only)"),
+    (["reduce", "--c", "inf"], "argument --c: invalid float value: 'inf'"),
+    (["sweep-c", "--c-grid", "nan,0.004"],
+     "argument --c-grid: 'nan,0.004': invalid float value: 'nan'"),
+    (["tfim-gen", "--j", "nan"], "argument --j: invalid float value: 'nan'"),
+    (["tfim-gen", "--ratio-range", "0.2,inf"],
+     "argument --ratio-range: '0.2,inf': invalid float value: 'inf'"),
+    (["qcnn-train", "--lr", "-1"], "lr: learning rate must be positive"),
+    (["qcnn-train", "--lr", "nan"], "argument --lr: invalid float value"),
+    (["qcnn-train", "--arms", ","], "argument --arms: ',': empty list"),
+    (["qcnn-train", "--seeds", ","], "argument --seeds: ',': empty list"),
+    (["qsvm", "--gammas", ","], "argument --gammas: ',': empty list"),
+], ids=["reduce-c-nan", "reduce-c-inf", "sweep-c-grid-nan", "tfim-j-nan",
+        "tfim-ratio-inf", "qcnn-lr-negative", "qcnn-lr-nan", "qcnn-arms-empty",
+        "qcnn-seeds-empty", "qsvm-gammas-empty"])
+def test_bad_flag_values_exit_one_before_any_work(tmp_path, monkeypatch,
+                                                  capsys, argv, cause):
+    def generate(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
 
-
-def test_threads_env_is_checked_like_the_flag(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("QRDR_THREADS", "abc")
-    assert run_cli(["verify", "--out", tmp_path]) == 1
-    assert "threads:" in capsys.readouterr().err
-    assert not list(tmp_path.glob("report_*.json"))
+    monkeypatch.setattr(tfim, "generate_dataset", generate)
+    monkeypatch.setattr(dataset_mod, "load_sonar", generate)
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", out]) == 1
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bad_config_json(tmp_path, capsys):
@@ -166,6 +182,35 @@ def test_reduce_runtime_failure_exits_two(tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(["reduce", "--c", "10", "--out", out]) == 2
     assert "failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_failing_in_its_metrics_leaves_no_csv(tmp_path, monkeypatch,
+                                                    capsys):
+    from qrdr.resonance import SweepResult
+
+    def fail(self):
+        raise ValueError("no error law to fit")
+
+    monkeypatch.setattr(SweepResult, "to_metrics", fail)
+    out = tmp_path / "out"
+    assert run_cli(["sweep-c", "--r", "8", "--c-grid", "0.002,0.004",
+                    "--out", out]) == 2
+    assert "sweep-c failed: no error law to fit" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_metric_exits_two_without_report(tmp_path, monkeypatch,
+                                                    capsys):
+    # a report must be JSON: NaN is not, so the run fails before writing
+    from qrdr.engine import QrdrOutcome
+
+    to_metrics = QrdrOutcome.to_metrics
+    monkeypatch.setattr(QrdrOutcome, "to_metrics",
+                        lambda self: {**to_metrics(self), "epsilon": np.nan})
+    out = tmp_path / "out"
+    assert run_cli(["reduce", "--out", out]) == 2
+    assert "reduce failed: Out of range float values" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -467,3 +512,26 @@ def test_verify_passes(tmp_path, capsys):
     report = read_report(tmp_path, "verify")
     assert report["metrics"]["failed"] == 0
     assert report["metrics"]["checks"] >= 10
+    results = report["metrics"]["results"]
+    assert len(results) == report["metrics"]["checks"]
+    assert results["kron-associativity"] == {"passed": True, "detail": ""}
+
+
+def test_verify_failure_writes_report_then_exits_two(tmp_path, monkeypatch,
+                                                     capsys):
+    from qrdr import verify
+
+    def broken():
+        raise AssertionError("deliberately broken")
+
+    monkeypatch.setattr(verify, "CHECKS",
+                        [*verify.CHECKS[:2], ("broken-check", broken)])
+    assert run_cli(["verify", "--out", tmp_path]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL  broken-check  (deliberately broken)" in captured.out
+    assert "verify failed: 1 invariant check(s) failed" in captured.err
+    metrics = read_report(tmp_path, "verify")["metrics"]
+    assert (metrics["checks"], metrics["failed"]) == (3, 1)
+    assert metrics["results"]["broken-check"] == {
+        "passed": False, "detail": "deliberately broken"}
+    assert metrics["results"]["kron-associativity"]["passed"]

@@ -41,7 +41,7 @@ def test_layout_for_sizes():
     lay = RegisterLayout.for_sizes(n_features=6, rank=3, r_qubits=4)
     assert lay.r_qubits == 4
     with pytest.raises(ValueError, match="too small"):
-        RegisterLayout.for_sizes(n_features=6, rank=3, n_qubits=2)
+        RegisterLayout.for_sizes(n_features=6, rank=3, r_qubits=1)
 
 
 def test_spread_operator_structure():
@@ -154,6 +154,15 @@ def test_build_rejects_non_positive_c(rng):
     model = fit_pca(rng.normal(size=(6, 4)))
     with pytest.raises(ValueError, match="positive"):
         build_hamiltonian(model, 2, 0.0)
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf])
+def test_build_rejects_non_finite_c_as_a_plain_error(rng, c):
+    # not InadmissibleCoupling: a sweep must stop on it, not skip it
+    model = fit_pca(rng.normal(size=(6, 4)))
+    with pytest.raises(ValueError, match="must be finite") as info:
+        build_hamiltonian(model, 2, c)
+    assert not isinstance(info.value, InadmissibleCoupling)
 
 
 def test_build_rejects_coupling_at_gap():
@@ -476,6 +485,17 @@ def test_reduce_rows_success_tracks_variance_on_sonar(sonar_features, scale):
     assert out.c <= 2.0 ** -2 / REDUCTION_C_DIVISOR
     assert abs(out.success_probability - out.ideal_probability) <= \
         out.epsilon + 0.01
+
+
+def test_reduce_rows_warns_when_rounding_dephases(sonar_features):
+    # at 1e5 x sonar, eps * lambda_1 / c is about 1.5 rad and epsilon 6.7e-3
+    with pytest.warns(UserWarning, match="dephase the resonances"):
+        _, out = reduce_rows(1e5 * sonar_features, 2)
+    assert out.epsilon > 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, out = reduce_rows(sonar_features, 2)
+    assert out.epsilon < 1e-6
 
 
 def test_reduce_rows_fits_once(monkeypatch, rng):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from qrdr.linalg import (SpectralDecomposition, evolve_spectral,
-                         hermitian_eig, is_hermitian, kron_all)
+from qrdr.linalg import evolve_spectral, hermitian_eig, is_hermitian, kron_all
 
 SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 SIGMA_Z = np.diag([1.0, -1.0])
@@ -165,8 +164,3 @@ def test_evolution_operator_unitary(rng):
     H = (raw + raw.conj().T) / 2
     U = evolve_spectral(H, 1.3, np.eye(5))
     np.testing.assert_allclose(U @ U.conj().T, np.eye(5), atol=1e-12)
-
-
-def test_spectral_decomposition_dim():
-    d = SpectralDecomposition(values=np.zeros(3), vectors=np.eye(3))
-    assert d.dim == 3

@@ -16,6 +16,9 @@ from qrdr.dataset import (SONAR_FEATURES, LabeledDataset, kfold_split,
 from qrdr.engine import (REDUCTION_C_DIVISOR, RegisterLayout, _run_full,
                          build_hamiltonian, reduce_rows, run_qrdr)
 from qrdr.pca import fit_pca
+from qrdr.qcnn import (N_ANSATZ_PARAMS, _forward_parts, branch_sources,
+                       branch_weights, conv_lcu, prepare_lcu,
+                       readout_features)
 
 EPS = np.finfo(float).eps
 
@@ -96,3 +99,26 @@ def test_csv_round_trip_is_bit_exact(rows):
     assert np.array_equal(back.features.view(np.uint64),
                           ds.features.view(np.uint64))
     assert np.array_equal(back.labels, ds.labels)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(theta=st.lists(st.floats(-np.pi, np.pi), min_size=N_ANSATZ_PARAMS,
+                      max_size=N_ANSATZ_PARAMS),
+       r=st.sampled_from([2, 4, 6, 8]), m=st.integers(1, 6),
+       complex_rows=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_lcu_postselection_probability_is_a_probability(theta, r, m,
+                                                        complex_rows, seed):
+    # G[i] = |sum_k w_k Q_k z_i|^2 with weights summing to 1 and
+    # permutations Q_k, so unit rows give G <= 1; the batched forward pass
+    # must give the same G as the one-sample LCU convolution
+    rng = make_rng(seed, 0)
+    Z = rng.normal(size=(m, 2 ** r))
+    if complex_rows:
+        Z = Z + 1j * rng.normal(size=(m, 2 ** r))
+    Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+    ancilla = prepare_lcu(np.array([theta]))[0]
+    _, G, _ = _forward_parts(branch_weights(ancilla), Z, branch_sources(r),
+                             readout_features(r // 2))
+    assert np.all(G > 0.0) and np.all(G <= 1.0 + 1e-12)
+    for z, g in zip(Z, G):
+        assert abs(conv_lcu(z, ancilla)[0] - g) <= 1e-12

@@ -494,21 +494,48 @@ def test_train_config_validation():
         train(QcnnModel.initial(2, 0), data, TrainConfig(batch_size=9))
 
 
-def test_history_csv_round_trip(tmp_path):
-    data = _toy_split()
-    cfg = TrainConfig(learning_rate=0.05, batch_size=4, epochs=2, seed=1)
-    result = train(QcnnModel.initial(2, 1), data, cfg)
-    path = tmp_path / "history.csv"
-    result.write_csv(path)
-    import csv
+@pytest.mark.parametrize("lr", [0.0, -1.0, math.nan, math.inf])
+def test_train_config_rejects_bad_learning_rate(lr):
+    # Adam with a negative step climbs the loss; NaN poisons every parameter
+    with pytest.raises(ValueError, match="learning rate"):
+        train(QcnnModel.initial(2, 0), _toy_split(),
+              TrainConfig(learning_rate=lr))
+    with pytest.raises(ValueError, match="learning rate"):
+        mlp_baseline(_toy_split(), TrainConfig(learning_rate=lr))
 
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+
+def test_history_csv_round_trip(tmp_path, capsys):
+    # the history CSV that `qrdr qcnn-train` writes reads back to the
+    # training history of the same split, seed and settings
+    import csv
+    import json
+
+    from qrdr import cli, tfim
+    from qrdr.dataset import holdout_split
+
+    ds = tfim.generate_dataset(n_sites=4, count=10, seed=1)
+    tfim.save_dataset(tmp_path / "phase.jsonl", ds)
+    assert cli.main(["qcnn-train", "--data", str(tmp_path / "phase.jsonl"),
+                     "--r", "4", "--arms", "qcnn", "--seeds", "1",
+                     "--epochs", "2", "--batch-size", "4", "--lr", "0.05",
+                     "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    tr, te = holdout_split(ds.count, 2, 1)
+    data = SplitData(ds.features[tr], ds.labels[tr], ds.features[te],
+                     ds.labels[te])
+    cfg = TrainConfig(learning_rate=0.05, batch_size=4, epochs=2, seed=1)
+    result = train(QcnnModel.initial(4, 1), data, cfg)
+    with open(tmp_path / "history_qcnn_s1.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == qcnn.HISTORY_FIELDS
+        rows = list(reader)
     assert len(rows) == 2
     for row, entry in zip(rows, result.history):
         assert int(row["epoch"]) == entry["epoch"]
-        assert float(row["train_loss"]) == entry["train_loss"]
-        assert float(row["test_acc"]) == entry["test_acc"]
+        for key in qcnn.HISTORY_FIELDS[1:]:
+            assert float(row[key]) == entry[key]
+    ckpt = json.loads((tmp_path / "model_qcnn_s1.json").read_text())
+    assert ckpt["theta"] == [float(t) for t in result.final_params[:28]]
 
 
 # ---------------------------------------------------------------------------

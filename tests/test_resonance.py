@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qrdr import cli
 from qrdr.dataset import make_rng
 from qrdr.engine import build_hamiltonian, evolve_full, postselect_probe
 from qrdr.pca import fit_pca
@@ -199,6 +200,13 @@ def test_sweep_raises_input_errors_without_skipping(sonar_features, edit,
             sweep_c(X, rank)
 
 
+def test_sweep_raises_on_a_nan_coupling(sonar_features):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="coupling c must be finite"):
+            sweep_c(sonar_features, 8, c_values=(np.nan, 0.004))
+
+
 def test_sweep_flags_exactly_compressible_data():
     rng = make_rng(11, 0)
     X = rng.normal(size=(9, 3)) @ rng.normal(size=(3, 8))
@@ -219,11 +227,13 @@ def test_sweep_metrics_schema(sweep8):
     assert 0.0 < m["ideal_probability"] <= 1.0
 
 
-def test_sweep_csv_round_trip(tmp_path, sonar_features):
+def test_sweep_csv_round_trip(tmp_path, sonar_features, capsys):
+    # the CSV that `qrdr sweep-c` writes reads back to the sweep's floats
     res = sweep_c(sonar_features, 8, c_values=(0.002, 0.008))
-    path = tmp_path / "sweep.csv"
-    res.write_csv(path)
-    with open(path, newline="") as fh:
+    assert cli.main(["sweep-c", "--r", "8", "--c-grid", "0.002,0.008",
+                     "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "sweep_c_r8.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["c"]) for r in rows] == [0.002, 0.008]
     for i, row in enumerate(rows):

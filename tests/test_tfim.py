@@ -94,6 +94,17 @@ def test_validation_errors():
         build_tfim(2, 1.0, -0.5)
 
 
+@pytest.mark.parametrize("J, h, cause", [
+    (np.nan, 1.0, "coupling J"), (np.inf, 1.0, "coupling J"),
+    (1.0, np.nan, "field h"), (1.0, np.inf, "field h"),
+])
+def test_validation_rejects_non_finite_parameters(J, h, cause):
+    with pytest.raises(ValueError, match=f"{cause} must be .* finite"):
+        build_tfim(2, J, h)
+    with pytest.raises(ValueError, match=f"{cause} must be .* finite"):
+        ground_state(2, J, h)
+
+
 # ---------------------------------------------------------------------------
 # ground states
 
