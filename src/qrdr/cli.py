@@ -181,14 +181,22 @@ def parse_config(argv) -> argparse.Namespace:
         ns = parser.parse_args([ns.command, *_config_flags(ns.config),
                                 *argv[1:]])
     values = vars(ns)
-    if ns.threads < 1:
-        raise ConfigError(f"threads: must be >= 1, got {ns.threads}")
+    for key in ("threads", "epochs", "batch_size"):
+        if key in values and values[key] < 1:
+            raise ConfigError(f"{key}: must be >= 1, got {values[key]}")
     if "r" in values and ns.r < 1:
         raise ConfigError(f"r: rank must be >= 1, got {ns.r}")
     if "folds" in values and ns.folds < 2:
         raise ConfigError(f"folds: need at least 2, got {ns.folds}")
     if "lr" in values and ns.lr <= 0:
         raise ConfigError(f"lr: learning rate must be positive, got {ns.lr}")
+    if "gammas" in values and min(ns.gammas) <= 0:
+        raise ConfigError(f"gammas: must be positive, got {min(ns.gammas)}")
+    if "n_sites" in values and ns.n_sites < 2:
+        raise ConfigError(f"n_sites: need at least 2 sites, got {ns.n_sites}")
+    if "count" in values and (ns.count < 1 or ns.count % 2):
+        raise ConfigError(f"count: must be positive and even for balanced "
+                          f"classes, got {ns.count}")
     for key in ("dataset", "data"):
         if values.get(key) is not None and not Path(values[key]).is_file():
             raise ConfigError(f"{key}: file not found: {values[key]}")

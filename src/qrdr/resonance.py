@@ -73,9 +73,11 @@ class SweepResult:
 
     @property
     def degenerate_fit(self) -> bool:
-        """True when every epsilon sits at the rounding floor (exactly
-        compressible data), making any fitted error law meaningless."""
-        return bool(np.max(np.abs(self.epsilon)) < EPSILON_FLOOR)
+        """True when fewer than two couplings were kept or every epsilon
+        sits at the rounding floor (exactly compressible data): either way
+        a fitted error law would be meaningless."""
+        return bool(self.c_values.size < 2
+                    or np.max(np.abs(self.epsilon)) < EPSILON_FLOOR)
 
     def quadratic_correlation(self) -> float:
         """Pearson correlation of epsilon against c^2."""

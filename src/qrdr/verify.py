@@ -71,9 +71,12 @@ def _check_svm_separable():
 
 
 def _check_tfim_symmetry():
-    H = tfim.build_tfim(4, 1.0, 0.8)
-    P = tfim.parity_operator(4)
-    assert np.abs(H @ P - P @ H).max() < 1e-12, "Z2 symmetry broken"
+    gs = tfim.ground_state(4, 1.0, 0.8)
+    e0 = np.linalg.eigvalsh(tfim.build_tfim(4, 1.0, 0.8))[0]
+    assert abs(gs.energy - e0) <= 1e-12, f"energy {gs.energy} vs {e0}"
+    # prod_i X_i reverses the computational index; the parity at 4 sites is +1
+    assert np.array_equal(gs.amplitudes[::-1], gs.amplitudes), \
+        "ground state breaks the Z2 symmetry"
 
 
 def _check_lcu_one_hot():

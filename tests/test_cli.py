@@ -74,9 +74,18 @@ def test_threads_validation(tmp_path, capsys):
     (["qcnn-train", "--arms", ","], "argument --arms: ',': empty list"),
     (["qcnn-train", "--seeds", ","], "argument --seeds: ',': empty list"),
     (["qsvm", "--gammas", ","], "argument --gammas: ',': empty list"),
+    (["tfim-gen", "--count", "0"], "count: must be positive and even"),
+    (["tfim-gen", "--count", "7"], "count: must be positive and even"),
+    (["tfim-gen", "--n-sites", "1"], "n_sites: need at least 2 sites, got 1"),
+    (["qcnn-train", "--epochs", "0"], "epochs: must be >= 1, got 0"),
+    (["qcnn-train", "--batch-size", "0"], "batch_size: must be >= 1, got 0"),
+    (["qsvm", "--gammas", "-1"], "gammas: must be positive, got -1.0"),
+    (["qsvm", "--gammas", "1,0"], "gammas: must be positive, got 0.0"),
 ], ids=["reduce-c-nan", "reduce-c-inf", "sweep-c-grid-nan", "tfim-j-nan",
         "tfim-ratio-inf", "qcnn-lr-negative", "qcnn-lr-nan", "qcnn-arms-empty",
-        "qcnn-seeds-empty", "qsvm-gammas-empty"])
+        "qcnn-seeds-empty", "qsvm-gammas-empty", "tfim-count-zero",
+        "tfim-count-odd", "tfim-n-sites-one", "qcnn-epochs-zero",
+        "qcnn-batch-size-zero", "qsvm-gammas-negative", "qsvm-gammas-zero"])
 def test_bad_flag_values_exit_one_before_any_work(tmp_path, monkeypatch,
                                                   capsys, argv, cause):
     def generate(*args, **kwargs):
@@ -272,6 +281,20 @@ def test_sweep_c_artifacts(tmp_path, capsys):
     with open(tmp_path / "sweep_c_r8.csv") as fh:
         header = fh.readline().strip()
     assert header == "c,epsilon,fidelity,success_probability"
+
+
+def test_sweep_c_reports_one_point_with_null_fit_fields(tmp_path, capsys):
+    assert run_cli(["sweep-c", "--r", "8", "--c-grid", "0.004",
+                    "--out", tmp_path]) == 0
+    capsys.readouterr()
+    m = read_report(tmp_path, "sweep-c")["metrics"]
+    assert m["c_values"] == [0.004] and len(m["epsilon"]) == 1
+    assert m["degenerate_fit"] is True
+    for key in ("quadratic_correlation", "loglog_correlation",
+                "power_law_slope", "power_law_intercept"):
+        assert m[key] is None
+    with open(tmp_path / "sweep_c_r8.csv") as fh:
+        assert len(fh.read().splitlines()) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -535,3 +558,21 @@ def test_verify_failure_writes_report_then_exits_two(tmp_path, monkeypatch,
     assert metrics["results"]["broken-check"] == {
         "passed": False, "detail": "deliberately broken"}
     assert metrics["results"]["kron-associativity"]["passed"]
+
+
+def test_verify_z2_check_reads_the_shipped_solver(monkeypatch):
+    from qrdr import verify
+
+    solve = tfim.ground_state
+
+    def broken(n_sites, J, h):
+        # the exact ground state with its parity broken in the last digit
+        gs = solve(n_sites, J, h)
+        gs.amplitudes[0] *= 1 + 1e-15
+        return gs
+
+    monkeypatch.setattr(tfim, "ground_state", broken)
+    results = {name: (ok, detail)
+               for name, ok, detail in verify.run_invariants()}
+    assert results["tfim-z2-symmetry"] == (
+        False, "ground state breaks the Z2 symmetry")

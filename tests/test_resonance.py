@@ -218,6 +218,15 @@ def test_sweep_flags_exactly_compressible_data():
     assert m["loglog_correlation"] is None
 
 
+def test_sweep_with_one_kept_coupling_fits_nothing(sonar_features):
+    # R = 8 protects couplings below 2^-3 and delta_min: 0.2 is skipped
+    with pytest.warns(UserWarning, match="skipping inadmissible coupling"):
+        res = sweep_c(sonar_features, 8, c_values=(0.004, 0.2))
+    assert list(res.c_values) == [0.004] and res.skipped_c == [0.2]
+    assert res.degenerate_fit
+    assert res.to_metrics()["quadratic_correlation"] is None
+
+
 def test_sweep_metrics_schema(sweep8):
     m = sweep8.to_metrics()
     assert m["rank"] == 8

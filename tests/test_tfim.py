@@ -92,6 +92,11 @@ def test_validation_errors():
         build_tfim(2, 0.0, 1.0)
     with pytest.raises(ValueError, match="h"):
         build_tfim(2, 1.0, -0.5)
+    with pytest.raises(ValueError,
+                       match="field h must be non-negative and finite, got -1.0"):
+        ground_state(4, 1.0, np.array([0.5, -1.0]))
+    with pytest.raises(ValueError, match="1-D array of fields"):
+        ground_state(4, 1.0, np.ones((2, 2)))
 
 
 @pytest.mark.parametrize("J, h, cause", [
@@ -129,6 +134,90 @@ def test_ground_state_sign_and_determinism():
 def test_zero_field_rejected():
     with pytest.raises(ValueError, match="doubly degenerate"):
         ground_state(3, 1.0, 0.0)
+    with pytest.raises(ValueError,
+                       match=r"h = 0 \(field 2\).*doubly degenerate"):
+        ground_state(4, 1.0, np.array([0.5, 1.2, 0.0, 1.5]))
+
+
+def _sector_oracle(n, J, h):
+    # dense eigh of build_tfim on the basis (|r> + eta |~r>)/sqrt(2), r <
+    # 2^(n-1), of parity eta = (-1)^n; the state lifted back and signed
+    eta = (-1) ** n
+    half = 2 ** (n - 1)
+    B = np.zeros((2 ** n, half))
+    B[np.arange(half), np.arange(half)] = 1 / np.sqrt(2)
+    B[np.arange(half) ^ (2 ** n - 1), np.arange(half)] = eta / np.sqrt(2)
+    w, U = np.linalg.eigh(B.T @ build_tfim(n, J, h) @ B)
+    psi = B @ U[:, 0]
+    return w[0], psi * np.sign(psi[np.argmax(np.abs(psi))])
+
+
+def test_ground_states_match_dense_sector_solver_at_8_sites():
+    fields = np.array([0.05, 0.2, 0.6, 0.95, 1.0, 1.05, 1.4, 1.8, 6.0])
+    gs = ground_state(8, 1.0, fields)
+    assert gs.amplitudes.shape == (fields.size, 256)
+    for i, h in enumerate(fields):
+        energy, psi = _sector_oracle(8, 1.0, h)
+        assert abs(gs.energy[i] - energy) <= 1e-10
+        assert np.abs(gs.amplitudes[i] - psi).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_ground_states_have_exact_parity(n):
+    # for h > 0 the ground state has prod_i X_i = (-1)^n, odd n included
+    fields = np.array([0.1, 0.9, 1.1, 3.0])
+    gs = ground_state(n, 0.8, fields)
+    P = parity_operator(n)
+    for h, energy, psi in zip(fields, gs.energy, gs.amplitudes):
+        assert np.array_equal(P @ psi, (-1) ** n * psi)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        H = build_tfim(n, 0.8, h)
+        assert energy == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-12)
+        assert np.abs(H @ psi - energy * psi).max() <= 1e-10
+
+
+def test_energy_matches_free_fermion_solution_at_12_sites():
+    # the open chain maps to free fermions whose single-particle energies
+    # are twice the singular values of the bidiagonal M (h on the
+    # diagonal, J above it): E0 = -sum_k sigma_k(M)
+    n, J = 12, 1.0
+    fields = np.array([0.3, 0.95, 1.05, 1.7])
+    gs = ground_state(n, J, fields)
+    for h, energy in zip(fields, gs.energy):
+        M = np.diag(np.full(n, h)) + np.diag(np.full(n - 1, J), 1)
+        oracle = -np.linalg.svd(M, compute_uv=False).sum()
+        assert abs(energy - oracle) <= 1e-9
+
+
+def test_field_array_agrees_with_one_field_at_a_time():
+    # 30 fields span two solver blocks
+    fields = np.linspace(0.2, 1.8, 30)
+    gs = ground_state(6, 1.0, fields)
+    for i, h in enumerate(fields):
+        one = ground_state(6, 1.0, h)
+        assert isinstance(one.energy, float) and one.amplitudes.shape == (64,)
+        assert abs(one.energy - gs.energy[i]) <= 1e-12
+        assert np.abs(one.amplitudes - gs.amplitudes[i]).max() <= 1e-12
+
+
+def test_unconverged_solve_raises(monkeypatch):
+    import qrdr.tfim as tfim
+
+    monkeypatch.setattr(tfim, "_RESIDUAL_TOL", -1.0)   # no residual meets it
+    with pytest.raises(RuntimeError, match="Lanczos did not converge"):
+        ground_state(4, 1.0, 0.8)
+
+
+def test_dataset_at_4_sites_survives_early_krylov_closure():
+    # the Krylov space closes at 6 of the 8 sector dimensions (the
+    # reflection-even subspace), so the run must stop on beta = 0
+    ds = generate_dataset(n_sites=4)
+    assert ds.count == 200 and np.isfinite(ds.features).all()
+    for h, psi in zip(ds.ratios, ds.features):
+        H = build_tfim(4, 1.0, h)
+        energy = psi @ H @ psi
+        assert np.abs(H @ psi - energy * psi).max() <= 1e-10
+        assert energy == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-12)
 
 
 def test_high_field_limit_is_minus_product():
