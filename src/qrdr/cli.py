@@ -197,6 +197,19 @@ def parse_config(argv) -> argparse.Namespace:
     if "count" in values and (ns.count < 1 or ns.count % 2):
         raise ConfigError(f"count: must be positive and even for balanced "
                           f"classes, got {ns.count}")
+    if ns.command == "tfim-gen":
+        if ns.j <= 0:
+            raise ConfigError(f"j: coupling must be positive, got {ns.j}")
+        for key in ("ratio_range", "exclusion"):
+            if len(values[key]) != 2:
+                raise ConfigError(f"{key}: need two values lo,hi, "
+                                  f"got {len(values[key])}")
+        (lo, hi), (ex_lo, ex_hi) = ns.ratio_range, ns.exclusion
+        if not 0 < lo < ex_lo < 1 < ex_hi < hi:
+            raise ConfigError(
+                "ratio_range, exclusion: need 0 < ratio_range[0] < "
+                "exclusion[0] < 1 < exclusion[1] < ratio_range[1], got "
+                f"{ns.ratio_range} and {ns.exclusion}")
     for key in ("dataset", "data"):
         if values.get(key) is not None and not Path(values[key]).is_file():
             raise ConfigError(f"{key}: file not found: {values[key]}")
@@ -369,7 +382,7 @@ def _run_qcnn_train(ns: argparse.Namespace):
         else:
             result = qcnn.mlp_baseline(split, tcfg)
             checkpoint = {"kind": "mlp",
-                          "params": [float(p) for p in result.final_params]}
+                          "params": result.final_params.tolist()}
         return arm, seed, result, checkpoint
 
     jobs = [(arm, seed) for arm in ns.arms for seed in ns.seeds]

@@ -9,11 +9,12 @@ the qubits, and a diagonal I/Z/ZZ readout Hamiltonian produces a logit.
 Data states may be real or complex.  Training minimises binary
 cross-entropy with Adam.
 
-Training uses one exact gradient (:func:`loss_and_grad`): every angle sits
-in one half-angle rotation, so the ancilla states at theta_p +/- pi/2 give
-its derivative exactly, and the chain rule through the branch weights, the
-convolution and the pooled readout is closed form.  Central finite
-differences (:func:`fd_gradient`) stay as the checks' reference.
+Training uses one exact gradient (:func:`loss_and_grad`): one forward and
+one backward pass over the ansatz's seven layers give the ancilla's
+Jacobian (:func:`lcu_jacobian`), and the chain rule through the branch
+weights, the convolution and the pooled readout is closed form.  The
+parameter-shift rule and central finite differences (:func:`fd_gradient`)
+stay as the checks' references.
 
 The classical baseline is a three-layer 128-unit tanh MLP with an explicit
 backward pass, trained under identical batching and optimiser settings.
@@ -21,6 +22,7 @@ backward pass, trained under identical batching and optimiser settings.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -37,13 +39,17 @@ MIN_LCU_PROB = 1e-12
 # ---------------------------------------------------------------------------
 # LCU branches
 
+# branch -> class among the nine distinct products; 4 and 9..15 are identity
+_BRANCH_CLASS = np.r_[0:9, [4] * 7]
 
+
+@functools.cache
 def branch_sources(r: int) -> np.ndarray:
     """Index maps for all 16 LCU branches: (Q_k z)[i] = z[sources[k, i]].
 
     Branches k = 3a + b < 9 apply E_{a+1} (x) E_{b+1} on the two r/2-qubit
     halves with E1 = increment, E2 = identity, E3 = decrement; branches
-    9..15 are identity.
+    9..15 are identity.  Cached per r, so the array is read-only.
     """
     if r % 2:
         raise ValueError("data register must have an even number of qubits")
@@ -55,6 +61,7 @@ def branch_sources(r: int) -> np.ndarray:
         for b in range(3):
             sources[3 * a + b] = ((hi + shifts[a]) % dh) * dh + (lo + shifts[b]) % dh
     sources[9:] = np.arange(dh * dh)
+    sources.flags.writeable = False
     return sources
 
 
@@ -67,29 +74,44 @@ def branch_matrix(r: int, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# ancilla ansatz: the gates act on a (B, 16) stack of states, one angle each
+# ancilla ansatz in seven stages: four Ry layers, each a 16x16 Kronecker
+# product, and three diagonal Rz layers, each followed by the CNOT ring
+
+_FLIPS = np.arange(16) ^ (8 >> np.arange(4))[:, None]   # X_q: psi[_FLIPS[q]]
+_BITS = np.arange(16) >> (3 - np.arange(4))[:, None] & 1  # (qubit, state)
+BIT_SIGNS = np.where(_BITS, 1.0, -1.0)   # -1 where qubit q is 0, else +1
+# CNOT q -> q + 1 (mod 4), q = 0..3, as gathers: they compose as
+# psi[:, g1][:, g2] == psi[:, g1[g2]], and each CNOT is its own inverse
+_CNOTS = np.arange(16) ^ _BITS * (8 >> np.arange(1, 5) % 4)[:, None]
+_RING, _RING_INV = (functools.reduce(lambda ring, g: ring[g], gathers)
+                    for gathers in (_CNOTS, _CNOTS[::-1]))
 
 
-def _apply_ry(psi: np.ndarray, theta: np.ndarray, q: int) -> np.ndarray:
-    c = np.cos(theta / 2.0)[:, None, None]
-    s = np.sin(theta / 2.0)[:, None, None]
-    psi = psi.reshape(psi.shape[0], 2 ** q, 2, -1)
-    a, b = psi[:, :, 0], psi[:, :, 1]
-    return np.stack([c * a - s * b, s * a + c * b], axis=2).reshape(
-        psi.shape[0], -1)
+def _forward(theta):
+    """The ansatz on |0000> for theta (28,) or (B, 28), stage by stage.
 
-
-def _apply_rz(psi: np.ndarray, theta: np.ndarray, q: int) -> np.ndarray:
-    phase = np.exp(0.5j * theta)[:, None, None]
-    psi = psi.reshape(psi.shape[0], 2 ** q, 2, -1)
-    return np.stack([psi[:, :, 0] * phase.conj(), psi[:, :, 1] * phase],
-                    axis=2).reshape(psi.shape[0], -1)
-
-
-def _apply_cnot(psi: np.ndarray, ctrl: int, tgt: int, nq: int) -> np.ndarray:
-    s = np.arange(2 ** nq)
-    flip = (s >> (nq - 1 - ctrl)) & 1
-    return psi[:, s ^ (flip << (nq - 1 - tgt))]
+    Layer l has Ry angles theta[8l:8l+4] and Rz angles theta[8l+4:8l+8].
+    Returns the Ry layer matrices (B, 4, 16, 16), the Rz diagonals (B, 3,
+    16), and the (B, 16) states after each Ry layer and before each ring.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim not in (1, 2) or theta.shape[-1] != N_ANSATZ_PARAMS:
+        raise ValueError(f"ansatz takes exactly {N_ANSATZ_PARAMS} "
+                         f"parameters, got {theta.shape}")
+    rows = theta.reshape(-1, N_ANSATZ_PARAMS)
+    layers = rows[:, :24].reshape(-1, 3, 8)
+    half = np.concatenate([layers[:, :, :4], rows[:, None, 24:]], axis=1) / 2
+    c, s = np.cos(half), np.sin(half)
+    gates = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    mats = np.einsum("...ab,...cd,...ef,...gh->...acegbdfh",
+                     *np.moveaxis(gates, 2, 0)).reshape(-1, 4, 16, 16)
+    phases = np.exp(0.5j * layers[:, :, 4:] @ BIT_SIGNS)
+    after_ry, phased = [mats[:, 0, :, 0]], []   # first Ry layer on |0000>
+    for layer in range(3):
+        phased.append(phases[:, layer] * after_ry[-1])
+        after_ry.append(np.einsum("bij,bj->bi", mats[:, layer + 1],
+                                  phased[-1][:, _RING]))
+    return mats, phases, after_ry, phased
 
 
 def prepare_ansatz(theta: np.ndarray) -> np.ndarray:
@@ -99,28 +121,7 @@ def prepare_ansatz(theta: np.ndarray) -> np.ndarray:
     then a final Ry on each qubit: 3 * 8 + 4 = 28 parameters.  All gates
     reduce to the identity (up to global phase) at theta = 0.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim not in (1, 2) or theta.shape[-1] != N_ANSATZ_PARAMS:
-        raise ValueError(
-            f"ansatz takes exactly {N_ANSATZ_PARAMS} parameters, got {theta.shape}"
-        )
-    rows = theta.reshape(-1, N_ANSATZ_PARAMS)
-    psi = np.zeros((rows.shape[0], ANCILLA_DIM), dtype=complex)
-    psi[:, 0] = 1.0
-    p = 0
-    for _ in range(3):
-        for q in range(ANCILLA_QUBITS):
-            psi = _apply_ry(psi, rows[:, p], q)
-            p += 1
-        for q in range(ANCILLA_QUBITS):
-            psi = _apply_rz(psi, rows[:, p], q)
-            p += 1
-        for q in range(ANCILLA_QUBITS):
-            psi = _apply_cnot(psi, q, (q + 1) % ANCILLA_QUBITS, ANCILLA_QUBITS)
-    for q in range(ANCILLA_QUBITS):
-        psi = _apply_ry(psi, rows[:, p], q)
-        p += 1
-    return psi.reshape(theta.shape[:-1] + (ANCILLA_DIM,))
+    return _forward(theta)[2][-1].reshape(np.shape(theta)[:-1] + (-1,))
 
 
 # fixed last stage of the LCU PREPARE step: the 4-qubit Walsh-Hadamard
@@ -147,6 +148,28 @@ def prepare_lcu(theta: np.ndarray) -> np.ndarray:
     return prepare_ansatz(theta) @ _HADAMARD
 
 
+def lcu_jacobian(theta: np.ndarray):
+    """a = prepare_lcu(theta) and da/dtheta (16, 28) by adjoint
+    differentiation: the backward pass carries U = H M_7 ... M_{s+1}.  An Ry
+    angle on qubit q gives U (-i/2 Y_q) psi_s, psi_s the state after its
+    layer, with -i/2 Y_q psi = BIT_SIGNS_q psi[_FLIPS_q] / 2; an Rz angle
+    gives U RING (-i/2 Z_q) D psi_{s-1}, with -i/2 Z_q = 0.5j BIT_SIGNS_q.
+    """
+    if np.ndim(theta) != 1:
+        raise ValueError("lcu_jacobian takes one parameter vector")
+    mats, phases, after_ry, phased = _forward(theta)
+    U = _HADAMARD
+    da = np.empty((ANCILLA_DIM, N_ANSATZ_PARAMS), dtype=complex)
+    for layer in range(3, -1, -1):
+        p = 8 * layer                   # this layer's first Ry angle
+        da[:, p:p + 4] = U @ (0.5 * BIT_SIGNS * after_ry[layer][0, _FLIPS]).T
+        if layer:
+            U = (U @ mats[0, layer])[:, _RING_INV]     # U M_s RING
+            da[:, p - 4:p] = U @ (0.5j * BIT_SIGNS * phased[layer - 1][0]).T
+            U = U * phases[0, layer - 1]
+    return after_ry[-1][0] @ _HADAMARD, da
+
+
 # ---------------------------------------------------------------------------
 # convolution, pooling, readout
 
@@ -161,11 +184,11 @@ def branch_weights(ancilla: np.ndarray) -> np.ndarray:
 
 def _apply_branches(weights: np.ndarray, Z: np.ndarray,
                     sources: np.ndarray) -> np.ndarray:
-    # sum_k w_k Q_k applied to rows of Z
-    out = np.zeros_like(Z)
-    for k, w in enumerate(weights):
-        if w != 0.0:
-            out += w * Z[:, sources[k]]
+    # sum_k w_k Q_k on rows of Z: one scaled copy for the identity, 8 gathers
+    folded = np.bincount(_BRANCH_CLASS, weights=weights, minlength=9)
+    out = folded[4] * Z
+    for k in (0, 1, 2, 3, 5, 6, 7, 8):
+        out += folded[k] * Z[:, sources[k]]
     return out
 
 
@@ -214,15 +237,19 @@ def n_readout(r: int) -> int:
     return 1 + q + q * (q - 1) // 2
 
 
+@functools.cache
 def readout_features(q: int) -> np.ndarray:
-    """Diagonals multiplying each readout coefficient: I, Z_i, Z_i Z_j."""
+    """Diagonals multiplying each readout coefficient: I, Z_i, Z_i Z_j.
+    Cached per q, so the array is read-only."""
     zs = _z_diagonals(q)
     rows = [np.ones(2 ** q)]
     rows.extend(zs)
     for i in range(q):
         for j in range(i + 1, q):
             rows.append(zs[i] * zs[j])
-    return np.array(rows)
+    feats = np.array(rows)
+    feats.flags.writeable = False
+    return feats
 
 
 def readout_expectation(rho: np.ndarray, coeffs: np.ndarray) -> float:
@@ -380,10 +407,9 @@ def fd_gradient(model: QcnnModel, Z: np.ndarray,
 def loss_and_grad(model: QcnnModel, Z: np.ndarray, labels: np.ndarray):
     """Batch loss and its exact gradient over all trainable parameters.
 
-    One batched preparation gives the ancilla a at theta and at
-    theta +/- pi/2 on each angle, hence da/dtheta_p and
+    One :func:`lcu_jacobian` call gives the ancilla a and da/dtheta, hence
     dw/dtheta = 2 Re(conj(a) da/dtheta).  With V the convolution image, c
-    the readout diagonal and g = dl/de, the branch weights get
+    the readout diagonal and g = dl/de, the nine distinct products get
     dL/dw_k = 2 Re sum(U * Z[:, sources[k]]) for U = (g / G) conj(V) (c - e),
     and the readout coefficients get g F / G.
     """
@@ -391,21 +417,15 @@ def loss_and_grad(model: QcnnModel, Z: np.ndarray, labels: np.ndarray):
     labels = np.asarray(labels)
     sources = branch_sources(model.r)
     feats = readout_features(model.r // 2)
-    # rows: theta, then theta + pi/2 and theta - pi/2 on each angle in turn
-    steps = (math.pi / 2.0) * np.eye(N_ANSATZ_PARAMS)
-    ancillas = prepare_lcu(model.theta + np.vstack(
-        [np.zeros(N_ANSATZ_PARAMS), steps, -steps]))
-    a = ancillas[0]
-    da = (ancillas[1:N_ANSATZ_PARAMS + 1]
-          - ancillas[N_ANSATZ_PARAMS + 1:]) / (2.0 * math.sqrt(2.0))
+    a, da = lcu_jacobian(model.theta)
     F, G, V = _forward_parts(branch_weights(a), Z, sources, feats)
     e = (F @ model.readout) / G
     loss = bce_loss(e, labels)
     dl_de = (1.0 / (1.0 + np.exp(-e)) - (labels + 1) / 2.0) / Z.shape[0]
     c = np.repeat(model.readout @ feats, feats.shape[1])
     U = (dl_de / G)[:, None] * V.conj() * (c[None, :] - e[:, None])
-    dl_dw = 2.0 * np.einsum("ij,ikj->k", U, Z[:, sources]).real
-    grad_theta = (2.0 * (a.conj() * da).real) @ dl_dw
+    dl_dw = 2.0 * np.einsum("ij,ikj->k", U, Z[:, sources[:9]]).real
+    grad_theta = dl_dw[_BRANCH_CLASS] @ (2.0 * (a.conj()[:, None] * da).real)
     return loss, np.concatenate([grad_theta, dl_de @ (F / G[:, None])])
 
 

@@ -81,11 +81,26 @@ def test_threads_validation(tmp_path, capsys):
     (["qcnn-train", "--batch-size", "0"], "batch_size: must be >= 1, got 0"),
     (["qsvm", "--gammas", "-1"], "gammas: must be positive, got -1.0"),
     (["qsvm", "--gammas", "1,0"], "gammas: must be positive, got 0.0"),
+    (["tfim-gen", "--ratio-range", "1.1,1.8"],
+     "ratio_range, exclusion: need 0 < ratio_range[0] < exclusion[0] < 1 < "
+     "exclusion[1] < ratio_range[1], got [1.1, 1.8] and [0.95, 1.05]"),
+    (["tfim-gen", "--exclusion", "1.2,1.4"],
+     "got [0.2, 1.8] and [1.2, 1.4]"),
+    (["tfim-gen", "--ratio-range=-0.5,1.8"],
+     "got [-0.5, 1.8] and [0.95, 1.05]"),
+    (["tfim-gen", "--ratio-range", "0.2"],
+     "ratio_range: need two values lo,hi, got 1"),
+    (["tfim-gen", "--exclusion", "0.9,1.1,1.2"],
+     "exclusion: need two values lo,hi, got 3"),
+    (["tfim-gen", "--j", "-1"], "j: coupling must be positive, got -1.0"),
 ], ids=["reduce-c-nan", "reduce-c-inf", "sweep-c-grid-nan", "tfim-j-nan",
         "tfim-ratio-inf", "qcnn-lr-negative", "qcnn-lr-nan", "qcnn-arms-empty",
         "qcnn-seeds-empty", "qsvm-gammas-empty", "tfim-count-zero",
         "tfim-count-odd", "tfim-n-sites-one", "qcnn-epochs-zero",
-        "qcnn-batch-size-zero", "qsvm-gammas-negative", "qsvm-gammas-zero"])
+        "qcnn-batch-size-zero", "qsvm-gammas-negative", "qsvm-gammas-zero",
+        "tfim-ratio-range-above-one", "tfim-exclusion-above-one",
+        "tfim-ratio-range-negative", "tfim-ratio-range-one-item",
+        "tfim-exclusion-three-items", "tfim-j-negative"])
 def test_bad_flag_values_exit_one_before_any_work(tmp_path, monkeypatch,
                                                   capsys, argv, cause):
     def generate(*args, **kwargs):
@@ -388,6 +403,31 @@ def test_qcnn_train_small_run(tmp_path, tiny_phase_file, capsys):
         ckpt = json.load(fh)
     assert ckpt["kind"] == "qcnn" and ckpt["r"] == 2
     assert len(ckpt["theta"]) == 28
+
+
+def test_mlp_checkpoint_bytes_match_per_element_floats(tmp_path,
+                                                      tiny_phase_file,
+                                                      monkeypatch, capsys):
+    # the checkpoint writes result.final_params.tolist(); its bytes equal
+    # those of a list of per-element float() conversions
+    from qrdr import qcnn
+
+    results = []
+    train_mlp = qcnn.mlp_baseline
+
+    def recorded(split, cfg):
+        results.append(train_mlp(split, cfg))
+        return results[-1]
+
+    monkeypatch.setattr(qcnn, "mlp_baseline", recorded)
+    assert run_cli(["qcnn-train", "--data", tiny_phase_file, "--r", "4",
+                    "--arms", "mlp", "--epochs", "1", "--batch-size", "4",
+                    "--out", tmp_path]) == 0
+    capsys.readouterr()
+    per_element = {"kind": "mlp",
+                   "params": [float(p) for p in results[0].final_params]}
+    expect = json.dumps(per_element, sort_keys=True, allow_nan=False) + "\n"
+    assert (tmp_path / "model_mlp_s7.json").read_bytes() == expect.encode()
 
 
 def test_qcnn_train_rerun_byte_identical(tmp_path, tiny_phase_file, capsys):

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 
 from qrdr import qcnn
 from qrdr.dataset import make_rng
-from qrdr.qcnn import (ANCILLA_DIM, MlpModel, N_ANSATZ_PARAMS, QcnnModel,
-                       SplitData, TrainConfig, accuracy_from_logits,
-                       bce_loss, branch_matrix, branch_sources,
-                       branch_weights, conv_lcu, fd_gradient, logits,
-                       loss_and_grad,
-                       mlp_baseline, mlp_logits, mlp_loss_and_grad,
-                       n_readout, pool_discard, prepare_ansatz, prepare_lcu,
-                       readout_expectation, readout_features, train)
+from qrdr.qcnn import (ANCILLA_DIM, ANCILLA_QUBITS, MlpModel,
+                       N_ANSATZ_PARAMS, QcnnModel, SplitData, TrainConfig,
+                       _apply_branches, accuracy_from_logits, bce_loss,
+                       branch_matrix, branch_sources, branch_weights,
+                       conv_lcu, fd_gradient, lcu_jacobian, logits,
+                       loss_and_grad, mlp_baseline, mlp_logits,
+                       mlp_loss_and_grad, n_readout, pool_discard,
+                       prepare_ansatz, prepare_lcu, readout_expectation,
+                       readout_features, train)
 
 
 def _unit_rows(rng, m, dim):
@@ -67,8 +68,115 @@ def test_branch_sources_apply_like_matrices(rng):
         np.testing.assert_allclose(z[src[k]], branch_matrix(2, k) @ z)
 
 
+@pytest.mark.parametrize("r", [2, 4, 8])
+def test_folded_branches_match_the_sum_over_all_sixteen(rng, r):
+    # the identity branches (4 and 9..15) share one scaled copy; the sum
+    # must still be sum_k w_k Q_k over every branch
+    dense = np.array([branch_matrix(r, k) for k in range(16)])
+    Z = _complex_unit_rows(rng, 5, 2 ** r)
+    for weights in (branch_weights(prepare_lcu(rng.uniform(-3, 3, 28))),
+                    rng.uniform(0.0, 1.0, 16), np.eye(16)[4]):
+        expect = Z @ np.einsum("k,kij->ij", weights, dense).T
+        got = _apply_branches(weights, Z, branch_sources(r))
+        assert np.abs(got - expect).max() <= 1e-15
+
+
+def test_cached_tables_are_read_only():
+    # one array per size serves every call, so no caller may write to it
+    assert branch_sources(4) is branch_sources(4)
+    assert readout_features(2) is readout_features(2)
+    with pytest.raises(ValueError, match="read-only"):
+        branch_sources(4)[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        readout_features(2)[0, 0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # ansatz state preparation
+
+# gate-by-gate reference for the stage-matrix ansatz: each gate acts on a
+# (B, 16) stack of states with one angle per state; qubit 0 is the MSB
+
+
+def _apply_ry(psi, theta, q):
+    c = np.cos(theta / 2.0)[:, None, None]
+    s = np.sin(theta / 2.0)[:, None, None]
+    psi = psi.reshape(psi.shape[0], 2 ** q, 2, -1)
+    a, b = psi[:, :, 0], psi[:, :, 1]
+    return np.stack([c * a - s * b, s * a + c * b], axis=2).reshape(
+        psi.shape[0], -1)
+
+
+def _apply_rz(psi, theta, q):
+    phase = np.exp(0.5j * theta)[:, None, None]
+    psi = psi.reshape(psi.shape[0], 2 ** q, 2, -1)
+    return np.stack([psi[:, :, 0] * phase.conj(), psi[:, :, 1] * phase],
+                    axis=2).reshape(psi.shape[0], -1)
+
+
+def _apply_cnot(psi, ctrl, tgt, nq):
+    s = np.arange(2 ** nq)
+    flip = (s >> (nq - 1 - ctrl)) & 1
+    return psi[:, s ^ (flip << (nq - 1 - tgt))]
+
+
+def _gate_by_gate_ansatz(theta):
+    """Three layers of Ry and Rz on each qubit plus the CNOT ring
+    q -> q + 1 (mod 4), then a final Ry layer, one gate at a time."""
+    theta = np.asarray(theta, dtype=float)
+    rows = theta.reshape(-1, N_ANSATZ_PARAMS)
+    psi = np.zeros((rows.shape[0], ANCILLA_DIM), dtype=complex)
+    psi[:, 0] = 1.0
+    p = 0
+    for layer in range(4):
+        for q in range(ANCILLA_QUBITS):
+            psi = _apply_ry(psi, rows[:, p], q)
+            p += 1
+        if layer == 3:
+            break
+        for q in range(ANCILLA_QUBITS):
+            psi = _apply_rz(psi, rows[:, p], q)
+            p += 1
+        for q in range(ANCILLA_QUBITS):
+            psi = _apply_cnot(psi, q, (q + 1) % ANCILLA_QUBITS, ANCILLA_QUBITS)
+    return psi.reshape(theta.shape[:-1] + (ANCILLA_DIM,))
+
+
+def test_stage_ansatz_matches_gate_by_gate_oracle(rng):
+    for theta in (np.zeros(N_ANSATZ_PARAMS),
+                  rng.uniform(-math.pi, math.pi, N_ANSATZ_PARAMS),
+                  rng.uniform(-math.pi, math.pi, (7, N_ANSATZ_PARAMS)),
+                  rng.uniform(-10.0, 10.0, (3, N_ANSATZ_PARAMS))):
+        got = prepare_ansatz(theta)
+        assert got.shape == theta.shape[:-1] + (ANCILLA_DIM,)
+        assert np.abs(got - _gate_by_gate_ansatz(theta)).max() <= 1e-14
+
+
+def _parameter_shift_jacobian(theta):
+    # every angle sits in one exp(-i theta G / 2) with G^2 = 1, so
+    # da/dtheta_p = (a(theta + pi/2 e_p) - a(theta - pi/2 e_p)) / (2 sqrt 2)
+    steps = (math.pi / 2.0) * np.eye(N_ANSATZ_PARAMS)
+    shifted = prepare_lcu(theta + np.vstack([steps, -steps]))
+    return (shifted[:N_ANSATZ_PARAMS]
+            - shifted[N_ANSATZ_PARAMS:]).T / (2.0 * math.sqrt(2.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(theta=st.lists(st.floats(-math.pi, math.pi),
+                      min_size=N_ANSATZ_PARAMS, max_size=N_ANSATZ_PARAMS))
+def test_lcu_jacobian_matches_parameter_shift(theta):
+    theta = np.array(theta)
+    a, da = lcu_jacobian(theta)
+    assert da.shape == (ANCILLA_DIM, N_ANSATZ_PARAMS)
+    assert np.abs(a - prepare_lcu(theta)).max() <= 1e-14
+    assert np.abs(da - _parameter_shift_jacobian(theta)).max() <= 1e-14
+
+
+def test_lcu_jacobian_takes_one_parameter_vector():
+    with pytest.raises(ValueError, match="one parameter vector"):
+        lcu_jacobian(np.zeros((2, N_ANSATZ_PARAMS)))
+    with pytest.raises(ValueError, match="28"):
+        lcu_jacobian(np.zeros(27))
 
 
 def test_ansatz_zero_parameters_is_vacuum():
@@ -418,16 +526,20 @@ def test_exact_gradient_property(seed, r, complex_rows, m, scale):
 
 
 def test_default_gradient_prepares_the_ancilla_once(monkeypatch):
+    # one ancilla computation per step: the Jacobian pass, and no forward
     model, Z, y = _random_case(4, 4, True, 6)
     calls = []
 
-    def counted(theta):
-        calls.append(np.shape(theta))
-        return prepare_lcu(theta)
+    def counted(fn):
+        def wrapped(theta):
+            calls.append((fn.__name__, np.shape(theta)))
+            return fn(theta)
+        return wrapped
 
-    monkeypatch.setattr(qcnn, "prepare_lcu", counted)
+    monkeypatch.setattr(qcnn, "prepare_lcu", counted(prepare_lcu))
+    monkeypatch.setattr(qcnn, "lcu_jacobian", counted(lcu_jacobian))
     loss_and_grad(model, Z, y)
-    assert calls == [(2 * N_ANSATZ_PARAMS + 1, N_ANSATZ_PARAMS)]
+    assert calls == [("lcu_jacobian", (N_ANSATZ_PARAMS,))]
 
 
 def test_gradient_mean_reweighting(rng):
