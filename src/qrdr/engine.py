@@ -32,7 +32,9 @@ on the probe-|1> diagonal.  The blocks are built as one stacked array and
 diagonalised in one stacked eigensolve (:meth:`QrdrHamiltonian.sector_eig`);
 a reduction stacks only the sectors its data populates.  Both paths agree
 to rounding error, and the blockwise one (:func:`run_qrdr`) is what makes
-realistic instances cheap; :func:`_run_full` is its dense reference.
+realistic instances cheap.  The tests keep the dense reference that
+evolves, post-selects and disentangles the whole register
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -295,56 +297,6 @@ def evolve_blockwise(h: QrdrHamiltonian, psi: np.ndarray) -> np.ndarray:
     return out[:, 0] if squeeze else out
 
 
-def postselect_probe(psi: np.ndarray, layout: RegisterLayout):
-    """Measure the probe, keep |1>: returns (probability, collapsed state).
-
-    The collapsed state lives on (component register x data register), with
-    any sample axis preserved, and is renormalised.  Raises when essentially
-    no amplitude sits in the probe-|1> branch.
-    """
-    psi2, squeeze = _as_columns(psi)
-    half = layout.dim_r * layout.dim_n
-    if psi2.shape[0] != 2 * half:
-        raise ValueError(f"state dimension {psi2.shape[0]} does not match layout")
-    total = float(np.sum(np.abs(psi2) ** 2))
-    branch = psi2[half:]
-    prob = float(np.sum(np.abs(branch) ** 2) / total)
-    if prob < MIN_POSTSELECT_PROB:
-        raise ValueError(
-            f"post-selection probability {prob:.3e} is essentially zero"
-        )
-    collapsed = branch / math.sqrt(prob * total)
-    return prob, (collapsed[:, 0] if squeeze else collapsed)
-
-
-def _householder_apply(block: np.ndarray, v_pad: np.ndarray) -> np.ndarray:
-    # reflection W with W v = e0, W e0 = v, applied as two rank-1 updates
-    u = v_pad.copy()
-    u[0] -= 1.0
-    nrm2 = float(u @ u)
-    if nrm2 < 1e-24:
-        return block
-    return block - np.outer(u, (2.0 / nrm2) * (u @ block))
-
-
-def disentangle(psi: np.ndarray, h: QrdrHamiltonian) -> np.ndarray:
-    """Apply the correlation-removing unitary D = sum_k |k><k| (x) W_k.
-
-    For each resonant component k < R, W_k is the (real, symmetric)
-    Householder reflection exchanging the eigenvector |v_k> with |0..0> on
-    the data register; the remaining component indices act as identity.
-    Perfectly transferred amplitude therefore ends on data = |0..0>.
-    """
-    psi2, squeeze = _as_columns(psi)
-    dim_r, dim_n = h.layout.dim_r, h.layout.dim_n
-    m = psi2.shape[1]
-    work = psi2.reshape(dim_r, dim_n, m).copy()
-    for k in range(h.rank):
-        work[k] = _householder_apply(work[k], h.data_vectors[:, k])
-    out = work.reshape(psi2.shape)
-    return out[:, 0] if squeeze else out
-
-
 @dataclass
 class QrdrOutcome:
     """Result of one end-to-end reduction run."""
@@ -398,35 +350,19 @@ def _finish_outcome(h: QrdrHamiltonian, prob: float,
     )
 
 
-def _run_full(h: QrdrHamiltonian) -> QrdrOutcome:
-    """Dense reference for :func:`run_qrdr`: the whole register is evolved,
-    post-selected and disentangled."""
-    layout = h.layout
-    m = h.model.data.shape[0]
-    encoded = encode_dataset_state(h.model.data, layout).reshape(
-        layout.dim_n, m)
-    psi0 = np.zeros((layout.dim, m))
-    psi0.reshape(2, layout.dim_r, layout.dim_n, m)[0, 0] = encoded
-    psi1 = evolve_full(h, psi0)
-    prob, collapsed = postselect_probe(psi1, layout)
-    cleaned = disentangle(collapsed, h)
-    on_zero = cleaned.reshape(layout.dim_r, layout.dim_n, m)[:, 0, :]
-    return _finish_outcome(h, prob, on_zero)
-
-
 def run_qrdr(h: QrdrHamiltonian) -> QrdrOutcome:
     """End-to-end reduction of the data ``h`` was built from: evolve,
     post-select, disentangle and compare with the ideal top-R state.
 
     Returns a :class:`QrdrOutcome` holding the success probability, the
     infidelity epsilon against the ideal reduced state, and the normalised
-    reduced state itself.  This is the sector-resolved fast path; its dense
-    reference is :func:`_run_full`.  The initial state only populates
-    sector k with weight |X v_k|^2, and within each sector the dynamics
-    acts on the (probe, component) factor alone.  Post-selection and
-    disentangling are evaluated directly from the sector amplitudes:
-    <0..0| W_j |v_k> = v_j . v_k collapses to a Kronecker delta for
-    resonant j, k, and to the leading eigenvector entries otherwise.
+    reduced state itself.  This is the sector-resolved fast path; the tests
+    hold it against a dense run of the whole register.  The initial state
+    only populates sector k with weight |X v_k|^2, and within each sector
+    the dynamics acts on the (probe, component) factor alone.
+    Post-selection and disentangling are evaluated directly from the sector
+    amplitudes: <0..0| W_j |v_k> = v_j . v_k collapses to a Kronecker delta
+    for resonant j, k, and to the leading eigenvector entries otherwise.
     """
     X = h.model.data
     m, n_feat = X.shape

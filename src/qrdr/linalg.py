@@ -57,10 +57,6 @@ class SpectralDecomposition:
     values: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return ((self.vectors * self.values[..., None, :])
-                @ np.swapaxes(self.vectors, -1, -2).conj())
-
 
 def hermitian_eig(H: np.ndarray, check: bool = True) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix or a stack ``(..., d, d)``.

@@ -21,14 +21,6 @@ from .dataset import require_finite
 DEGENERACY_ATOL = 1e-9
 
 
-def covariance(X: np.ndarray) -> np.ndarray:
-    """Uncentred covariance-like matrix A = X^T X (features x features)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D (samples x features)")
-    return X.T @ X
-
-
 def _fix_signs(V: np.ndarray) -> np.ndarray:
     # orient each eigenvector so its largest-magnitude component is positive
     # (ties broken by the lowest index, which argmax already picks)
@@ -103,7 +95,7 @@ def fit_pca(X: np.ndarray) -> PcaModel:
     """
     X = require_finite(X)
     n = X.shape[1]
-    values, vectors = np.linalg.eigh(covariance(X))
+    values, vectors = np.linalg.eigh(X.T @ X)
     order = np.argsort(values)[::-1]
     values = values[order]
     vectors = _fix_signs(vectors[:, order])

@@ -65,14 +65,6 @@ def branch_sources(r: int) -> np.ndarray:
     return sources
 
 
-def branch_matrix(r: int, k: int) -> np.ndarray:
-    """Dense permutation matrix of branch k (test/reference use)."""
-    src = branch_sources(r)[k]
-    Q = np.zeros((src.size, src.size))
-    Q[np.arange(src.size), src] = 1.0
-    return Q
-
-
 # ---------------------------------------------------------------------------
 # ancilla ansatz in seven stages: four Ry layers, each a 16x16 Kronecker
 # product, and three diagonal Rz layers, each followed by the CNOT ring
@@ -192,40 +184,6 @@ def _apply_branches(weights: np.ndarray, Z: np.ndarray,
     return out
 
 
-def conv_lcu(state: np.ndarray, ancilla: np.ndarray):
-    """Post-selected LCU convolution of one data state.
-
-    Prepare-select-unprepare with the ancilla returning to |0000> applies
-    sum_k |a_k|^2 Q_k; the post-selection probability is the squared norm
-    of that image.  Raises when essentially no amplitude survives.
-    """
-    state = np.asarray(state)
-    r = int(round(math.log2(state.size)))
-    if 2 ** r != state.size:
-        raise ValueError("state dimension must be a power of two")
-    weights = branch_weights(ancilla)
-    out = _apply_branches(weights, state[None, :], branch_sources(r))[0]
-    prob = float(np.sum(np.abs(out) ** 2))
-    if prob < MIN_LCU_PROB:
-        raise ValueError(f"LCU post-selection probability {prob:.3e} too small")
-    return prob, out / math.sqrt(prob)
-
-
-def pool_discard(state: np.ndarray) -> np.ndarray:
-    """Partial trace over the second half of the qubits.
-
-    The pooling rotation is fixed to the identity, so pooling is exactly a
-    discard; the result is a trace-1 PSD density operator on r/2 qubits.
-    """
-    state = np.asarray(state)
-    r = int(round(math.log2(state.size)))
-    if 2 ** r != state.size or r % 2:
-        raise ValueError("state must live on an even number of qubits")
-    dh = 2 ** (r // 2)
-    block = state.reshape(dh, dh)
-    return block @ block.conj().T
-
-
 def _z_diagonals(q: int) -> np.ndarray:
     # rows: diagonal of Z_i on q qubits (computational order, qubit 0 = MSB)
     s = np.arange(2 ** q)
@@ -250,19 +208,6 @@ def readout_features(q: int) -> np.ndarray:
     feats = np.array(rows)
     feats.flags.writeable = False
     return feats
-
-
-def readout_expectation(rho: np.ndarray, coeffs: np.ndarray) -> float:
-    """e = h0 + sum_i h_i Tr(rho Z_i) + sum_{i<j} h_ij Tr(rho Z_i Z_j)."""
-    rho = np.asarray(rho)
-    q = int(round(math.log2(rho.shape[0])))
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (n_readout(2 * q),):
-        raise ValueError(
-            f"expected {n_readout(2 * q)} readout coefficients, got {coeffs.shape}"
-        )
-    diag = np.real(np.diagonal(rho))
-    return float(coeffs @ (readout_features(q) @ diag))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +282,8 @@ def _forward_parts(weights: np.ndarray, Z: np.ndarray, sources: np.ndarray,
     Returns (F, G, V) with logit e = (F @ readout) / G: V[i] is the
     unnormalised convolution image of sample i, G[i] its LCU post-selection
     probability and F[i, j] the expectation of the j-th readout diagonal
-    against the unnormalised pooled operator.  Equal to composing conv_lcu,
-    pool_discard and readout_expectation sample by sample.
+    against the unnormalised pooled operator.  The tests compose the same
+    stages one sample at a time as its reference (``tests/oracles.py``).
     """
     V = _apply_branches(weights, Z, sources)
     P = np.abs(V) ** 2
@@ -438,12 +383,20 @@ class _Adam:
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        # in place, and rounding exactly as b1 m + (1 - b1) g,
+        # b2 v + ((1 - b2) g) g and params - lr mhat / (sqrt(vhat) + eps)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        mhat = self.m / (1.0 - self.beta1 ** self.t)
-        vhat = self.v / (1.0 - self.beta2 ** self.t)
-        return params - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grad * grad
+        step = self.m / (1.0 - self.beta1 ** self.t)
+        step *= self.lr
+        denom = self.v / (1.0 - self.beta2 ** self.t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        return params - step
 
 
 @dataclass

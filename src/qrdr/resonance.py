@@ -5,8 +5,7 @@ the resonant pair (probe flip onto the matching component) undergoes a full
 Rabi swap at t = 1/c, while every off-resonant pair with detuning Delta
 acquires amplitude at most c*pi/||Delta|.  These small leakages set the
 infidelity floor epsilon = O(c^2 / delta_min^2); this module provides the
-closed-form pieces and the coupling sweep that exhibits the quadratic law
-on real data.
+coupling sweep that exhibits the quadratic law on real data.
 """
 
 from __future__ import annotations
@@ -25,26 +24,6 @@ EPSILON_FLOOR = 1e-10
 
 # columns of a sweep table, in the order SweepResult.rows() gives them
 SWEEP_FIELDS = ("c", "epsilon", "fidelity", "success_probability")
-
-
-def offresonance_amplitude(c: float, weight: float, detuning: float) -> float:
-    """Peak amplitude of an off-resonant transition.
-
-    ``weight`` is the drive matrix element in units of c*pi/2 (so 1 for the
-    +/-1 spread-operator entries), ``detuning`` the energy mismatch.  The
-    exact Rabi peak is d / sqrt(d^2 + detuning^2) with d = c*pi*weight.
-    """
-    if detuning == 0:
-        raise ValueError("detuning must be nonzero for an off-resonant pair")
-    d = c * math.pi * weight
-    return abs(d) / math.sqrt(d * d + detuning * detuning)
-
-
-def offresonance_bound(c: float, weight: float, detuning: float) -> float:
-    """First-order bound c*pi*weight / |detuning| on the same amplitude."""
-    if detuning == 0:
-        raise ValueError("detuning must be nonzero for an off-resonant pair")
-    return abs(c * math.pi * weight / detuning)
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:

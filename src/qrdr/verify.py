@@ -1,15 +1,16 @@
 """Cross-module invariant battery behind the ``verify`` subcommand.
 
 Each check is a small self-contained assertion of a structural property
-(unitarity, partition, symmetry, path equivalence, determinism).  These are
-fast smoke checks, not the full test suite.
+(unitarity, partition, symmetry, path equivalence, determinism) of code
+that the pipeline runs.  These are fast smoke checks, not the full test
+suite; the suite runs each of them once and does not repeat them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import linalg, pca, qcnn, resonance, svm, tfim
+from . import linalg, pca, qcnn, svm, tfim
 from .dataset import holdout_split, kfold_split, make_rng
 from .engine import build_hamiltonian, evolve_blockwise, evolve_full, run_qrdr
 
@@ -19,7 +20,7 @@ def _check_kron():
     A, B, C = (rng.normal(size=(2, 2)) for _ in range(3))
     left = linalg.kron_all([linalg.kron_all([A, B]), C])
     right = linalg.kron_all([A, linalg.kron_all([B, C])])
-    assert np.allclose(left, right, atol=1e-12), "kron not associative"
+    assert np.abs(left - right).max() <= 1e-13, "kron not associative"
 
 
 def _check_evolution_unitary():
@@ -27,7 +28,7 @@ def _check_evolution_unitary():
     raw = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     H = (raw + raw.conj().T) / 2
     U = linalg.evolve_spectral(H, 0.37, np.eye(12))
-    assert np.abs(U @ U.conj().T - np.eye(12)).max() < 1e-10, "not unitary"
+    assert np.abs(U @ U.conj().T - np.eye(12)).max() <= 1e-12, "not unitary"
 
 
 def _check_pca_reconstruction():
@@ -35,7 +36,7 @@ def _check_pca_reconstruction():
     X = rng.normal(size=(9, 5))
     model = pca.fit_pca(X)
     A = (model.components * model.eigenvalues) @ model.components.T
-    assert np.abs(A - pca.covariance(X)).max() < 1e-9, "eigensystem broken"
+    assert np.abs(A - X.T @ X).max() < 1e-9, "eigensystem broken"
 
 
 def _check_engine_paths_agree():
@@ -47,6 +48,7 @@ def _check_engine_paths_agree():
     a = evolve_full(h, psi)
     b = evolve_blockwise(h, psi)
     assert np.abs(a - b).max() < 1e-10, "evolution paths disagree"
+    assert abs(np.linalg.norm(a) - 1.0) <= 1e-10, "dense evolution not unitary"
 
 
 def _check_low_rank_reduction():
@@ -55,12 +57,7 @@ def _check_low_rank_reduction():
     out = run_qrdr(build_hamiltonian(pca.fit_pca(X), 3, 1e-4))
     assert out.epsilon < 1e-6, f"rank-3 data should reduce losslessly: {out.epsilon}"
     assert out.success_probability > 0.999, "success probability too low"
-
-
-def _check_offresonance_peak():
-    b = resonance.offresonance_amplitude(0.01, 1.0, 1.0)
-    bound = resonance.offresonance_bound(0.01, 1.0, 1.0)
-    assert b <= bound, "exact peak exceeds first-order bound"
+    assert abs(out.ideal_probability - 1.0) <= 1e-6, "variance lost at rank 3"
 
 
 def _check_svm_separable():
@@ -77,27 +74,6 @@ def _check_tfim_symmetry():
     # prod_i X_i reverses the computational index; the parity at 4 sites is +1
     assert np.array_equal(gs.amplitudes[::-1], gs.amplitudes), \
         "ground state breaks the Z2 symmetry"
-
-
-def _check_lcu_one_hot():
-    rng = make_rng(0, 95)
-    z = rng.normal(size=16)
-    z /= np.linalg.norm(z)
-    for k in (0, 4, 8):
-        anc = np.zeros(16)
-        anc[k] = 1.0
-        prob, out = qcnn.conv_lcu(z, anc)
-        assert abs(prob - 1.0) < 1e-12, "permutation branch must preserve norm"
-        assert np.allclose(out, qcnn.branch_matrix(4, k) @ z, atol=1e-12)
-
-
-def _check_pool_density():
-    rng = make_rng(0, 96)
-    z = rng.normal(size=16) + 1j * rng.normal(size=16)
-    z /= np.linalg.norm(z)
-    rho = qcnn.pool_discard(z)
-    assert abs(np.trace(rho).real - 1.0) < 1e-12, "pooled trace != 1"
-    assert np.linalg.eigvalsh(rho).min() > -1e-12, "pooled operator not PSD"
 
 
 def _check_gradient_methods():
@@ -128,11 +104,8 @@ CHECKS = [
     ("pca-eigensystem-reconstruction", _check_pca_reconstruction),
     ("engine-path-equivalence", _check_engine_paths_agree),
     ("low-rank-lossless-reduction", _check_low_rank_reduction),
-    ("offresonance-peak-bound", _check_offresonance_peak),
     ("svm-separable-exactness", _check_svm_separable),
     ("tfim-z2-symmetry", _check_tfim_symmetry),
-    ("lcu-one-hot-branches", _check_lcu_one_hot),
-    ("pool-density-operator", _check_pool_density),
     ("gradient-method-agreement", _check_gradient_methods),
     ("split-partition-determinism", _check_split_partition),
 ]

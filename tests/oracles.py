@@ -1,0 +1,155 @@
+"""Dense and stage-wise references that the tests hold the package against.
+
+The package runs a reduction sector by sector (:func:`engine.run_qrdr`) and
+the QCNN as one batched forward pass (:func:`qcnn._forward_parts`).  The
+functions here do the same work the long way: the reduction evolves,
+post-selects and disentangles the whole register, and the classifier
+convolves, pools and reads out one sample at a time.  No shipped code
+calls them.
+"""
+
+import math
+
+import numpy as np
+
+from qrdr.engine import (MIN_POSTSELECT_PROB, QrdrHamiltonian, QrdrOutcome,
+                         RegisterLayout, _as_columns, _finish_outcome,
+                         encode_dataset_state, evolve_full)
+from qrdr.linalg import SpectralDecomposition
+from qrdr.qcnn import (MIN_LCU_PROB, _apply_branches, branch_sources,
+                       branch_weights, n_readout, readout_features)
+
+
+def reconstruct(decomp: SpectralDecomposition) -> np.ndarray:
+    """vectors @ diag(values) @ vectors^dagger, for one matrix or a stack."""
+    return ((decomp.vectors * decomp.values[..., None, :])
+            @ np.swapaxes(decomp.vectors, -1, -2).conj())
+
+
+# ---------------------------------------------------------------------------
+# reduction: the whole register, evolved densely
+
+
+def postselect_probe(psi: np.ndarray, layout: RegisterLayout):
+    """Measure the probe, keep |1>: returns (probability, collapsed state).
+
+    The collapsed state lives on (component register x data register), with
+    any sample axis preserved, and is renormalised.  Raises when essentially
+    no amplitude sits in the probe-|1> branch.
+    """
+    psi2, squeeze = _as_columns(psi)
+    half = layout.dim_r * layout.dim_n
+    if psi2.shape[0] != 2 * half:
+        raise ValueError(f"state dimension {psi2.shape[0]} does not match layout")
+    total = float(np.sum(np.abs(psi2) ** 2))
+    branch = psi2[half:]
+    prob = float(np.sum(np.abs(branch) ** 2) / total)
+    if prob < MIN_POSTSELECT_PROB:
+        raise ValueError(
+            f"post-selection probability {prob:.3e} is essentially zero"
+        )
+    collapsed = branch / math.sqrt(prob * total)
+    return prob, (collapsed[:, 0] if squeeze else collapsed)
+
+
+def _householder_apply(block: np.ndarray, v_pad: np.ndarray) -> np.ndarray:
+    # reflection W with W v = e0, W e0 = v, applied as two rank-1 updates
+    u = v_pad.copy()
+    u[0] -= 1.0
+    nrm2 = float(u @ u)
+    if nrm2 < 1e-24:
+        return block
+    return block - np.outer(u, (2.0 / nrm2) * (u @ block))
+
+
+def disentangle(psi: np.ndarray, h: QrdrHamiltonian) -> np.ndarray:
+    """Apply the correlation-removing unitary D = sum_k |k><k| (x) W_k.
+
+    For each resonant component k < R, W_k is the (real, symmetric)
+    Householder reflection exchanging the eigenvector |v_k> with |0..0> on
+    the data register; the remaining component indices act as identity.
+    Perfectly transferred amplitude therefore ends on data = |0..0>.
+    """
+    psi2, squeeze = _as_columns(psi)
+    dim_r, dim_n = h.layout.dim_r, h.layout.dim_n
+    m = psi2.shape[1]
+    work = psi2.reshape(dim_r, dim_n, m).copy()
+    for k in range(h.rank):
+        work[k] = _householder_apply(work[k], h.data_vectors[:, k])
+    out = work.reshape(psi2.shape)
+    return out[:, 0] if squeeze else out
+
+
+def run_full(h: QrdrHamiltonian) -> QrdrOutcome:
+    """Dense reference for :func:`engine.run_qrdr`: the whole register is
+    evolved, post-selected and disentangled."""
+    layout = h.layout
+    m = h.model.data.shape[0]
+    encoded = encode_dataset_state(h.model.data, layout).reshape(
+        layout.dim_n, m)
+    psi0 = np.zeros((layout.dim, m))
+    psi0.reshape(2, layout.dim_r, layout.dim_n, m)[0, 0] = encoded
+    psi1 = evolve_full(h, psi0)
+    prob, collapsed = postselect_probe(psi1, layout)
+    cleaned = disentangle(collapsed, h)
+    on_zero = cleaned.reshape(layout.dim_r, layout.dim_n, m)[:, 0, :]
+    return _finish_outcome(h, prob, on_zero)
+
+
+# ---------------------------------------------------------------------------
+# QCNN: one sample at a time, stage by stage
+
+
+def branch_matrix(r: int, k: int) -> np.ndarray:
+    """Dense permutation matrix of LCU branch k on an r-qubit register."""
+    src = branch_sources(r)[k]
+    Q = np.zeros((src.size, src.size))
+    Q[np.arange(src.size), src] = 1.0
+    return Q
+
+
+def conv_lcu(state: np.ndarray, ancilla: np.ndarray):
+    """Post-selected LCU convolution of one data state.
+
+    Prepare-select-unprepare with the ancilla returning to |0000> applies
+    sum_k |a_k|^2 Q_k; the post-selection probability is the squared norm
+    of that image.  Raises when essentially no amplitude survives.
+    """
+    state = np.asarray(state)
+    r = int(round(math.log2(state.size)))
+    if 2 ** r != state.size:
+        raise ValueError("state dimension must be a power of two")
+    weights = branch_weights(ancilla)
+    out = _apply_branches(weights, state[None, :], branch_sources(r))[0]
+    prob = float(np.sum(np.abs(out) ** 2))
+    if prob < MIN_LCU_PROB:
+        raise ValueError(f"LCU post-selection probability {prob:.3e} too small")
+    return prob, out / math.sqrt(prob)
+
+
+def pool_discard(state: np.ndarray) -> np.ndarray:
+    """Partial trace over the second half of the qubits.
+
+    The pooling rotation is fixed to the identity, so pooling is exactly a
+    discard; the result is a trace-1 PSD density operator on r/2 qubits.
+    """
+    state = np.asarray(state)
+    r = int(round(math.log2(state.size)))
+    if 2 ** r != state.size or r % 2:
+        raise ValueError("state must live on an even number of qubits")
+    dh = 2 ** (r // 2)
+    block = state.reshape(dh, dh)
+    return block @ block.conj().T
+
+
+def readout_expectation(rho: np.ndarray, coeffs: np.ndarray) -> float:
+    """e = h0 + sum_i h_i Tr(rho Z_i) + sum_{i<j} h_ij Tr(rho Z_i Z_j)."""
+    rho = np.asarray(rho)
+    q = int(round(math.log2(rho.shape[0])))
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (n_readout(2 * q),):
+        raise ValueError(
+            f"expected {n_readout(2 * q)} readout coefficients, got {coeffs.shape}"
+        )
+    diag = np.real(np.diagonal(rho))
+    return float(coeffs @ (readout_features(q) @ diag))

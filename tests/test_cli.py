@@ -1,4 +1,6 @@
 import json
+import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -93,6 +95,14 @@ def test_threads_validation(tmp_path, capsys):
     (["tfim-gen", "--exclusion", "0.9,1.1,1.2"],
      "exclusion: need two values lo,hi, got 3"),
     (["tfim-gen", "--j", "-1"], "j: coupling must be positive, got -1.0"),
+    (["qsvm", "--seed", "-1"], "seed: must be >= 0, got -1"),
+    (["tfim-gen", "--seed", "-1"], "seed: must be >= 0, got -1"),
+    (["qcnn-train", "--seed", "-1"], "seed: must be >= 0, got -1"),
+    (["qcnn-train", "--seeds", "-3"], "seeds: must be >= 0, got -3"),
+    (["qcnn-train", "--seeds", "7,7"],
+     "seeds: an item is listed twice, got 7,7"),
+    (["qcnn-train", "--arms", "mlp,mlp"],
+     "arms: an item is listed twice, got mlp,mlp"),
 ], ids=["reduce-c-nan", "reduce-c-inf", "sweep-c-grid-nan", "tfim-j-nan",
         "tfim-ratio-inf", "qcnn-lr-negative", "qcnn-lr-nan", "qcnn-arms-empty",
         "qcnn-seeds-empty", "qsvm-gammas-empty", "tfim-count-zero",
@@ -100,7 +110,9 @@ def test_threads_validation(tmp_path, capsys):
         "qcnn-batch-size-zero", "qsvm-gammas-negative", "qsvm-gammas-zero",
         "tfim-ratio-range-above-one", "tfim-exclusion-above-one",
         "tfim-ratio-range-negative", "tfim-ratio-range-one-item",
-        "tfim-exclusion-three-items", "tfim-j-negative"])
+        "tfim-exclusion-three-items", "tfim-j-negative", "qsvm-seed-negative",
+        "tfim-seed-negative", "qcnn-seed-negative", "qcnn-seeds-negative",
+        "qcnn-seeds-repeated", "qcnn-arms-repeated"])
 def test_bad_flag_values_exit_one_before_any_work(tmp_path, monkeypatch,
                                                   capsys, argv, cause):
     def generate(*args, **kwargs):
@@ -146,7 +158,10 @@ def test_config_list_values_and_null(tmp_path, capsys):
     capsys.readouterr()
     echo = read_report(tmp_path, "sweep-c")["config"]
     assert echo["c_grid"] == [0.004, 0.002]
-    assert echo["dataset"] == str(dataset_mod.sonar_path())   # null: default
+    bundled = dataset_mod.sonar_path().read_bytes()      # null: default
+    assert echo["dataset"] == {"name": "sonar.all-data",
+                               "bytes": len(bundled),
+                               "crc32": f"{zlib.crc32(bundled):08x}"}
 
 
 def test_config_seeds_list_and_flag_override(tmp_path, tiny_phase_file,
@@ -269,6 +284,25 @@ def test_non_finite_dataset_exits_one_without_report(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_reports_name_input_files_by_content(tmp_path, capsys):
+    # two copies of the sonar file at different paths, and the default,
+    # give the same report bytes
+    outs = []
+    for where in ("a", "b/c", None):
+        argv = ["reduce", "--r", "8", "--c", "0.002"]
+        if where is not None:
+            copy = tmp_path / where / "sonar.all-data"
+            copy.parent.mkdir(parents=True)
+            shutil.copyfile(dataset_mod.sonar_path(), copy)
+            argv += ["--dataset", copy]
+        outs.append(tmp_path / "out" / str(len(outs)))
+        assert run_cli([*argv, "--out", outs[-1]]) == 0
+    capsys.readouterr()
+    assert report_bytes(outs[0], "reduce") == report_bytes(outs[1], "reduce") \
+        == report_bytes(outs[2], "reduce")
+    assert str(tmp_path) not in report_bytes(outs[0], "reduce").decode()
+
+
 def test_reduce_rerun_byte_identical(tmp_path, capsys):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -326,6 +360,30 @@ def test_qsvm_rerun_byte_identical(tmp_path, capsys):
     report = read_report(a, "qsvm")
     assert set(report["metrics"]) == {"raw", "reduced"}
     assert len(report["metrics"]["raw"]["fold_accuracies"]) == 4
+
+
+@pytest.mark.parametrize("command, argv, cause", [
+    ("qsvm", ["--folds", "300"], "folds: 300 folds exceed the 208 samples"),
+    ("qcnn-train", ["--batch-size", "1000"],
+     "batch_size: 1000 exceeds the 7 training rows"),
+], ids=["qsvm-folds-above-rows", "qcnn-batch-size-above-train-rows"])
+def test_flags_bad_against_the_data_exit_one_before_any_work(
+        tmp_path, tiny_phase_file, monkeypatch, capsys, command, argv, cause):
+    from qrdr import qcnn, svm
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for module, name in ((svm, "cross_validate"), (svm, "reduced_features"),
+                         (cli, "reduce_rows"), (qcnn, "train"),
+                         (qcnn, "mlp_baseline")):
+        monkeypatch.setattr(module, name, work)
+    if command == "qcnn-train":
+        argv = [*argv, "--data", tiny_phase_file, "--r", "4"]
+    out = tmp_path / "out"
+    assert run_cli([command, *argv, "--out", out]) == 1
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_qsvm_single_arm(tmp_path, capsys):
@@ -574,10 +632,15 @@ def test_verify_passes(tmp_path, capsys):
     assert "ok" in out and "FAIL" not in out
     report = read_report(tmp_path, "verify")
     assert report["metrics"]["failed"] == 0
-    assert report["metrics"]["checks"] >= 10
+    assert report["metrics"]["checks"] == 9
     results = report["metrics"]["results"]
-    assert len(results) == report["metrics"]["checks"]
-    assert results["kron-associativity"] == {"passed": True, "detail": ""}
+    assert list(results) == sorted([
+        "kron-associativity", "spectral-evolution-unitarity",
+        "pca-eigensystem-reconstruction", "engine-path-equivalence",
+        "low-rank-lossless-reduction", "svm-separable-exactness",
+        "tfim-z2-symmetry", "gradient-method-agreement",
+        "split-partition-determinism"])
+    assert all(r == {"passed": True, "detail": ""} for r in results.values())
 
 
 def test_verify_failure_writes_report_then_exits_two(tmp_path, monkeypatch,

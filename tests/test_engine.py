@@ -3,11 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import disentangle, postselect_probe, reconstruct, run_full
 from qrdr.dataset import make_rng
 from qrdr.engine import (REDUCTION_C_DIVISOR, InadmissibleCoupling,
-                         RegisterLayout, _run_full, admissible_rank,
-                         build_hamiltonian, disentangle, encode_dataset_state,
-                         evolve_blockwise, evolve_full, postselect_probe,
+                         RegisterLayout, admissible_rank, build_hamiltonian,
+                         encode_dataset_state, evolve_blockwise, evolve_full,
                          reduce_rows, run_qrdr, spread_operator)
 from qrdr.pca import fit_pca
 
@@ -256,17 +256,6 @@ def test_epsilon_quarters_when_c_halves(sonar_features):
 # evolution paths
 
 
-def test_paths_agree_small_instance(rng):
-    X = rng.normal(size=(6, 4))
-    h = build_hamiltonian(fit_pca(X), 2, 1e-3)
-    psi = rng.normal(size=h.layout.dim) + 1j * rng.normal(size=h.layout.dim)
-    psi /= np.linalg.norm(psi)
-    a = evolve_full(h, psi)
-    b = evolve_blockwise(h, psi)
-    assert np.abs(a - b).max() <= 1e-10
-    np.testing.assert_allclose(np.linalg.norm(a), 1.0, atol=1e-10)
-
-
 def test_sector_stack_is_the_dense_hamiltonian_per_sector(small_instance):
     _, _, h = small_instance
     dim_r, dim_n = h.layout.dim_r, h.layout.dim_n
@@ -276,7 +265,7 @@ def test_sector_stack_is_the_dense_hamiltonian_per_sector(small_instance):
     H = h.dense().reshape(2 * dim_r, dim_n, 2 * dim_r, dim_n)
     V = h.data_vectors
     restricted = np.einsum("dk,adbe,ek->kab", V, H, V)
-    np.testing.assert_allclose(eig.reconstruct(), restricted, atol=1e-12)
+    np.testing.assert_allclose(reconstruct(eig), restricted, atol=1e-12)
     assert np.array_equal(h.sector_eig(3).values, eig.values[:3])
 
 
@@ -323,7 +312,7 @@ def test_blockwise_preserves_sector(small_instance):
 def test_paths_agree_on_sonar_truncation(sonar_features):
     X = sonar_features[:, :16]
     h = build_hamiltonian(fit_pca(X), 4, 2e-3)
-    full, block = _run_full(h), run_qrdr(h)
+    full, block = run_full(h), run_qrdr(h)
     assert abs(full.epsilon - block.epsilon) <= 1e-10
     assert abs(full.success_probability - block.success_probability) <= 1e-10
     np.testing.assert_allclose(full.reduced_state, block.reduced_state,
@@ -399,14 +388,6 @@ def test_disentangled_weight_concentrates(rng):
 
 # ---------------------------------------------------------------------------
 # end-to-end runs
-
-
-def test_rank_limited_data_reduces_losslessly(rng):
-    X = rng.normal(size=(9, 3)) @ rng.normal(size=(3, 8))
-    out = _reduce(X, 3, 1e-4)
-    assert out.epsilon <= 1e-4
-    assert out.success_probability >= 0.999
-    assert out.ideal_probability == pytest.approx(1.0)
 
 
 def test_random_instance_meets_error_bound():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qrdr.pca import PcaModel, covariance, fit_pca, project, target_state
+from qrdr.pca import PcaModel, fit_pca, project, target_state
 
 
 def _matrix_with_spectrum(eigenvalues):
@@ -9,23 +9,9 @@ def _matrix_with_spectrum(eigenvalues):
     return np.diag(np.sqrt(np.asarray(eigenvalues, dtype=float)))
 
 
-def test_covariance_identity():
-    assert np.array_equal(covariance(np.eye(2)), np.eye(2))
-
-
-def test_covariance_hand_case():
-    A = covariance(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    assert np.array_equal(A, np.array([[2.0, 0.0], [0.0, 0.0]]))
-
-
-def test_covariance_psd(rng):
-    A = covariance(rng.normal(size=(7, 5)))
-    assert np.linalg.eigvalsh(A).min() >= -1e-10
-
-
-def test_covariance_rejects_1d():
-    with pytest.raises(ValueError):
-        covariance(np.zeros(3))
+def test_fit_rejects_1d_input():
+    with pytest.raises(ValueError, match="expected a 2-D array"):
+        fit_pca(np.zeros(3))
 
 
 def test_fit_rank_range():
@@ -67,7 +53,7 @@ def test_fit_eigensystem_properties(rng):
     np.testing.assert_allclose(m.components.T @ m.components, np.eye(6),
                                atol=1e-10)
     A = (m.components * m.eigenvalues) @ m.components.T
-    np.testing.assert_allclose(A, covariance(X), atol=1e-9)
+    np.testing.assert_allclose(A, X.T @ X, atol=1e-9)
 
 
 def test_fit_sign_convention(rng):

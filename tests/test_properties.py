@@ -11,14 +11,13 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qrdr.dataset import (SONAR_FEATURES, LabeledDataset, kfold_split,
-                          load_sonar, make_rng, save_csv)
-from qrdr.engine import (REDUCTION_C_DIVISOR, RegisterLayout, _run_full,
+from oracles import conv_lcu, run_full
+from qrdr.dataset import SONAR_FEATURES, kfold_split, load_sonar, make_rng
+from qrdr.engine import (REDUCTION_C_DIVISOR, RegisterLayout,
                          build_hamiltonian, reduce_rows, run_qrdr)
 from qrdr.pca import fit_pca
 from qrdr.qcnn import (N_ANSATZ_PARAMS, _forward_parts, branch_sources,
-                       branch_weights, conv_lcu, prepare_lcu,
-                       readout_features)
+                       branch_weights, prepare_lcu, readout_features)
 
 EPS = np.finfo(float).eps
 
@@ -46,7 +45,7 @@ def reductions(draw):
 def test_blockwise_run_matches_dense_reference(instance):
     model, rank, c = instance
     h = build_hamiltonian(model, rank, c)
-    block, full = run_qrdr(h), _run_full(h)
+    block, full = run_qrdr(h), run_full(h)
     state_tol = 10.0 * EPS * max(1.0, model.eigenvalues[0]) / c
     assert np.abs(block.reduced_state - full.reduced_state).max() <= state_tol
     assert abs(block.success_probability - full.success_probability) <= 1e-11
@@ -90,15 +89,18 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
                                st.sampled_from([1, -1])),
                      min_size=1, max_size=4))
 def test_csv_round_trip_is_bit_exact(rows):
-    ds = LabeledDataset(np.array([f for f, _ in rows]),
-                        np.array([y for _, y in rows]))
+    # floats written through repr must load back bit for bit
+    features = np.array([f for f, _ in rows])
+    labels = np.array([y for _, y in rows])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
-        save_csv(path, ds)
+        path.write_text("".join(
+            ",".join(map(repr, f)) + (",M\n" if y == 1 else ",R\n")
+            for f, y in rows))
         back = load_sonar(path)
     assert np.array_equal(back.features.view(np.uint64),
-                          ds.features.view(np.uint64))
-    assert np.array_equal(back.labels, ds.labels)
+                          features.view(np.uint64))
+    assert np.array_equal(back.labels, labels)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (branch_matrix, conv_lcu, pool_discard,
+                     readout_expectation)
 from qrdr import qcnn
 from qrdr.dataset import make_rng
 from qrdr.qcnn import (ANCILLA_DIM, ANCILLA_QUBITS, MlpModel,
                        N_ANSATZ_PARAMS, QcnnModel, SplitData, TrainConfig,
                        _apply_branches, accuracy_from_logits, bce_loss,
-                       branch_matrix, branch_sources, branch_weights,
-                       conv_lcu, fd_gradient, lcu_jacobian, logits,
-                       loss_and_grad, mlp_baseline, mlp_logits,
-                       mlp_loss_and_grad, n_readout, pool_discard,
-                       prepare_ansatz, prepare_lcu, readout_expectation,
-                       readout_features, train)
+                       branch_sources, branch_weights, fd_gradient,
+                       lcu_jacobian, logits, loss_and_grad, mlp_baseline,
+                       mlp_logits, mlp_loss_and_grad, n_readout,
+                       prepare_ansatz, prepare_lcu, readout_features, train)
 
 
 def _unit_rows(rng, m, dim):
@@ -596,6 +596,24 @@ def test_train_deterministic_under_seed():
     b = train(QcnnModel.initial(2, 4), data, cfg)
     assert a.history == b.history
     np.testing.assert_array_equal(a.final_params, b.final_params)
+
+
+def test_adam_step_matches_the_allocating_formula_bit_for_bit():
+    # the in-place update must round exactly as the textbook expression
+    rng = make_rng(3, 0)
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+    opt = qcnn._Adam(500, lr)
+    params = rng.normal(size=500)
+    ref, m, v = params.copy(), np.zeros(500), np.zeros(500)
+    for t in range(1, 201):
+        grad = rng.normal(size=500) * 10.0 ** rng.uniform(-8.0, 2.0, 500)
+        params = opt.step(params, grad)
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad * grad
+        mhat = m / (1.0 - b1 ** t)
+        vhat = v / (1.0 - b2 ** t)
+        ref = ref - lr * mhat / (np.sqrt(vhat) + eps)
+        assert np.array_equal(params.view(np.uint64), ref.view(np.uint64))
 
 
 def test_train_config_validation():

@@ -5,38 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from oracles import postselect_probe
 from qrdr import cli
 from qrdr.dataset import make_rng
-from qrdr.engine import build_hamiltonian, evolve_full, postselect_probe
+from qrdr.engine import build_hamiltonian, evolve_full
 from qrdr.pca import fit_pca
-from qrdr.resonance import (DEFAULT_C_GRID, offresonance_amplitude,
-                            offresonance_bound, pearson, sweep_c)
-
-
-# ---------------------------------------------------------------------------
-# closed-form pieces
-
-
-def test_offresonance_amplitude_values():
-    assert offresonance_amplitude(0.01, 0.0, 1.0) == 0.0
-    d = 0.01 * math.pi
-    assert offresonance_amplitude(0.01, 1.0, 1.0) == \
-        pytest.approx(d / math.sqrt(1 + d * d))
-    # vanishes linearly with the coupling
-    assert offresonance_amplitude(1e-8, 1.0, 0.5) == \
-        pytest.approx(2e-8 * math.pi, rel=1e-6)
-
-
-def test_offresonance_peak_below_bound():
-    for c, w, det in [(0.01, 1.0, 0.3), (0.05, 2.0, 1.7), (0.2, 0.5, 0.21)]:
-        assert offresonance_amplitude(c, w, det) < offresonance_bound(c, w, det)
-
-
-def test_offresonance_zero_detuning_rejected():
-    with pytest.raises(ValueError, match="nonzero"):
-        offresonance_amplitude(0.01, 1.0, 0.0)
-    with pytest.raises(ValueError, match="nonzero"):
-        offresonance_bound(0.01, 1.0, 0.0)
+from qrdr.resonance import DEFAULT_C_GRID, pearson, sweep_c
 
 
 # ---------------------------------------------------------------------------
