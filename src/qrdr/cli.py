@@ -309,6 +309,11 @@ def _run_qsvm(ns: argparse.Namespace):
     if ns.folds > n_samples:
         raise ConfigError(f"folds: {ns.folds} folds exceed the {n_samples} "
                           "samples")
+    # the largest test fold leaves the smallest training set
+    n_train = n_samples - math.ceil(n_samples / ns.folds)
+    if n_train < svm.INNER_K:
+        raise ConfigError(f"folds: {ns.folds} folds leave {n_train} training "
+                          f"samples, fewer than the {svm.INNER_K} inner folds")
     metrics = {}
     gammas = tuple(ns.gammas)
     if ns.arm in ("raw", "both"):

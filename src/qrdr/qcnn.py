@@ -80,40 +80,39 @@ _RING, _RING_INV = (functools.reduce(lambda ring, g: ring[g], gathers)
 
 
 def _forward(theta):
-    """The ansatz on |0000> for theta (28,) or (B, 28), stage by stage.
+    """The ansatz on |0000> for one vector theta of 28 angles, stage by stage.
 
     Layer l has Ry angles theta[8l:8l+4] and Rz angles theta[8l+4:8l+8].
-    Returns the Ry layer matrices (B, 4, 16, 16), the Rz diagonals (B, 3,
-    16), and the (B, 16) states after each Ry layer and before each ring.
+    Returns the Ry layer matrices (4, 16, 16), the Rz diagonals (3, 16),
+    and the states after each Ry layer and before each ring.
     """
     theta = np.asarray(theta, dtype=float)
-    if theta.ndim not in (1, 2) or theta.shape[-1] != N_ANSATZ_PARAMS:
-        raise ValueError(f"ansatz takes exactly {N_ANSATZ_PARAMS} "
-                         f"parameters, got {theta.shape}")
-    rows = theta.reshape(-1, N_ANSATZ_PARAMS)
-    layers = rows[:, :24].reshape(-1, 3, 8)
-    half = np.concatenate([layers[:, :, :4], rows[:, None, 24:]], axis=1) / 2
+    if theta.shape != (N_ANSATZ_PARAMS,):
+        raise ValueError(f"ansatz takes one parameter vector of "
+                         f"{N_ANSATZ_PARAMS} angles, got shape {theta.shape}")
+    layers = theta[:24].reshape(3, 8)
+    half = np.concatenate([layers[:, :4], theta[None, 24:]]) / 2
     c, s = np.cos(half), np.sin(half)
     gates = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
     mats = np.einsum("...ab,...cd,...ef,...gh->...acegbdfh",
-                     *np.moveaxis(gates, 2, 0)).reshape(-1, 4, 16, 16)
-    phases = np.exp(0.5j * layers[:, :, 4:] @ BIT_SIGNS)
-    after_ry, phased = [mats[:, 0, :, 0]], []   # first Ry layer on |0000>
+                     *np.moveaxis(gates, 1, 0)).reshape(4, 16, 16)
+    phases = np.exp(0.5j * layers[:, 4:] @ BIT_SIGNS)
+    after_ry, phased = [mats[0, :, 0]], []   # first Ry layer on |0000>
     for layer in range(3):
-        phased.append(phases[:, layer] * after_ry[-1])
-        after_ry.append(np.einsum("bij,bj->bi", mats[:, layer + 1],
-                                  phased[-1][:, _RING]))
+        phased.append(phases[layer] * after_ry[-1])
+        after_ry.append(np.einsum("ij,j->i", mats[layer + 1],
+                                  phased[-1][_RING]))
     return mats, phases, after_ry, phased
 
 
 def prepare_ansatz(theta: np.ndarray) -> np.ndarray:
-    """Ancilla state S(theta)|0000>, or one state per row of a (B, 28) theta.
+    """Ancilla state S(theta)|0000> for one vector of 28 angles.
 
     Three layers of per-qubit Ry then Rz rotations followed by a CNOT ring,
     then a final Ry on each qubit: 3 * 8 + 4 = 28 parameters.  All gates
     reduce to the identity (up to global phase) at theta = 0.
     """
-    return _forward(theta)[2][-1].reshape(np.shape(theta)[:-1] + (-1,))
+    return _forward(theta)[2][-1]
 
 
 # fixed last stage of the LCU PREPARE step: the 4-qubit Walsh-Hadamard
@@ -124,8 +123,8 @@ _HADAMARD = kron_all([np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)]
 
 
 def prepare_lcu(theta: np.ndarray) -> np.ndarray:
-    """LCU ancilla state H^(x4) S(theta)|0000> (one per row of a (B, 28)
-    theta), whose |amplitudes|^2 are the branch weights of the convolution.
+    """LCU ancilla state H^(x4) S(theta)|0000>, whose |amplitudes|^2 are
+    the branch weights of the convolution.
 
     The Hadamard layer fixes where training starts.  The ansatz begins near
     the identity (angles within +/-0.1), and S(0)|0000> = |0000> is a
@@ -147,19 +146,17 @@ def lcu_jacobian(theta: np.ndarray):
     layer, with -i/2 Y_q psi = BIT_SIGNS_q psi[_FLIPS_q] / 2; an Rz angle
     gives U RING (-i/2 Z_q) D psi_{s-1}, with -i/2 Z_q = 0.5j BIT_SIGNS_q.
     """
-    if np.ndim(theta) != 1:
-        raise ValueError("lcu_jacobian takes one parameter vector")
     mats, phases, after_ry, phased = _forward(theta)
     U = _HADAMARD
     da = np.empty((ANCILLA_DIM, N_ANSATZ_PARAMS), dtype=complex)
     for layer in range(3, -1, -1):
         p = 8 * layer                   # this layer's first Ry angle
-        da[:, p:p + 4] = U @ (0.5 * BIT_SIGNS * after_ry[layer][0, _FLIPS]).T
+        da[:, p:p + 4] = U @ (0.5 * BIT_SIGNS * after_ry[layer][_FLIPS]).T
         if layer:
-            U = (U @ mats[0, layer])[:, _RING_INV]     # U M_s RING
-            da[:, p - 4:p] = U @ (0.5j * BIT_SIGNS * phased[layer - 1][0]).T
-            U = U * phases[0, layer - 1]
-    return after_ry[-1][0] @ _HADAMARD, da
+            U = (U @ mats[layer])[:, _RING_INV]     # U M_s RING
+            da[:, p - 4:p] = U @ (0.5j * BIT_SIGNS * phased[layer - 1]).T
+            U = U * phases[layer - 1]
+    return after_ry[-1] @ _HADAMARD, da
 
 
 # ---------------------------------------------------------------------------
@@ -275,38 +272,32 @@ def _state_rows(Z) -> np.ndarray:
     return Z.astype(complex if np.iscomplexobj(Z) else float, copy=False)
 
 
-def _forward_parts(weights: np.ndarray, Z: np.ndarray, sources: np.ndarray,
-                   feats: np.ndarray):
-    """Batched readout rows and norm of the post-selected states.
+def _forward_parts(model: QcnnModel, Z: np.ndarray, ancilla: np.ndarray):
+    """Batched forward pass of checked state rows Z under an LCU ancilla.
 
-    Returns (F, G, V) with logit e = (F @ readout) / G: V[i] is the
+    Returns (e, F, G, V) with logits e = (F @ readout) / G: V[i] is the
     unnormalised convolution image of sample i, G[i] its LCU post-selection
     probability and F[i, j] the expectation of the j-th readout diagonal
-    against the unnormalised pooled operator.  The tests compose the same
-    stages one sample at a time as its reference (``tests/oracles.py``).
+    against the unnormalised pooled operator.  Raises when some G[i] is
+    essentially zero.  The tests compose the same stages one sample at a
+    time as its reference (``tests/oracles.py``).
     """
-    V = _apply_branches(weights, Z, sources)
+    feats = readout_features(model.r // 2)
+    V = _apply_branches(branch_weights(ancilla), Z, branch_sources(model.r))
     P = np.abs(V) ** 2
     G = P.sum(axis=1)
+    if np.any(G < MIN_LCU_PROB):
+        bad = int(np.argmin(G))
+        raise ValueError(f"LCU post-selection probability {G[bad]:.3e} too "
+                         f"small (sample {bad})")
     dh = feats.shape[1]
     F = P.reshape(P.shape[0], dh, dh).sum(axis=2) @ feats.T
-    return F, G, V
+    return (F @ model.readout) / G, F, G, V
 
 
 def logits(model: QcnnModel, Z: np.ndarray) -> np.ndarray:
     """Per-sample readout logits e = N / G."""
-    Z = _state_rows(Z)
-    sources = branch_sources(model.r)
-    feats = readout_features(model.r // 2)
-    weights = branch_weights(prepare_lcu(model.theta))
-    F, G, _ = _forward_parts(weights, Z, sources, feats)
-    if np.any(G < MIN_LCU_PROB):
-        bad = int(np.argmin(G))
-        raise ValueError(
-            f"LCU post-selection probability {G[bad]:.3e} too small "
-            f"(sample {bad})"
-        )
-    return (F @ model.readout) / G
+    return _forward_parts(model, _state_rows(Z), prepare_lcu(model.theta))[0]
 
 
 def bce_loss(e: np.ndarray, labels: np.ndarray) -> float:
@@ -321,8 +312,7 @@ def bce_loss(e: np.ndarray, labels: np.ndarray) -> float:
 
 
 def accuracy_from_logits(e: np.ndarray, labels: np.ndarray) -> float:
-    pred = np.where(np.asarray(e) >= 0.0, 1, -1)
-    return float(np.mean(pred == np.asarray(labels)))
+    return float(np.mean((np.asarray(e) >= 0.0) == (np.asarray(labels) > 0)))
 
 
 # central finite-difference step of :func:`fd_gradient`
@@ -333,15 +323,9 @@ def fd_gradient(model: QcnnModel, Z: np.ndarray,
                 labels: np.ndarray) -> np.ndarray:
     """Central finite differences of the batch loss on every parameter: the
     reference that the checks hold :func:`loss_and_grad` against."""
-    Z = _state_rows(Z)
-    labels = np.asarray(labels)
-    sources = branch_sources(model.r)
-    feats = readout_features(model.r // 2)
 
     def loss_at(flat: np.ndarray) -> float:
-        weights = branch_weights(prepare_lcu(flat[:N_ANSATZ_PARAMS]))
-        F, G, _ = _forward_parts(weights, Z, sources, feats)
-        return bce_loss((F @ flat[N_ANSATZ_PARAMS:]) / G, labels)
+        return bce_loss(logits(model.with_params(flat), Z), labels)
 
     params = model.params()
     steps = FD_STEP * np.eye(params.size)
@@ -360,16 +344,15 @@ def loss_and_grad(model: QcnnModel, Z: np.ndarray, labels: np.ndarray):
     """
     Z = _state_rows(Z)
     labels = np.asarray(labels)
-    sources = branch_sources(model.r)
-    feats = readout_features(model.r // 2)
     a, da = lcu_jacobian(model.theta)
-    F, G, V = _forward_parts(branch_weights(a), Z, sources, feats)
-    e = (F @ model.readout) / G
+    e, F, G, V = _forward_parts(model, Z, a)
     loss = bce_loss(e, labels)
     dl_de = (1.0 / (1.0 + np.exp(-e)) - (labels + 1) / 2.0) / Z.shape[0]
+    feats = readout_features(model.r // 2)
     c = np.repeat(model.readout @ feats, feats.shape[1])
     U = (dl_de / G)[:, None] * V.conj() * (c[None, :] - e[:, None])
-    dl_dw = 2.0 * np.einsum("ij,ikj->k", U, Z[:, sources[:9]]).real
+    dl_dw = 2.0 * np.einsum("ij,ikj->k", U,
+                            Z[:, branch_sources(model.r)[:9]]).real
     grad_theta = dl_dw[_BRANCH_CLASS] @ (2.0 * (a.conj()[:, None] * da).real)
     return loss, np.concatenate([grad_theta, dl_de @ (F / G[:, None])])
 
@@ -423,16 +406,6 @@ class TrainResult:
 HISTORY_FIELDS = ("epoch", "train_loss", "train_acc", "test_loss", "test_acc")
 
 
-def _epoch_entry(epoch, tr_loss, tr_e, tr_y, te_loss, te_e, te_y) -> dict:
-    return {
-        "epoch": epoch,
-        "train_loss": float(tr_loss),
-        "train_acc": accuracy_from_logits(tr_e, tr_y),
-        "test_loss": float(te_loss),
-        "test_acc": accuracy_from_logits(te_e, te_y),
-    }
-
-
 def _fit(model, data: SplitData, cfg: TrainConfig, grad_fn,
          logits_fn) -> TrainResult:
     """Minibatch Adam over ``model.params()``: ``grad_fn(model, X, y)`` gives
@@ -453,10 +426,13 @@ def _fit(model, data: SplitData, cfg: TrainConfig, grad_fn,
         current = model.with_params(params)
         tr_e = logits_fn(current, data.train_x)
         te_e = logits_fn(current, data.test_x)
-        result.history.append(_epoch_entry(
-            epoch, bce_loss(tr_e, data.train_y), tr_e, data.train_y,
-            bce_loss(te_e, data.test_y), te_e, data.test_y,
-        ))
+        result.history.append({
+            "epoch": epoch,
+            "train_loss": bce_loss(tr_e, data.train_y),
+            "train_acc": accuracy_from_logits(tr_e, data.train_y),
+            "test_loss": bce_loss(te_e, data.test_y),
+            "test_acc": accuracy_from_logits(te_e, data.test_y),
+        })
     result.final_params = params
     return result
 
@@ -508,26 +484,24 @@ class MlpModel:
         return MlpModel(weights=weights, biases=biases)
 
 
-def mlp_logits(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    a = require_finite(X, column="amplitude").T
+def _mlp_forward(model: MlpModel, X: np.ndarray):
+    """The layer inputs (features x samples, input rows first) and logits."""
+    acts = [require_finite(X, column="amplitude").T]
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.tanh(w @ a + b[:, None])
-    return (model.weights[-1] @ a + model.biases[-1][:, None])[0]
+        acts.append(np.tanh(w @ acts[-1] + b[:, None]))
+    return acts, (model.weights[-1] @ acts[-1] + model.biases[-1][:, None])[0]
+
+
+def mlp_logits(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    return _mlp_forward(model, X)[1]
 
 
 def mlp_loss_and_grad(model: MlpModel, X: np.ndarray, labels: np.ndarray):
     """Loss plus backpropagated gradient in ``model.params()`` order."""
-    X = require_finite(X, column="amplitude")
-    y = (np.asarray(labels) + 1) / 2.0
-    acts = [X.T]
-    a = acts[0]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        a = np.tanh(w @ a + b[:, None])
-        acts.append(a)
-    logit = (model.weights[-1] @ a + model.biases[-1][:, None])[0]
+    acts, logit = _mlp_forward(model, X)
     loss = bce_loss(logit, labels)
-    m = X.shape[0]
-    delta = ((1.0 / (1.0 + np.exp(-logit)) - y) / m)[None, :]
+    y = (np.asarray(labels) + 1) / 2.0
+    delta = ((1.0 / (1.0 + np.exp(-logit)) - y) / logit.size)[None, :]
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     for layer in range(len(model.weights) - 1, -1, -1):

@@ -21,19 +21,28 @@ from .dataset import holdout_split, kfold_split, require_finite
 from .pca import fit_pca, project
 
 GAMMA_GRID = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+# inner cross-validation folds of gamma selection
+INNER_K = 4
 
 
 @dataclass
 class LssvmModel:
+    """A fit at one gamma, or at each gamma of an array (weights columns)."""
+
     weights: np.ndarray
-    bias: float
-    gamma: float
+    bias: float | np.ndarray
+    gamma: float | np.ndarray
 
 
-def _ridge_fits(X: np.ndarray, y: np.ndarray, gammas):
-    """Weights (features x gammas) and biases (gammas) of the LS-SVM at
-    every gamma, from one eigendecomposition of the centred training set."""
-    gammas = np.asarray(gammas, dtype=float)
+def train_lssvm(X: np.ndarray, y: np.ndarray, gamma) -> LssvmModel:
+    """Fit the least-squares SVM at one gamma or at each of an array of
+    gammas, from one eigendecomposition of the centred training set; X must
+    hold finite reals."""
+    X = require_finite(X)
+    y = np.asarray(y, dtype=float)
+    if X.shape[0] == 0 or y.shape != (X.shape[0],):
+        raise ValueError("labels must align with one or more feature rows")
+    gammas = np.atleast_1d(np.asarray(gamma, dtype=float))
     if not np.all(gammas > 0):
         raise ValueError(f"gamma must be positive, got {gammas.min()}")
     x_mean, y_mean = X.mean(axis=0), y.mean()
@@ -41,21 +50,14 @@ def _ridge_fits(X: np.ndarray, y: np.ndarray, gammas):
     s, V = np.linalg.eigh(Xc.T @ Xc)
     rhs = V.T @ (Xc.T @ (y - y_mean))
     W = V @ (rhs[:, None] / (s[:, None] + 1.0 / gammas))
-    return W, y_mean - x_mean @ W
-
-
-def train_lssvm(X: np.ndarray, y: np.ndarray, gamma: float) -> LssvmModel:
-    """Fit the least-squares SVM at one gamma; X must hold finite reals."""
-    X = require_finite(X)
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] == 0 or y.shape != (X.shape[0],):
-        raise ValueError("labels must align with one or more feature rows")
-    W, b = _ridge_fits(X, y, [gamma])
+    b = y_mean - x_mean @ W
+    if np.ndim(gamma):
+        return LssvmModel(weights=W, bias=b, gamma=gammas)
     return LssvmModel(weights=W[:, 0], bias=float(b[0]), gamma=float(gamma))
 
 
 def decision_values(model: LssvmModel, X: np.ndarray) -> np.ndarray:
-    """w . x + b per row; X must hold finite reals."""
+    """w . x + b per row (and per gamma); X must hold finite reals."""
     return require_finite(np.atleast_2d(X)) @ model.weights + model.bias
 
 
@@ -64,23 +66,33 @@ def predict(model: LssvmModel, X: np.ndarray) -> np.ndarray:
     return np.where(decision_values(model, X) >= 0.0, 1, -1)
 
 
-def accuracy(model: LssvmModel, X: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(predict(model, X) == np.asarray(y)))
+def accuracy(model: LssvmModel, X: np.ndarray, y: np.ndarray):
+    """Fraction of rows labelled correctly, or one fraction per gamma."""
+    hits = predict(model, X).T == np.asarray(y)
+    return hits.mean(axis=-1) if hits.ndim > 1 else float(hits.mean())
 
 
 def select_gamma(X: np.ndarray, y: np.ndarray, gammas=GAMMA_GRID,
-                 inner_k: int = 4, seed: int = 7, stream: int = 0) -> float:
-    """Pick gamma by inner cross-validation, factorising each inner training
+                 inner_k: int = INNER_K, seed: int = 7,
+                 stream: int = 0) -> float:
+    """Pick gamma by inner cross-validation, fitting each inner training
     set once for every gamma; ties go to the smallest value."""
     X = require_finite(X)
     y = np.asarray(y)
-    accs = []   # per inner fold, the test accuracy at every gamma
-    for tr, te in kfold_split(X.shape[0], inner_k, seed, stream=stream):
-        W, b = _ridge_fits(X[tr], y[tr], gammas)
-        pred = np.where(X[te] @ W + b >= 0.0, 1, -1)
-        accs.append(np.mean(pred == y[te][:, None], axis=0))
-    scores = np.mean(np.column_stack(accs), axis=1)
-    return float(gammas[int(np.argmax(scores))])
+    gammas = np.asarray(gammas, dtype=float)
+    folds = kfold_split(X.shape[0], inner_k, seed, stream=stream)
+    scores = [accuracy(train_lssvm(X[tr], y[tr], gammas), X[te], y[te])
+              for tr, te in folds]
+    return float(gammas[int(np.argmax(np.mean(scores, axis=0)))])
+
+
+def _select_fit_score(X, y, train, test, gammas, inner_k, seed, stream):
+    """Select gamma on the training rows, fit there at it and score the test
+    rows: (accuracy, gamma)."""
+    gamma = select_gamma(X[train], y[train], gammas=gammas, inner_k=inner_k,
+                         seed=seed, stream=stream)
+    model = train_lssvm(X[train], y[train], gamma)
+    return accuracy(model, X[test], y[test]), gamma
 
 
 @dataclass
@@ -102,24 +114,19 @@ class CvResult:
 
 
 def cross_validate(X: np.ndarray, y: np.ndarray, k: int = 8, seed: int = 7,
-                   gammas=GAMMA_GRID, inner_k: int = 4) -> CvResult:
+                   gammas=GAMMA_GRID, inner_k: int = INNER_K) -> CvResult:
     """k-fold accuracy with gamma chosen by nested CV inside each fold."""
     X = require_finite(X)
     y = np.asarray(y)
-    folds = kfold_split(X.shape[0], k, seed)
-    accs = np.empty(k)
-    gams = np.empty(k)
-    for i, (tr, te) in enumerate(folds):
+    accs, gams = np.empty((2, k))
+    for i, (tr, te) in enumerate(kfold_split(X.shape[0], k, seed)):
         if np.unique(y[tr]).size < 2:
             warnings.warn(
                 f"fold {i}: training data contains a single class; the fold "
                 "is still evaluated", stacklevel=2,
             )
-        gamma = select_gamma(X[tr], y[tr], gammas=gammas, inner_k=inner_k,
-                             seed=seed, stream=100 + i)
-        model = train_lssvm(X[tr], y[tr], gamma)
-        accs[i] = accuracy(model, X[te], y[te])
-        gams[i] = gamma
+        accs[i], gams[i] = _select_fit_score(X, y, tr, te, gammas, inner_k,
+                                             seed, 100 + i)
     return CvResult(fold_accuracies=accs, chosen_gammas=gams,
                     mean_accuracy=float(accs.mean()), k=k, seed=seed)
 
@@ -158,7 +165,7 @@ class RSweepResult:
 
 def r_sweep(X: np.ndarray, y: np.ndarray, ranks=(4, 8, 16, 32), reps: int = 8,
             test_count: int = 20, seed: int = 7, gammas=GAMMA_GRID,
-            inner_k: int = 4) -> RSweepResult:
+            inner_k: int = INNER_K) -> RSweepResult:
     """Accuracy versus reduction rank under repeated random holdout.
 
     For every rank, the dataset is projected onto its top components, then
@@ -184,10 +191,8 @@ def r_sweep(X: np.ndarray, y: np.ndarray, ranks=(4, 8, 16, 32), reps: int = 8,
     for ri, rank in enumerate(ranks):
         Z = Z_full[:, :rank]
         for rep, (tr, te) in enumerate(splits):
-            gamma = select_gamma(Z[tr], y[tr], gammas=gammas, inner_k=inner_k,
-                                 seed=seed, stream=200 + rep)
-            model = train_lssvm(Z[tr], y[tr], gamma)
-            rep_accs[ri, rep] = accuracy(model, Z[te], y[te])
+            rep_accs[ri, rep], _ = _select_fit_score(
+                Z, y, tr, te, gammas, inner_k, seed, 200 + rep)
     return RSweepResult(
         ranks=list(ranks),
         mean_accuracies=rep_accs.mean(axis=1),

@@ -15,12 +15,18 @@ from .dataset import holdout_split, kfold_split, make_rng
 from .engine import build_hamiltonian, evolve_blockwise, evolve_full, run_qrdr
 
 
+def _check(ok, message: str) -> None:
+    # an assert statement would vanish under python -O
+    if not ok:
+        raise AssertionError(message)
+
+
 def _check_kron():
     rng = make_rng(0, 90)
     A, B, C = (rng.normal(size=(2, 2)) for _ in range(3))
     left = linalg.kron_all([linalg.kron_all([A, B]), C])
     right = linalg.kron_all([A, linalg.kron_all([B, C])])
-    assert np.abs(left - right).max() <= 1e-13, "kron not associative"
+    _check(np.abs(left - right).max() <= 1e-13, "kron not associative")
 
 
 def _check_evolution_unitary():
@@ -28,7 +34,7 @@ def _check_evolution_unitary():
     raw = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     H = (raw + raw.conj().T) / 2
     U = linalg.evolve_spectral(H, 0.37, np.eye(12))
-    assert np.abs(U @ U.conj().T - np.eye(12)).max() <= 1e-12, "not unitary"
+    _check(np.abs(U @ U.conj().T - np.eye(12)).max() <= 1e-12, "not unitary")
 
 
 def _check_pca_reconstruction():
@@ -36,7 +42,7 @@ def _check_pca_reconstruction():
     X = rng.normal(size=(9, 5))
     model = pca.fit_pca(X)
     A = (model.components * model.eigenvalues) @ model.components.T
-    assert np.abs(A - X.T @ X).max() < 1e-9, "eigensystem broken"
+    _check(np.abs(A - X.T @ X).max() < 1e-9, "eigensystem broken")
 
 
 def _check_engine_paths_agree():
@@ -47,33 +53,33 @@ def _check_engine_paths_agree():
     psi /= np.linalg.norm(psi)
     a = evolve_full(h, psi)
     b = evolve_blockwise(h, psi)
-    assert np.abs(a - b).max() < 1e-10, "evolution paths disagree"
-    assert abs(np.linalg.norm(a) - 1.0) <= 1e-10, "dense evolution not unitary"
+    _check(np.abs(a - b).max() < 1e-10, "evolution paths disagree")
+    _check(abs(np.linalg.norm(a) - 1.0) <= 1e-10, "dense evolution not unitary")
 
 
 def _check_low_rank_reduction():
     rng = make_rng(0, 94)
     X = rng.normal(size=(8, 3)) @ rng.normal(size=(3, 8))
     out = run_qrdr(build_hamiltonian(pca.fit_pca(X), 3, 1e-4))
-    assert out.epsilon < 1e-6, f"rank-3 data should reduce losslessly: {out.epsilon}"
-    assert out.success_probability > 0.999, "success probability too low"
-    assert abs(out.ideal_probability - 1.0) <= 1e-6, "variance lost at rank 3"
+    _check(out.epsilon < 1e-6, f"rank-3 data should reduce losslessly: {out.epsilon}")
+    _check(out.success_probability > 0.999, "success probability too low")
+    _check(abs(out.ideal_probability - 1.0) <= 1e-6, "variance lost at rank 3")
 
 
 def _check_svm_separable():
     X = np.array([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0], [-0.9, -0.1]])
     y = np.array([1, 1, -1, -1])
     model = svm.train_lssvm(X, y, 2.0)
-    assert np.array_equal(svm.predict(model, X), y), "separable case failed"
+    _check(np.array_equal(svm.predict(model, X), y), "separable case failed")
 
 
 def _check_tfim_symmetry():
     gs = tfim.ground_state(4, 1.0, 0.8)
     e0 = np.linalg.eigvalsh(tfim.build_tfim(4, 1.0, 0.8))[0]
-    assert abs(gs.energy - e0) <= 1e-12, f"energy {gs.energy} vs {e0}"
+    _check(abs(gs.energy - e0) <= 1e-12, f"energy {gs.energy} vs {e0}")
     # prod_i X_i reverses the computational index; the parity at 4 sites is +1
-    assert np.array_equal(gs.amplitudes[::-1], gs.amplitudes), \
-        "ground state breaks the Z2 symmetry"
+    _check(np.array_equal(gs.amplitudes[::-1], gs.amplitudes),
+           "ground state breaks the Z2 symmetry")
 
 
 def _check_gradient_methods():
@@ -85,17 +91,17 @@ def _check_gradient_methods():
     g_fd = qcnn.fd_gradient(model, Z, y)
     _, g_ex = qcnn.loss_and_grad(model, Z, y)
     scale = max(np.abs(g_ex).max(), 1e-12)
-    assert np.abs(g_fd - g_ex).max() / scale < 1e-4, "gradient methods disagree"
+    _check(np.abs(g_fd - g_ex).max() / scale < 1e-4, "gradient methods disagree")
 
 
 def _check_split_partition():
     folds = kfold_split(29, 4, 11)
     seen = np.sort(np.concatenate([te for _, te in folds]))
-    assert np.array_equal(seen, np.arange(29)), "folds must partition the data"
+    _check(np.array_equal(seen, np.arange(29)), "folds must partition the data")
     a = holdout_split(50, 10, 5, 2)
     b = holdout_split(50, 10, 5, 2)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]), \
-        "holdout split not deterministic"
+    _check(np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]),
+           "holdout split not deterministic")
 
 
 CHECKS = [

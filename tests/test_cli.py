@@ -364,9 +364,12 @@ def test_qsvm_rerun_byte_identical(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, argv, cause", [
     ("qsvm", ["--folds", "300"], "folds: 300 folds exceed the 208 samples"),
+    ("qsvm", ["--folds", "4", "--arm", "raw", "--dataset", "<4 sonar rows>"],
+     "folds: 4 folds leave 3 training samples, fewer than the 4 inner folds"),
     ("qcnn-train", ["--batch-size", "1000"],
      "batch_size: 1000 exceeds the 7 training rows"),
-], ids=["qsvm-folds-above-rows", "qcnn-batch-size-above-train-rows"])
+], ids=["qsvm-folds-above-rows", "qsvm-folds-below-inner-folds",
+        "qcnn-batch-size-above-train-rows"])
 def test_flags_bad_against_the_data_exit_one_before_any_work(
         tmp_path, tiny_phase_file, monkeypatch, capsys, command, argv, cause):
     from qrdr import qcnn, svm
@@ -380,6 +383,11 @@ def test_flags_bad_against_the_data_exit_one_before_any_work(
         monkeypatch.setattr(module, name, work)
     if command == "qcnn-train":
         argv = [*argv, "--data", tiny_phase_file, "--r", "4"]
+    if "<4 sonar rows>" in argv:
+        rows = dataset_mod.sonar_path().read_text().splitlines()[:4]
+        (tmp_path / "sonar4.csv").write_text("\n".join(rows) + "\n")
+        argv = [tmp_path / "sonar4.csv" if a == "<4 sonar rows>" else a
+                for a in argv]
     out = tmp_path / "out"
     assert run_cli([command, *argv, "--out", out]) == 1
     assert cause in capsys.readouterr().err
@@ -679,3 +687,49 @@ def test_verify_z2_check_reads_the_shipped_solver(monkeypatch):
                for name, ok, detail in verify.run_invariants()}
     assert results["tfim-z2-symmetry"] == (
         False, "ground state breaks the Z2 symmetry")
+
+
+_BROKEN_Z2_UNDER_O = """
+from qrdr import tfim, verify
+
+solve = tfim.ground_state
+
+def broken(n_sites, J, h):
+    gs = solve(n_sites, J, h)
+    gs.amplitudes[0] *= 1 + 1e-15
+    return gs
+
+tfim.ground_state = broken
+results = {name: ok for name, ok, _ in verify.run_invariants()}
+print(__debug__, results["tfim-z2-symmetry"])
+"""
+
+
+def test_verify_checks_hold_under_python_optimise():
+    # python -O strips assert statements; the checks must still fail
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qrdr
+    src = str(Path(qrdr.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_Z2_UNDER_O],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
+def test_package_has_no_assert_statements():
+    # the package's checks must not depend on assert, which python -O strips
+    import ast
+    from pathlib import Path
+
+    import qrdr
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(qrdr.__file__).parent.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

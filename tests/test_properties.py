@@ -16,8 +16,8 @@ from qrdr.dataset import SONAR_FEATURES, kfold_split, load_sonar, make_rng
 from qrdr.engine import (REDUCTION_C_DIVISOR, RegisterLayout,
                          build_hamiltonian, reduce_rows, run_qrdr)
 from qrdr.pca import fit_pca
-from qrdr.qcnn import (N_ANSATZ_PARAMS, _forward_parts, branch_sources,
-                       branch_weights, prepare_lcu, readout_features)
+from qrdr.qcnn import (N_ANSATZ_PARAMS, QcnnModel, _forward_parts,
+                       prepare_lcu)
 
 EPS = np.finfo(float).eps
 
@@ -118,9 +118,8 @@ def test_lcu_postselection_probability_is_a_probability(theta, r, m,
     if complex_rows:
         Z = Z + 1j * rng.normal(size=(m, 2 ** r))
     Z /= np.linalg.norm(Z, axis=1, keepdims=True)
-    ancilla = prepare_lcu(np.array([theta]))[0]
-    _, G, _ = _forward_parts(branch_weights(ancilla), Z, branch_sources(r),
-                             readout_features(r // 2))
+    ancilla = prepare_lcu(np.array(theta))
+    _, _, G, _ = _forward_parts(QcnnModel.initial(r, 0), Z, ancilla)
     assert np.all(G > 0.0) and np.all(G <= 1.0 + 1e-12)
     for z, g in zip(Z, G):
         assert abs(conv_lcu(z, ancilla)[0] - g) <= 1e-12

@@ -144,11 +144,10 @@ def _gate_by_gate_ansatz(theta):
 
 def test_stage_ansatz_matches_gate_by_gate_oracle(rng):
     for theta in (np.zeros(N_ANSATZ_PARAMS),
-                  rng.uniform(-math.pi, math.pi, N_ANSATZ_PARAMS),
-                  rng.uniform(-math.pi, math.pi, (7, N_ANSATZ_PARAMS)),
-                  rng.uniform(-10.0, 10.0, (3, N_ANSATZ_PARAMS))):
+                  *rng.uniform(-math.pi, math.pi, (8, N_ANSATZ_PARAMS)),
+                  *rng.uniform(-10.0, 10.0, (3, N_ANSATZ_PARAMS))):
         got = prepare_ansatz(theta)
-        assert got.shape == theta.shape[:-1] + (ANCILLA_DIM,)
+        assert got.shape == (ANCILLA_DIM,)
         assert np.abs(got - _gate_by_gate_ansatz(theta)).max() <= 1e-14
 
 
@@ -156,7 +155,8 @@ def _parameter_shift_jacobian(theta):
     # every angle sits in one exp(-i theta G / 2) with G^2 = 1, so
     # da/dtheta_p = (a(theta + pi/2 e_p) - a(theta - pi/2 e_p)) / (2 sqrt 2)
     steps = (math.pi / 2.0) * np.eye(N_ANSATZ_PARAMS)
-    shifted = prepare_lcu(theta + np.vstack([steps, -steps]))
+    shifted = np.array([prepare_lcu(t)
+                        for t in theta + np.vstack([steps, -steps])])
     return (shifted[:N_ANSATZ_PARAMS]
             - shifted[N_ANSATZ_PARAMS:]).T / (2.0 * math.sqrt(2.0))
 
@@ -173,8 +173,10 @@ def test_lcu_jacobian_matches_parameter_shift(theta):
 
 
 def test_lcu_jacobian_takes_one_parameter_vector():
-    with pytest.raises(ValueError, match="one parameter vector"):
-        lcu_jacobian(np.zeros((2, N_ANSATZ_PARAMS)))
+    # so do the stages before it: a (B, 28) batch of vectors is rejected
+    for stage in (prepare_ansatz, prepare_lcu, lcu_jacobian):
+        with pytest.raises(ValueError, match="one parameter vector"):
+            stage(np.zeros((2, N_ANSATZ_PARAMS)))
     with pytest.raises(ValueError, match="28"):
         lcu_jacobian(np.zeros(27))
 
@@ -193,18 +195,6 @@ def test_ansatz_unit_norm_and_size_check(rng):
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="28"):
         prepare_ansatz(np.zeros(27))
-
-
-def test_ansatz_prepares_one_state_per_parameter_row(rng):
-    thetas = rng.uniform(-2.0, 2.0, (5, N_ANSATZ_PARAMS))
-    batch = prepare_ansatz(thetas)
-    assert batch.shape == (5, ANCILLA_DIM)
-    for theta, psi in zip(thetas, batch):
-        np.testing.assert_allclose(psi, prepare_ansatz(theta), atol=1e-15)
-    np.testing.assert_allclose(prepare_lcu(thetas),
-                               [prepare_lcu(t) for t in thetas], atol=1e-15)
-    with pytest.raises(ValueError, match="28"):
-        prepare_ansatz(np.zeros((2, 27)))
 
 
 def test_branch_weights_normalized(rng):
@@ -540,6 +530,24 @@ def test_default_gradient_prepares_the_ancilla_once(monkeypatch):
     monkeypatch.setattr(qcnn, "lcu_jacobian", counted(lcu_jacobian))
     loss_and_grad(model, Z, y)
     assert calls == [("lcu_jacobian", (N_ANSATZ_PARAMS,))]
+
+
+def test_training_steps_share_the_post_selection_guard(monkeypatch):
+    # r = 2: branch 0 flips both qubits and branch 4 is the identity, so
+    # weights 1/2 and 1/2 cancel the flip-odd row (1, 0, 0, -1)/sqrt 2: G = 0
+    ancilla = np.zeros(ANCILLA_DIM)
+    ancilla[[0, 4]] = 1.0 / math.sqrt(2.0)
+    da = np.zeros((ANCILLA_DIM, N_ANSATZ_PARAMS))
+    monkeypatch.setattr(qcnn, "prepare_lcu", lambda theta: ancilla)
+    monkeypatch.setattr(qcnn, "lcu_jacobian", lambda theta: (ancilla, da))
+    model = QcnnModel.initial(2, 0)
+    Z = np.array([[1.0, 0.0, 0.0, -1.0]]) / math.sqrt(2.0)
+    y = np.array([1])
+    cause = r"LCU post-selection probability 0\.000e\+00 too small \(sample 0\)"
+    for step in (lambda: logits(model, Z), lambda: loss_and_grad(model, Z, y),
+                 lambda: fd_gradient(model, Z, y)):
+        with pytest.raises(ValueError, match=cause):
+            step()
 
 
 def test_gradient_mean_reweighting(rng):

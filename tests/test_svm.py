@@ -163,23 +163,51 @@ def test_predict_tie_resolves_positive():
 # gamma selection and cross-validation
 
 
+def test_fit_at_a_gamma_grid_matches_one_fit_per_gamma(rng):
+    X = rng.normal(size=(11, 4))
+    y = np.where(rng.normal(size=11) >= 0, 1.0, -1.0)
+    X_eval = rng.normal(size=(30, 4))
+    y_eval = np.where(rng.normal(size=30) >= 0, 1.0, -1.0)
+    grid = np.array(GAMMA_GRID)
+    models = train_lssvm(X, y, grid)
+    assert models.weights.shape == (4, grid.size)
+    np.testing.assert_array_equal(models.gamma, grid)
+    accs = accuracy(models, X_eval, y_eval)
+    assert accs.shape == grid.shape
+    for k, gamma in enumerate(GAMMA_GRID):
+        one = train_lssvm(X, y, gamma)
+        np.testing.assert_allclose(models.weights[:, k], one.weights,
+                                   rtol=0, atol=1e-12)
+        assert models.bias[k] == pytest.approx(one.bias, abs=1e-12)
+        assert accs[k] == accuracy(one, X_eval, y_eval)
+
+
 def test_select_gamma_tie_takes_smallest():
     X, y = _two_clusters()
     assert select_gamma(X, y) == GAMMA_GRID[0] == 0.5
 
 
 def test_cross_validate_makes_one_factorisation_per_training_set(monkeypatch):
-    # inner_k eigensolves in select_gamma and one for the final fit, per fold
+    # inner_k fits in select_gamma and one final fit per fold, and every
+    # eigendecomposition runs inside one of them
     X, y = _two_clusters(m_per_side=12)
-    fits, eighs = [], []
+    fits, eighs, inside = [], [], []
     train, eigh = svm.train_lssvm, np.linalg.eigh
-    monkeypatch.setattr(svm, "train_lssvm",
-                        lambda *a: fits.append(a) or train(*a))
+
+    def traced_train(*args):
+        fits.append(args)
+        inside.append(True)
+        try:
+            return train(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(svm, "train_lssvm", traced_train)
     monkeypatch.setattr(np.linalg, "eigh",
-                        lambda A: eighs.append(A.shape) or eigh(A))
+                        lambda A: eighs.append(bool(inside)) or eigh(A))
     cross_validate(X, y, k=4, inner_k=3)
-    assert len(fits) == 4
-    assert eighs == [(3, 3)] * (4 * (3 + 1))
+    assert len(fits) == 4 * (3 + 1)
+    assert eighs == [True] * len(fits)
 
 
 def test_cross_validate_separable_is_perfect():
