@@ -400,11 +400,11 @@ def _run_qcnn_train(ns: argparse.Namespace):
             r = r_reduced if arm == "qcnn+qrdr" else n_sites
             model = qcnn.QcnnModel.initial(r, seed)
             result = qcnn.train(model, split, tcfg)
-            checkpoint = model.with_params(result.final_params).to_json_obj()
         else:
+            model = qcnn.MlpModel.initial(use.shape[1], seed)
             result = qcnn.mlp_baseline(split, tcfg)
-            checkpoint = {"kind": "mlp",
-                          "params": result.final_params.tolist()}
+        # a non-finite parameter raises here, before any file is written
+        checkpoint = model.with_params(result.final_params).to_json_obj()
         return arm, seed, result, checkpoint
 
     jobs = [(arm, seed) for arm in ns.arms for seed in ns.seeds]

@@ -1,4 +1,4 @@
-"""Dataset loading, validation, deterministic splits, and JSON-lines persistence.
+"""Dataset loading, validation, deterministic splits, and JSON persistence.
 
 The sonar benchmark (208 samples, 60 band-energy features in [0, 1], labels
 mine/rock) ships with the package; :func:`sonar_path` locates the bundled
@@ -9,6 +9,7 @@ and platforms.
 
 from __future__ import annotations
 
+import binascii
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -53,6 +54,22 @@ def require_finite(values, row: str = "row",
         raise ValueError(f"{row} {i + 1}, {column} {j + 1}: non-finite "
                          f"value {values[i, j]}")
     return values
+
+
+def vector_json(values) -> dict:
+    """A vector of floats as JSON: base64 of its little-endian float64 bytes.
+
+    Exact to the bit; ``np.frombuffer(base64.b64decode(obj["base64"]),
+    "<f8")`` reads it back.  NaN or infinity raises ``ValueError``, as the
+    JSON writer does for a number, so a diverged model writes no checkpoint.
+    """
+    values = require_finite(np.reshape(values, (1, -1)), row="vector",
+                            column="parameter")[0]
+    # binascii is the base64 module's encoder, already loaded with numpy,
+    # so importing the package does no extra work
+    return {"dtype": "<f8", "shape": [values.size],
+            "base64": binascii.b2a_base64(values.astype("<f8", copy=False)
+                                          .tobytes(), newline=False).decode()}
 
 
 def require_labels(labels, count: int, row: str = "row") -> np.ndarray:
@@ -147,9 +164,9 @@ def kfold_split(n_samples: int, k: int, seed: int, stream: int = 0):
     perm = make_rng(seed, 0, stream).permutation(n_samples)
     folds = []
     for chunk in np.array_split(perm, k):
-        test = np.sort(chunk)
-        train = np.sort(np.setdiff1d(perm, chunk, assume_unique=True))
-        folds.append((train, test))
+        in_train = np.ones(n_samples, dtype=bool)
+        in_train[chunk] = False
+        folds.append((np.flatnonzero(in_train), np.sort(chunk)))
     return folds
 
 

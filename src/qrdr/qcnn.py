@@ -16,6 +16,14 @@ weights, the convolution and the pooled readout is closed form.  The
 parameter-shift rule and central finite differences (:func:`fd_gradient`)
 stay as the checks' references.
 
+The branch images do not depend on the parameters, so :func:`train`
+gathers the nine distinct images Q_k z of its training rows and of its
+test rows once per run, into a :class:`BranchStack` of shape
+(9, rows, 2^r).  Each forward pass then forms the convolution image
+V = sum_k w_k Q_k z as one product of the folded weights with the stack,
+and each gradient forms dL/dw_k as one product of the stack with the
+backpropagated image.  Minibatches select rows of the stack.
+
 The classical baseline is a three-layer 128-unit tanh MLP with an explicit
 backward pass, trained under identical batching and optimiser settings.
 """
@@ -28,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import make_rng, require_finite
+from .dataset import make_rng, require_finite, vector_json
 from .linalg import kron_all
 
 N_ANSATZ_PARAMS = 28
@@ -171,22 +179,6 @@ def branch_weights(ancilla: np.ndarray) -> np.ndarray:
     return np.abs(ancilla) ** 2
 
 
-def _apply_branches(weights: np.ndarray, Z: np.ndarray,
-                    sources: np.ndarray) -> np.ndarray:
-    # sum_k w_k Q_k on rows of Z: one scaled copy for the identity, 8 gathers
-    folded = np.bincount(_BRANCH_CLASS, weights=weights, minlength=9)
-    out = folded[4] * Z
-    for k in (0, 1, 2, 3, 5, 6, 7, 8):
-        out += folded[k] * Z[:, sources[k]]
-    return out
-
-
-def _z_diagonals(q: int) -> np.ndarray:
-    # rows: diagonal of Z_i on q qubits (computational order, qubit 0 = MSB)
-    s = np.arange(2 ** q)
-    return np.array([1.0 - 2.0 * ((s >> (q - 1 - i)) & 1) for i in range(q)])
-
-
 def n_readout(r: int) -> int:
     q = r // 2
     return 1 + q + q * (q - 1) // 2
@@ -194,15 +186,12 @@ def n_readout(r: int) -> int:
 
 @functools.cache
 def readout_features(q: int) -> np.ndarray:
-    """Diagonals multiplying each readout coefficient: I, Z_i, Z_i Z_j.
-    Cached per q, so the array is read-only."""
-    zs = _z_diagonals(q)
-    rows = [np.ones(2 ** q)]
-    rows.extend(zs)
-    for i in range(q):
-        for j in range(i + 1, q):
-            rows.append(zs[i] * zs[j])
-    feats = np.array(rows)
+    """Diagonals multiplying each readout coefficient: I, Z_i, Z_i Z_j
+    (computational order, qubit 0 = MSB).  Cached per q, so the array is
+    read-only."""
+    zs = 1.0 - 2.0 * (np.arange(2 ** q) >> np.arange(q)[::-1, None] & 1)
+    feats = np.vstack([np.ones(2 ** q), zs, *(zs[i] * zs[j] for i in range(q)
+                                              for j in range(i + 1, q))])
     feats.flags.writeable = False
     return feats
 
@@ -238,12 +227,9 @@ class QcnnModel:
                        readout=flat[N_ANSATZ_PARAMS:].copy())
 
     def to_json_obj(self) -> dict:
-        return {
-            "kind": "qcnn",
-            "r": self.r,
-            "theta": [float(t) for t in self.theta],
-            "readout": [float(h) for h in self.readout],
-        }
+        return {"kind": "qcnn", "r": self.r,
+                "theta": vector_json(self.theta),
+                "readout": vector_json(self.readout)}
 
 
 @dataclass
@@ -265,15 +251,40 @@ class TrainConfig:
             )
 
 
-def _state_rows(Z) -> np.ndarray:
-    # complex amplitudes are kept: the forward pass only uses |V|^2
-    Z = np.asarray(Z)
-    require_finite(np.abs(Z), column="amplitude")
-    return Z.astype(complex if np.iscomplexobj(Z) else float, copy=False)
+@dataclass
+class BranchStack:
+    """The nine distinct branch images Q_k z of checked state rows z.
+
+    ``images[k, i]`` is Q_k z_i, in one C-contiguous (9, rows, 2^r) array,
+    so the convolution and its gradient are each one product over the
+    first axis.  Indexing by an array of row indices selects rows, as it
+    does on the rows themselves, into a new C-contiguous stack.
+    """
+
+    images: np.ndarray
+
+    @staticmethod
+    def of(r: int, Z) -> "BranchStack":
+        """The stack of state rows Z (rows x 2^r), checked as inputs; a
+        stack passes through.  Complex amplitudes are kept: the forward
+        pass only uses |V|^2."""
+        if isinstance(Z, BranchStack):
+            return Z
+        Z = np.asarray(Z)
+        if require_finite(np.abs(Z), column="amplitude").shape[1] != 2 ** r:
+            raise ValueError(f"state rows must have 2^{r} = {2 ** r} "
+                             f"amplitudes, got {Z.shape[1]}")
+        return BranchStack(np.ascontiguousarray(
+            Z[:, branch_sources(r)[:9]].swapaxes(0, 1),
+            complex if np.iscomplexobj(Z) else float))
+
+    def __getitem__(self, rows) -> "BranchStack":
+        return BranchStack(np.take(self.images, rows, axis=1))
 
 
-def _forward_parts(model: QcnnModel, Z: np.ndarray, ancilla: np.ndarray):
-    """Batched forward pass of checked state rows Z under an LCU ancilla.
+def _forward_parts(model: QcnnModel, images: np.ndarray, ancilla: np.ndarray):
+    """Batched forward pass of a (9, rows, 2^r) branch stack under an LCU
+    ancilla.
 
     Returns (e, F, G, V) with logits e = (F @ readout) / G: V[i] is the
     unnormalised convolution image of sample i, G[i] its LCU post-selection
@@ -283,7 +294,9 @@ def _forward_parts(model: QcnnModel, Z: np.ndarray, ancilla: np.ndarray):
     time as its reference (``tests/oracles.py``).
     """
     feats = readout_features(model.r // 2)
-    V = _apply_branches(branch_weights(ancilla), Z, branch_sources(model.r))
+    folded = np.bincount(_BRANCH_CLASS, weights=branch_weights(ancilla),
+                         minlength=9)
+    V = (folded @ images.reshape(9, -1)).reshape(images.shape[1:])
     P = np.abs(V) ** 2
     G = P.sum(axis=1)
     if np.any(G < MIN_LCU_PROB):
@@ -295,9 +308,10 @@ def _forward_parts(model: QcnnModel, Z: np.ndarray, ancilla: np.ndarray):
     return (F @ model.readout) / G, F, G, V
 
 
-def logits(model: QcnnModel, Z: np.ndarray) -> np.ndarray:
-    """Per-sample readout logits e = N / G."""
-    return _forward_parts(model, _state_rows(Z), prepare_lcu(model.theta))[0]
+def logits(model: QcnnModel, Z) -> np.ndarray:
+    """Per-sample readout logits e = N / G of state rows or their stack."""
+    return _forward_parts(model, BranchStack.of(model.r, Z).images,
+                          prepare_lcu(model.theta))[0]
 
 
 def bce_loss(e: np.ndarray, labels: np.ndarray) -> float:
@@ -333,26 +347,26 @@ def fd_gradient(model: QcnnModel, Z: np.ndarray,
                      for step in steps]) / (2.0 * FD_STEP)
 
 
-def loss_and_grad(model: QcnnModel, Z: np.ndarray, labels: np.ndarray):
-    """Batch loss and its exact gradient over all trainable parameters.
+def loss_and_grad(model: QcnnModel, Z, labels: np.ndarray):
+    """Batch loss and its exact gradient over all trainable parameters, on
+    state rows or their stack.
 
     One :func:`lcu_jacobian` call gives the ancilla a and da/dtheta, hence
     dw/dtheta = 2 Re(conj(a) da/dtheta).  With V the convolution image, c
     the readout diagonal and g = dl/de, the nine distinct products get
-    dL/dw_k = 2 Re sum(U * Z[:, sources[k]]) for U = (g / G) conj(V) (c - e),
-    and the readout coefficients get g F / G.
+    dL/dw_k = 2 Re sum(U * Q_k Z) for U = (g / G) conj(V) (c - e), and the
+    readout coefficients get g F / G.
     """
-    Z = _state_rows(Z)
+    images = BranchStack.of(model.r, Z).images
     labels = np.asarray(labels)
     a, da = lcu_jacobian(model.theta)
-    e, F, G, V = _forward_parts(model, Z, a)
+    e, F, G, V = _forward_parts(model, images, a)
     loss = bce_loss(e, labels)
-    dl_de = (1.0 / (1.0 + np.exp(-e)) - (labels + 1) / 2.0) / Z.shape[0]
+    dl_de = (1.0 / (1.0 + np.exp(-e)) - (labels + 1) / 2.0) / e.size
     feats = readout_features(model.r // 2)
     c = np.repeat(model.readout @ feats, feats.shape[1])
     U = (dl_de / G)[:, None] * V.conj() * (c[None, :] - e[:, None])
-    dl_dw = 2.0 * np.einsum("ij,ikj->k", U,
-                            Z[:, branch_sources(model.r)[:9]]).real
+    dl_dw = 2.0 * (images.reshape(9, -1) @ U.reshape(-1)).real
     grad_theta = dl_dw[_BRANCH_CLASS] @ (2.0 * (a.conj()[:, None] * da).real)
     return loss, np.concatenate([grad_theta, dl_de @ (F / G[:, None])])
 
@@ -438,9 +452,13 @@ def _fit(model, data: SplitData, cfg: TrainConfig, grad_fn,
 
 
 def train(model: QcnnModel, data: SplitData, cfg: TrainConfig) -> TrainResult:
-    """Minibatch Adam training; history records one entry per epoch."""
+    """Minibatch Adam training; history records one entry per epoch.  The
+    training and test rows are stacked once, and batches are rows of the
+    stack."""
+    stacked = replace(data, train_x=BranchStack.of(model.r, data.train_x),
+                      test_x=BranchStack.of(model.r, data.test_x))
     # the lambdas look the functions up per call, so wrapped ones are seen
-    return _fit(model, data, cfg,
+    return _fit(model, stacked, cfg,
                 lambda m, X, y: loss_and_grad(m, X, y),
                 lambda m, X: logits(m, X))
 
@@ -472,16 +490,25 @@ class MlpModel:
         return np.concatenate([w.reshape(-1) for w in self.weights]
                               + [b for b in self.biases])
 
+    def _views(self, flat: np.ndarray):
+        # weights then biases, shaped like this model's, as views of flat
+        views, pos = [], 0
+        for a in self.weights + self.biases:
+            views.append(flat[pos:pos + a.size].reshape(a.shape))
+            pos += a.size
+        return views[:len(self.weights)], views[len(self.weights):]
+
     def with_params(self, flat: np.ndarray) -> "MlpModel":
-        weights, biases = [], []
-        pos = 0
-        for w in self.weights:
-            weights.append(flat[pos:pos + w.size].reshape(w.shape).copy())
-            pos += w.size
-        for b in self.biases:
-            biases.append(flat[pos:pos + b.size].copy())
-            pos += b.size
-        return MlpModel(weights=weights, biases=biases)
+        """A model on ``flat`` in ``params()`` order; its layers are views
+        of ``flat``, not copies."""
+        return MlpModel(*self._views(flat))
+
+    def to_json_obj(self) -> dict:
+        """The layer sizes, inputs first, and every parameter in
+        ``params()`` order."""
+        sizes = [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
+        return {"kind": "mlp", "sizes": sizes,
+                "params": vector_json(self.params())}
 
 
 def _mlp_forward(model: MlpModel, X: np.ndarray):
@@ -497,20 +524,20 @@ def mlp_logits(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 
 def mlp_loss_and_grad(model: MlpModel, X: np.ndarray, labels: np.ndarray):
-    """Loss plus backpropagated gradient in ``model.params()`` order."""
+    """Loss plus backpropagated gradient in ``model.params()`` order, each
+    layer's gradient written into its slice of one flat vector."""
     acts, logit = _mlp_forward(model, X)
     loss = bce_loss(logit, labels)
     y = (np.asarray(labels) + 1) / 2.0
     delta = ((1.0 / (1.0 + np.exp(-logit)) - y) / logit.size)[None, :]
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    flat = np.empty(sum(w.size + b.size
+                        for w, b in zip(model.weights, model.biases)))
+    grads_w, grads_b = model._views(flat)
     for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = delta @ acts[layer].T
-        grads_b[layer] = delta.sum(axis=1)
+        np.matmul(delta, acts[layer].T, out=grads_w[layer])
+        delta.sum(axis=1, out=grads_b[layer])
         if layer:
             delta = (model.weights[layer].T @ delta) * (1.0 - acts[layer] ** 2)
-    flat = np.concatenate([g.reshape(-1) for g in grads_w]
-                          + [g for g in grads_b])
     return loss, flat
 
 

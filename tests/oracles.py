@@ -1,13 +1,14 @@
 """Dense and stage-wise references that the tests hold the package against.
 
 The package runs a reduction sector by sector (:func:`engine.run_qrdr`) and
-the QCNN as one batched forward pass (:func:`qcnn._forward_parts`).  The
-functions here do the same work the long way: the reduction evolves,
-post-selects and disentangles the whole register, and the classifier
-convolves, pools and reads out one sample at a time.  No shipped code
-calls them.
+the QCNN as one batched forward pass over a stack of branch images
+(:func:`qcnn._forward_parts`).  The functions here do the same work the
+long way: the reduction evolves, post-selects and disentangles the whole
+register, and the classifier gathers each branch image, then convolves,
+pools and reads out one sample at a time.  No shipped code calls them.
 """
 
+import base64
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from qrdr.engine import (MIN_POSTSELECT_PROB, QrdrHamiltonian, QrdrOutcome,
                          RegisterLayout, _as_columns, _finish_outcome,
                          encode_dataset_state, evolve_full)
 from qrdr.linalg import SpectralDecomposition
-from qrdr.qcnn import (MIN_LCU_PROB, _apply_branches, branch_sources,
+from qrdr.qcnn import (_BRANCH_CLASS, MIN_LCU_PROB, branch_sources,
                        branch_weights, n_readout, readout_features)
 
 
@@ -108,6 +109,17 @@ def branch_matrix(r: int, k: int) -> np.ndarray:
     return Q
 
 
+def apply_branches(weights: np.ndarray, Z: np.ndarray,
+                   sources: np.ndarray) -> np.ndarray:
+    """sum_k w_k Q_k on the rows of Z by gathers: one scaled copy for the
+    identity class, then one gather per other distinct product."""
+    folded = np.bincount(_BRANCH_CLASS, weights=weights, minlength=9)
+    out = folded[4] * Z
+    for k in (0, 1, 2, 3, 5, 6, 7, 8):
+        out += folded[k] * Z[:, sources[k]]
+    return out
+
+
 def conv_lcu(state: np.ndarray, ancilla: np.ndarray):
     """Post-selected LCU convolution of one data state.
 
@@ -120,7 +132,7 @@ def conv_lcu(state: np.ndarray, ancilla: np.ndarray):
     if 2 ** r != state.size:
         raise ValueError("state dimension must be a power of two")
     weights = branch_weights(ancilla)
-    out = _apply_branches(weights, state[None, :], branch_sources(r))[0]
+    out = apply_branches(weights, state[None, :], branch_sources(r))[0]
     prob = float(np.sum(np.abs(out) ** 2))
     if prob < MIN_LCU_PROB:
         raise ValueError(f"LCU post-selection probability {prob:.3e} too small")
@@ -153,3 +165,15 @@ def readout_expectation(rho: np.ndarray, coeffs: np.ndarray) -> float:
         )
     diag = np.real(np.diagonal(rho))
     return float(coeffs @ (readout_features(q) @ diag))
+
+
+# ---------------------------------------------------------------------------
+# checkpoints
+
+
+def read_vector(obj: dict) -> np.ndarray:
+    """A checkpoint's parameter vector, decoded as its format is documented:
+    base64 of little-endian float64 bytes, in the stated shape."""
+    assert set(obj) == {"dtype", "shape", "base64"} and obj["dtype"] == "<f8"
+    return np.frombuffer(base64.b64decode(obj["base64"], validate=True),
+                         "<f8").reshape(obj["shape"])

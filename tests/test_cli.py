@@ -5,6 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
+from oracles import read_vector
 from qrdr import cli, tfim
 from qrdr import dataset as dataset_mod
 from qrdr.pca import fit_pca
@@ -468,14 +469,13 @@ def test_qcnn_train_small_run(tmp_path, tiny_phase_file, capsys):
     with open(tmp_path / "model_qcnn_qrdr_s7.json") as fh:
         ckpt = json.load(fh)
     assert ckpt["kind"] == "qcnn" and ckpt["r"] == 2
-    assert len(ckpt["theta"]) == 28
+    assert read_vector(ckpt["theta"]).shape == (28,)
+    assert read_vector(ckpt["readout"]).shape == (2,)
 
 
-def test_mlp_checkpoint_bytes_match_per_element_floats(tmp_path,
-                                                      tiny_phase_file,
-                                                      monkeypatch, capsys):
-    # the checkpoint writes result.final_params.tolist(); its bytes equal
-    # those of a list of per-element float() conversions
+def _recorded_mlp(monkeypatch, final=None):
+    # records each MLP result; with ``final``, its final parameters are
+    # replaced by final(parameters)
     from qrdr import qcnn
 
     results = []
@@ -483,17 +483,45 @@ def test_mlp_checkpoint_bytes_match_per_element_floats(tmp_path,
 
     def recorded(split, cfg):
         results.append(train_mlp(split, cfg))
+        if final is not None:
+            results[-1].final_params = final(results[-1].final_params)
         return results[-1]
 
     monkeypatch.setattr(qcnn, "mlp_baseline", recorded)
+    return results
+
+
+def test_mlp_checkpoint_round_trips_final_params_bit_for_bit(
+        tmp_path, tiny_phase_file, monkeypatch, capsys):
+    results = _recorded_mlp(monkeypatch)
     assert run_cli(["qcnn-train", "--data", tiny_phase_file, "--r", "4",
                     "--arms", "mlp", "--epochs", "1", "--batch-size", "4",
                     "--out", tmp_path]) == 0
     capsys.readouterr()
-    per_element = {"kind": "mlp",
-                   "params": [float(p) for p in results[0].final_params]}
-    expect = json.dumps(per_element, sort_keys=True, allow_nan=False) + "\n"
-    assert (tmp_path / "model_mlp_s7.json").read_bytes() == expect.encode()
+    ckpt = json.loads((tmp_path / "model_mlp_s7.json").read_text())
+    assert ckpt["kind"] == "mlp" and ckpt["sizes"] == [16, 128, 128, 128, 1]
+    params = read_vector(ckpt["params"])
+    assert params.dtype == np.float64
+    assert params.tobytes() == results[0].final_params.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_checkpoint_fails_the_run(tmp_path, tiny_phase_file,
+                                             monkeypatch, capsys, bad):
+    # a diverged arm writes no checkpoint and no report: the encoded vector
+    # would hide the NaN that a JSON number cannot hold
+    def diverged(params):
+        params = params.copy()
+        params[3] = bad
+        return params
+
+    _recorded_mlp(monkeypatch, diverged)
+    assert run_cli(["qcnn-train", "--data", tiny_phase_file, "--r", "4",
+                    "--arms", "qcnn+qrdr,mlp", "--epochs", "1",
+                    "--batch-size", "4", "--out", tmp_path]) == 2
+    assert "parameter 4: non-finite value" in capsys.readouterr().err
+    assert not list(tmp_path.glob("model_*.json"))
+    assert not (tmp_path / "report_qcnn_train.json").exists()
 
 
 def test_qcnn_train_rerun_byte_identical(tmp_path, tiny_phase_file, capsys):
@@ -511,17 +539,24 @@ def test_qcnn_train_rerun_byte_identical(tmp_path, tiny_phase_file, capsys):
 
 def test_qcnn_train_threads_do_not_change_results(tmp_path, tiny_phase_file,
                                                   capsys):
+    # the jobs share the cached branch tables and each builds its own
+    # branch stacks; every file but the echoed thread count is the same
     a = tmp_path / "a"
     b = tmp_path / "b"
     for d, threads in ((a, 1), (b, 2)):
         assert run_cli(["qcnn-train", "--data", tiny_phase_file, "--r", "4",
-                        "--arms", "qcnn+qrdr,mlp", "--epochs", "1",
-                        "--batch-size", "4", "--threads", threads,
-                        "--out", d]) == 0
+                        "--epochs", "2", "--batch-size", "4", "--seeds", "7,8",
+                        "--threads", threads, "--out", d]) == 0
     capsys.readouterr()
-    ra = read_report(a, "qcnn-train")
-    rb = read_report(b, "qcnn-train")
-    assert ra["metrics"] == rb["metrics"]   # config echo differs, results not
+    assert report_bytes(a, "qcnn-train").replace(
+        b'"threads": 1', b'"threads": 2') == report_bytes(b, "qcnn-train")
+    names = sorted(p.name for p in a.iterdir())
+    assert sorted(p.name for p in b.iterdir()) == names
+    assert len([n for n in names if n.startswith(("model_", "history_"))]) \
+        == 16
+    for name in names:
+        if name != "report_qcnn_train.json":
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_qcnn_train_bad_arms(tmp_path, capsys):

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from oracles import read_vector
 from qrdr.dataset import (LabeledDataset, SONAR_FEATURES,
                           holdout_split, kfold_split, load_jsonl, load_sonar,
-                          make_rng, save_jsonl, sonar_path)
+                          make_rng, save_jsonl, sonar_path, vector_json)
 
 
 def test_make_rng_deterministic():
@@ -217,3 +218,16 @@ def test_jsonl_empty_file_rejected(tmp_path):
     p.write_text("")
     with pytest.raises(ValueError, match="empty"):
         load_jsonl(p)
+
+
+def test_vector_json_round_trips_every_bit():
+    values = np.array([0.1, -0.0, 5e-324, np.finfo(float).max, 1.0 / 3.0])
+    obj = json.loads(json.dumps(vector_json(values), allow_nan=False))
+    assert obj["shape"] == [5]
+    assert read_vector(obj).tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vector_json_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="parameter 3: non-finite"):
+        vector_json([0.0, 1.0, bad])

@@ -16,8 +16,8 @@ from qrdr.dataset import SONAR_FEATURES, kfold_split, load_sonar, make_rng
 from qrdr.engine import (REDUCTION_C_DIVISOR, RegisterLayout,
                          build_hamiltonian, reduce_rows, run_qrdr)
 from qrdr.pca import fit_pca
-from qrdr.qcnn import (N_ANSATZ_PARAMS, QcnnModel, _forward_parts,
-                       prepare_lcu)
+from qrdr.qcnn import (N_ANSATZ_PARAMS, BranchStack, QcnnModel,
+                       _forward_parts, prepare_lcu)
 
 EPS = np.finfo(float).eps
 
@@ -74,10 +74,15 @@ def test_kfold_splits_partition_the_samples(n, k, seed, stream):
     assert len(folds) == k
     tests = np.concatenate([te for _, te in folds])
     assert np.array_equal(np.sort(tests), np.arange(n))
+    perm = make_rng(seed, 0, stream).permutation(n)
     for train, test in folds:
         assert test.size in (n // k, n // k + 1)
         assert np.array_equal(np.union1d(train, test), np.arange(n))
         assert np.intersect1d(train, test).size == 0
+        # the complement mask gives what the set difference gave
+        expect = np.sort(np.setdiff1d(perm, test, assume_unique=True))
+        assert train.dtype == expect.dtype
+        assert np.array_equal(train, expect)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -119,7 +124,8 @@ def test_lcu_postselection_probability_is_a_probability(theta, r, m,
         Z = Z + 1j * rng.normal(size=(m, 2 ** r))
     Z /= np.linalg.norm(Z, axis=1, keepdims=True)
     ancilla = prepare_lcu(np.array(theta))
-    _, _, G, _ = _forward_parts(QcnnModel.initial(r, 0), Z, ancilla)
+    _, _, G, _ = _forward_parts(QcnnModel.initial(r, 0),
+                                BranchStack.of(r, Z).images, ancilla)
     assert np.all(G > 0.0) and np.all(G <= 1.0 + 1e-12)
     for z, g in zip(Z, G):
         assert abs(conv_lcu(z, ancilla)[0] - g) <= 1e-12

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -6,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (branch_matrix, conv_lcu, pool_discard,
-                     readout_expectation)
+from oracles import (apply_branches, branch_matrix, conv_lcu, pool_discard,
+                     read_vector, readout_expectation)
 from qrdr import qcnn
 from qrdr.dataset import make_rng
-from qrdr.qcnn import (ANCILLA_DIM, ANCILLA_QUBITS, MlpModel,
-                       N_ANSATZ_PARAMS, QcnnModel, SplitData, TrainConfig,
-                       _apply_branches, accuracy_from_logits, bce_loss,
+from qrdr.qcnn import (_BRANCH_CLASS, ANCILLA_DIM, ANCILLA_QUBITS,
+                       BranchStack, MlpModel, N_ANSATZ_PARAMS, QcnnModel,
+                       SplitData, TrainConfig, _forward_parts,
+                       accuracy_from_logits, bce_loss,
                        branch_sources, branch_weights, fd_gradient,
                        lcu_jacobian, logits, loss_and_grad, mlp_baseline,
                        mlp_logits, mlp_loss_and_grad, n_readout,
@@ -77,8 +79,58 @@ def test_folded_branches_match_the_sum_over_all_sixteen(rng, r):
     for weights in (branch_weights(prepare_lcu(rng.uniform(-3, 3, 28))),
                     rng.uniform(0.0, 1.0, 16), np.eye(16)[4]):
         expect = Z @ np.einsum("k,kij->ij", weights, dense).T
-        got = _apply_branches(weights, Z, branch_sources(r))
+        got = apply_branches(weights, Z, branch_sources(r))
         assert np.abs(got - expect).max() <= 1e-15
+
+
+def _gather_gradient(model, Z, labels):
+    # loss_and_grad's chain rule with the per-call gathers that the branch
+    # stack replaced: V by apply_branches, dL/dw by one gather per product
+    sources = branch_sources(model.r)
+    a, da = lcu_jacobian(model.theta)
+    V = apply_branches(branch_weights(a), Z, sources)
+    P = np.abs(V) ** 2
+    G = P.sum(axis=1)
+    feats = readout_features(model.r // 2)
+    dh = feats.shape[1]
+    F = P.reshape(len(Z), dh, dh).sum(axis=2) @ feats.T
+    e = (F @ model.readout) / G
+    dl_de = (1.0 / (1.0 + np.exp(-e)) - (labels + 1) / 2.0) / len(Z)
+    U = (dl_de / G)[:, None] * V.conj() * (
+        np.repeat(model.readout @ feats, dh)[None, :] - e[:, None])
+    dl_dw = 2.0 * np.einsum("ij,ikj->k", U, Z[:, sources[:9]]).real
+    grad_theta = dl_dw[_BRANCH_CLASS] @ (2.0 * (a.conj()[:, None] * da).real)
+    return V, np.concatenate([grad_theta, dl_de @ (F / G[:, None])])
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+@pytest.mark.parametrize("r", [2, 4, 8])
+def test_branch_stack_matches_the_gather_form(rng, r, complex_rows):
+    # V = w . stack and dL/dw = 2 Re(stack . U) are one product each; they
+    # must agree with gathering Q_k z per call, and a minibatch of the
+    # stack must be the stack of the minibatch
+    Z = (_complex_unit_rows if complex_rows else _unit_rows)(rng, 12, 2 ** r)
+    labels = rng.choice([-1, 1], size=12)
+    model = QcnnModel.initial(r, 2).with_params(
+        rng.uniform(-1.0, 1.0, N_ANSATZ_PARAMS + n_readout(r)))
+    stack = BranchStack.of(r, Z)
+    assert stack.images.shape == (9, 12, 2 ** r)
+    V_ref, grad_ref = _gather_gradient(model, Z, labels)
+    V = _forward_parts(model, stack.images, prepare_lcu(model.theta))[3]
+    assert np.abs(V - V_ref).max() <= 1e-15
+    assert np.abs(loss_and_grad(model, stack, labels)[1] - grad_ref).max() \
+        <= 1e-15
+    idx = rng.permutation(12)[:5]
+    batch = stack[idx]
+    assert batch.images.flags.c_contiguous
+    assert np.array_equal(batch.images, BranchStack.of(r, Z[idx]).images)
+    assert np.array_equal(loss_and_grad(model, batch, labels[idx])[1],
+                          loss_and_grad(model, Z[idx], labels[idx])[1])
+
+
+def test_branch_stack_rejects_rows_of_another_register(rng):
+    with pytest.raises(ValueError, match="2\\^4 = 16 amplitudes, got 8"):
+        logits(QcnnModel.initial(4, 0), _unit_rows(rng, 3, 8))
 
 
 def test_cached_tables_are_read_only():
@@ -353,9 +405,11 @@ def test_model_params_round_trip(rng):
     flat = rng.normal(size=model.params().size)
     back = model.with_params(flat)
     np.testing.assert_array_equal(back.params(), flat)
-    obj = back.to_json_obj()
+    obj = json.loads(json.dumps(back.to_json_obj()))
     assert obj["kind"] == "qcnn" and obj["r"] == 8
-    assert len(obj["theta"]) == 28 and len(obj["readout"]) == 11
+    assert np.array_equal(np.concatenate([read_vector(obj["theta"]),
+                                          read_vector(obj["readout"])]), flat)
+    assert obj["readout"]["shape"] == [11]
 
 
 def test_logits_match_stagewise_composition(rng):
@@ -646,7 +700,6 @@ def test_history_csv_round_trip(tmp_path, capsys):
     # the history CSV that `qrdr qcnn-train` writes reads back to the
     # training history of the same split, seed and settings
     import csv
-    import json
 
     from qrdr import cli, tfim
     from qrdr.dataset import holdout_split
@@ -673,7 +726,7 @@ def test_history_csv_round_trip(tmp_path, capsys):
         for key in qcnn.HISTORY_FIELDS[1:]:
             assert float(row[key]) == entry[key]
     ckpt = json.loads((tmp_path / "model_qcnn_s1.json").read_text())
-    assert ckpt["theta"] == [float(t) for t in result.final_params[:28]]
+    assert np.array_equal(read_vector(ckpt["theta"]), result.final_params[:28])
 
 
 # ---------------------------------------------------------------------------
