@@ -24,7 +24,6 @@ import json
 import math
 import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -86,8 +85,9 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=7,
                         help="base random seed (default 7)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker thread bound (default 1)")
+    common.add_argument("--threads", type=int, choices=(1,), default=1,
+                        help="jobs run one at a time; the flag stays only "
+                             "until the benchmark stops passing it")
     common.add_argument("--config", type=str, default=None,
                         help="JSON object of flag values; explicit flags win")
     common.add_argument("--out", type=Path, default=".",
@@ -128,7 +128,6 @@ def build_parser() -> _Parser:
                    type=_comma_list(_finite), default=[0.2, 1.8])
     p.add_argument("--exclusion", type=_comma_list(_finite),
                    default=[0.95, 1.05])
-    p.add_argument("--out-file", dest="out_file", type=str, default=None)
 
     p = command("qcnn-train", "train classifier arms on the phase dataset")
     p.add_argument("--data", type=str, default=None,
@@ -184,7 +183,7 @@ def parse_config(argv) -> argparse.Namespace:
     values = vars(ns)
     if ns.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {ns.seed}")
-    for key in ("threads", "epochs", "batch_size"):
+    for key in ("epochs", "batch_size"):
         if key in values and values[key] < 1:
             raise ConfigError(f"{key}: must be >= 1, got {values[key]}")
     if "r" in values and ns.r < 1:
@@ -217,7 +216,7 @@ def parse_config(argv) -> argparse.Namespace:
         if values.get(key) is not None and not Path(values[key]).is_file():
             raise ConfigError(f"{key}: file not found: {values[key]}")
     if ns.command == "qcnn-train":
-        if ns.r & (ns.r - 1) or (ns.r.bit_length() - 1) % 2:
+        if ns.r < 4 or ns.r & (ns.r - 1) or (ns.r.bit_length() - 1) % 2:
             raise ConfigError(
                 f"r: rank {ns.r} does not map to an even reduced register"
             )
@@ -230,15 +229,6 @@ def parse_config(argv) -> argparse.Namespace:
                 raise ConfigError(f"{key}: an item is listed twice, got "
                                   f"{','.join(map(str, values[key]))}")
     return ns
-
-
-def _bounded_map(fn, items, threads: int):
-    """Order-preserving map over independent work items."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +324,8 @@ def _run_tfim_gen(ns: argparse.Namespace):
         ratio_range=tuple(ns.ratio_range), exclusion=tuple(ns.exclusion),
         J=ns.j,
     )
-    path = (Path(ns.out_file) if ns.out_file
-            else tfim.default_dataset_path(ns.out))
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = ns.out / "tfim_phase.jsonl"
+    ns.out.mkdir(parents=True, exist_ok=True)
     tfim.save_dataset(path, ds)
     metrics = {
         "count": ds.count,
@@ -379,6 +368,10 @@ def _run_qcnn_train(ns: argparse.Namespace):
     n_sites = ds.n_sites
     if n_sites % 2:
         raise ConfigError(f"data: odd register of {n_sites} qubits unsupported")
+    n_amplitudes = ds.features.shape[1]
+    if ns.r > n_amplitudes and not set(ns.arms).isdisjoint(_REDUCED_ARMS):
+        raise ConfigError(f"r: rank {ns.r} exceeds the {n_amplitudes} "
+                          "amplitudes of the data")
     test_count = max(1, ds.count // 5)
     if ns.batch_size > ds.count - test_count:
         raise ConfigError(f"batch_size: {ns.batch_size} exceeds the "
@@ -386,46 +379,42 @@ def _run_qcnn_train(ns: argparse.Namespace):
     feats, reduction = _phase_features(ds, r_reduced, ns.arms)
     labels = ds.labels
 
-    def run_one(job):
-        arm, seed = job
-        train_idx, test_idx = dataset_mod.holdout_split(
-            ds.count, test_count, seed)
-        use = feats[arm]
-        split = qcnn.SplitData(use[train_idx], labels[train_idx],
-                               use[test_idx], labels[test_idx])
-        tcfg = qcnn.TrainConfig(learning_rate=ns.lr,
-                                batch_size=ns.batch_size,
-                                epochs=ns.epochs, seed=seed)
-        if arm.startswith("qcnn"):
-            r = r_reduced if arm == "qcnn+qrdr" else n_sites
-            model = qcnn.QcnnModel.initial(r, seed)
-            result = qcnn.train(model, split, tcfg)
-        else:
-            model = qcnn.MlpModel.initial(use.shape[1], seed)
-            result = qcnn.mlp_baseline(split, tcfg)
-        # a non-finite parameter raises here, before any file is written
-        checkpoint = model.with_params(result.final_params).to_json_obj()
-        return arm, seed, result, checkpoint
-
-    jobs = [(arm, seed) for arm in ns.arms for seed in ns.seeds]
-    outputs = _bounded_map(run_one, jobs, ns.threads)
-
-    metrics = {}
-    artifacts = {}
-    for arm, seed, result, checkpoint in outputs:
-        tag = f"{arm.replace('+', '_')}_s{seed}"
-        artifacts[f"history_{tag}"] = _write_csv(
-            ns.out / f"history_{tag}.csv", qcnn.HISTORY_FIELDS, result.history)
-        artifacts[f"model_{tag}"] = _write_json(
-            ns.out / f"model_{tag}.json", checkpoint)
-        metrics.setdefault(arm, {})[str(seed)] = {
-            f"final_{key}": result.final[key]
-            for key in ("train_acc", "test_acc", "test_loss")}
+    # every job runs before any file is written: a non-finite parameter
+    # raises in to_json_obj, and a diverged arm leaves no output behind
+    metrics, runs = {}, []
     for arm in ns.arms:
+        use = feats[arm]
+        for seed in ns.seeds:
+            train_idx, test_idx = dataset_mod.holdout_split(
+                ds.count, test_count, seed)
+            split = qcnn.SplitData(use[train_idx], labels[train_idx],
+                                   use[test_idx], labels[test_idx])
+            if arm.startswith("qcnn"):
+                fit = qcnn.train
+                model = qcnn.QcnnModel.initial(
+                    r_reduced if arm == "qcnn+qrdr" else n_sites, seed)
+            else:
+                fit = qcnn.mlp_baseline
+                model = qcnn.MlpModel.initial(use.shape[1], seed)
+            result = fit(model, split, qcnn.TrainConfig(
+                learning_rate=ns.lr, batch_size=ns.batch_size,
+                epochs=ns.epochs, seed=seed))
+            runs.append((f"{arm.replace('+', '_')}_s{seed}", result.history,
+                         model.with_params(result.final_params).to_json_obj()))
+            metrics.setdefault(arm, {})[str(seed)] = {
+                f"final_{key}": result.final[key]
+                for key in ("train_acc", "test_acc", "test_loss")}
         metrics[arm]["mean_final_test_acc"] = float(np.mean(
-            [metrics[arm][str(s)]["final_test_acc"] for s in ns.seeds]))
+            [m["final_test_acc"] for m in metrics[arm].values()]))
         if arm in _REDUCED_ARMS:
             metrics[arm]["reduction"] = reduction
+
+    artifacts = {}
+    for tag, history, checkpoint in runs:
+        artifacts[f"history_{tag}"] = _write_csv(
+            ns.out / f"history_{tag}.csv", qcnn.HISTORY_FIELDS, history)
+        artifacts[f"model_{tag}"] = _write_json(
+            ns.out / f"model_{tag}.json", checkpoint)
     return metrics, artifacts
 
 

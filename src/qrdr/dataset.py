@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import binascii
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -92,13 +92,11 @@ class LabeledDataset:
 
     ``features`` has one sample per row and only finite real entries, and
     ``labels`` one +1/-1 per row: the first bad value is rejected, named by
-    its 1-based row (and column).  ``meta`` carries free-form provenance
-    (source file, generator parameters, ...).
+    its 1-based row (and column).
     """
 
     features: np.ndarray
     labels: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.features = require_finite(self.features)
@@ -147,8 +145,7 @@ def load_sonar(path=None) -> LabeledDataset:
             labels.append(SONAR_LABEL_MAP[tag])
     if not rows:
         raise ValueError(f"{path}: no data rows found")
-    return LabeledDataset(np.array(rows, dtype=float), np.array(labels),
-                          meta={"source": str(path), "task": "sonar"})
+    return LabeledDataset(np.array(rows, dtype=float), np.array(labels))
 
 
 def kfold_split(n_samples: int, k: int, seed: int, stream: int = 0):

@@ -541,8 +541,9 @@ def mlp_loss_and_grad(model: MlpModel, X: np.ndarray, labels: np.ndarray):
     return loss, flat
 
 
-def mlp_baseline(data: SplitData, cfg: TrainConfig) -> TrainResult:
+def mlp_baseline(model: MlpModel, data: SplitData,
+                 cfg: TrainConfig) -> TrainResult:
     """Train the MLP under the same protocol as the quantum classifier."""
-    return _fit(MlpModel.initial(data.train_x.shape[1], cfg.seed), data, cfg,
+    return _fit(model, data, cfg,
                 lambda m, X, y: mlp_loss_and_grad(m, X, y),
                 lambda m, X: mlp_logits(m, X))

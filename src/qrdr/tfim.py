@@ -16,7 +16,6 @@ full-precision floats.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -316,7 +315,3 @@ def load_dataset(path) -> TfimDataset:
         seed=int(seed),
         meta=meta,
     )
-
-
-def default_dataset_path(directory) -> Path:
-    return Path(directory) / "tfim_phase.jsonl"

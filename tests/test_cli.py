@@ -59,8 +59,13 @@ def test_missing_dataset(tmp_path, capsys):
 
 
 def test_threads_validation(tmp_path, capsys):
-    assert run_cli(["verify", "--threads", "0", "--out", tmp_path]) == 1
-    assert "threads:" in capsys.readouterr().err
+    # jobs run one at a time: the flag takes only 1
+    out = tmp_path / "out"
+    for threads in ("0", "2"):
+        assert run_cli(["verify", "--threads", threads, "--out", out]) == 1
+        assert f"argument --threads: invalid choice: {threads}" in \
+            capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, cause", [
@@ -104,6 +109,8 @@ def test_threads_validation(tmp_path, capsys):
      "seeds: an item is listed twice, got 7,7"),
     (["qcnn-train", "--arms", "mlp,mlp"],
      "arms: an item is listed twice, got mlp,mlp"),
+    (["qcnn-train", "--r", "1"],
+     "r: rank 1 does not map to an even reduced register"),
 ], ids=["reduce-c-nan", "reduce-c-inf", "sweep-c-grid-nan", "tfim-j-nan",
         "tfim-ratio-inf", "qcnn-lr-negative", "qcnn-lr-nan", "qcnn-arms-empty",
         "qcnn-seeds-empty", "qsvm-gammas-empty", "tfim-count-zero",
@@ -113,7 +120,7 @@ def test_threads_validation(tmp_path, capsys):
         "tfim-ratio-range-negative", "tfim-ratio-range-one-item",
         "tfim-exclusion-three-items", "tfim-j-negative", "qsvm-seed-negative",
         "tfim-seed-negative", "qcnn-seed-negative", "qcnn-seeds-negative",
-        "qcnn-seeds-repeated", "qcnn-arms-repeated"])
+        "qcnn-seeds-repeated", "qcnn-arms-repeated", "qcnn-r-one"])
 def test_bad_flag_values_exit_one_before_any_work(tmp_path, monkeypatch,
                                                   capsys, argv, cause):
     def generate(*args, **kwargs):
@@ -190,6 +197,8 @@ def test_config_seeds_list_and_flag_override(tmp_path, tiny_phase_file,
     ("qsvm", {"folds": 1}, "folds:"),
     ("reduce", {"config": "other.json"}, "config:"),
     ("qcnn-train", {"gradient": "fd"}, "unrecognized arguments: --gradient=fd"),
+    ("tfim-gen", {"out_file": "x.jsonl"},
+     "unrecognized arguments: --out-file=x.jsonl"),
 ])
 def test_config_values_are_checked_like_flags(tmp_path, capsys, command,
                                               values, cause):
@@ -285,23 +294,32 @@ def test_non_finite_dataset_exits_one_without_report(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_reports_name_input_files_by_content(tmp_path, capsys):
-    # two copies of the sonar file at different paths, and the default,
-    # give the same report bytes
-    outs = []
-    for where in ("a", "b/c", None):
-        argv = ["reduce", "--r", "8", "--c", "0.002"]
-        if where is not None:
-            copy = tmp_path / where / "sonar.all-data"
-            copy.parent.mkdir(parents=True)
-            shutil.copyfile(dataset_mod.sonar_path(), copy)
-            argv += ["--dataset", copy]
-        outs.append(tmp_path / "out" / str(len(outs)))
-        assert run_cli([*argv, "--out", outs[-1]]) == 0
+@pytest.mark.parametrize("argv, flag", [
+    (["reduce", "--r", "8", "--c", "0.002"], "--dataset"),
+    (["qcnn-train", "--r", "4", "--arms", "qcnn+qrdr,mlp", "--epochs", "1",
+      "--batch-size", "4"], "--data"),
+], ids=["reduce", "qcnn-train"])
+def test_reports_name_input_files_by_content(tmp_path, tiny_phase_file,
+                                             capsys, argv, flag):
+    # the input file itself (for reduce, the bundled default) and two copies
+    # at different paths, each run writing to its own --out, give the same
+    # report bytes
+    source = (dataset_mod.sonar_path() if flag == "--dataset"
+              else tiny_phase_file)
+    inputs = [[] if flag == "--dataset" else [flag, source]]
+    for where in ("a", "b/c"):
+        copy = tmp_path / where / source.name
+        copy.parent.mkdir(parents=True)
+        shutil.copyfile(source, copy)
+        inputs.append([flag, copy])
+    reports = []
+    for i, extra in enumerate(inputs):
+        out = tmp_path / "out" / str(i)
+        assert run_cli([*argv, *extra, "--out", out]) == 0
+        reports.append(report_bytes(out, argv[0]))
     capsys.readouterr()
-    assert report_bytes(outs[0], "reduce") == report_bytes(outs[1], "reduce") \
-        == report_bytes(outs[2], "reduce")
-    assert str(tmp_path) not in report_bytes(outs[0], "reduce").decode()
+    assert reports[0] == reports[1] == reports[2]
+    assert str(tmp_path) not in reports[0].decode()
 
 
 def test_reduce_rerun_byte_identical(tmp_path, capsys):
@@ -369,8 +387,10 @@ def test_qsvm_rerun_byte_identical(tmp_path, capsys):
      "folds: 4 folds leave 3 training samples, fewer than the 4 inner folds"),
     ("qcnn-train", ["--batch-size", "1000"],
      "batch_size: 1000 exceeds the 7 training rows"),
+    ("qcnn-train", ["--r", "64", "--batch-size", "4"],
+     "r: rank 64 exceeds the 16 amplitudes of the data"),
 ], ids=["qsvm-folds-above-rows", "qsvm-folds-below-inner-folds",
-        "qcnn-batch-size-above-train-rows"])
+        "qcnn-batch-size-above-train-rows", "qcnn-r-above-amplitudes"])
 def test_flags_bad_against_the_data_exit_one_before_any_work(
         tmp_path, tiny_phase_file, monkeypatch, capsys, command, argv, cause):
     from qrdr import qcnn, svm
@@ -383,7 +403,7 @@ def test_flags_bad_against_the_data_exit_one_before_any_work(
                          (qcnn, "mlp_baseline")):
         monkeypatch.setattr(module, name, work)
     if command == "qcnn-train":
-        argv = [*argv, "--data", tiny_phase_file, "--r", "4"]
+        argv = ["--data", tiny_phase_file, "--r", "4", *argv]
     if "<4 sonar rows>" in argv:
         rows = dataset_mod.sonar_path().read_text().splitlines()[:4]
         (tmp_path / "sonar4.csv").write_text("\n".join(rows) + "\n")
@@ -431,16 +451,6 @@ def test_tfim_gen_deterministic(tmp_path, capsys):
     assert report_bytes(a, "tfim-gen") == report_bytes(b, "tfim-gen")
 
 
-def test_tfim_gen_custom_out_file(tmp_path, capsys):
-    target = tmp_path / "phases.jsonl"
-    assert run_cli(["tfim-gen", "--n-sites", "2", "--count", "4",
-                    "--out-file", target, "--out", tmp_path]) == 0
-    capsys.readouterr()
-    assert target.is_file()
-    assert read_report(tmp_path, "tfim-gen")["artifacts"]["dataset"] == \
-        "phases.jsonl"
-
-
 # ---------------------------------------------------------------------------
 # qcnn-train
 
@@ -481,8 +491,8 @@ def _recorded_mlp(monkeypatch, final=None):
     results = []
     train_mlp = qcnn.mlp_baseline
 
-    def recorded(split, cfg):
-        results.append(train_mlp(split, cfg))
+    def recorded(model, split, cfg):
+        results.append(train_mlp(model, split, cfg))
         if final is not None:
             results[-1].final_params = final(results[-1].final_params)
         return results[-1]
@@ -535,28 +545,6 @@ def test_qcnn_train_rerun_byte_identical(tmp_path, tiny_phase_file, capsys):
     assert report_bytes(a, "qcnn-train") == report_bytes(b, "qcnn-train")
     assert (a / "history_qcnn_qrdr_s7.csv").read_bytes() == \
         (b / "history_qcnn_qrdr_s7.csv").read_bytes()
-
-
-def test_qcnn_train_threads_do_not_change_results(tmp_path, tiny_phase_file,
-                                                  capsys):
-    # the jobs share the cached branch tables and each builds its own
-    # branch stacks; every file but the echoed thread count is the same
-    a = tmp_path / "a"
-    b = tmp_path / "b"
-    for d, threads in ((a, 1), (b, 2)):
-        assert run_cli(["qcnn-train", "--data", tiny_phase_file, "--r", "4",
-                        "--epochs", "2", "--batch-size", "4", "--seeds", "7,8",
-                        "--threads", threads, "--out", d]) == 0
-    capsys.readouterr()
-    assert report_bytes(a, "qcnn-train").replace(
-        b'"threads": 1', b'"threads": 2') == report_bytes(b, "qcnn-train")
-    names = sorted(p.name for p in a.iterdir())
-    assert sorted(p.name for p in b.iterdir()) == names
-    assert len([n for n in names if n.startswith(("model_", "history_"))]) \
-        == 16
-    for name in names:
-        if name != "report_qcnn_train.json":
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_qcnn_train_bad_arms(tmp_path, capsys):
@@ -653,7 +641,18 @@ def test_qcnn_train_reduces_at_an_admissible_rank(tmp_path, capsys):
         assert json.load(fh)["r"] == 4
 
 
-def test_qcnn_train_multi_seed_mean(tmp_path, tiny_phase_file, capsys):
+def test_qcnn_train_multi_seed_mean(tmp_path, tiny_phase_file, monkeypatch,
+                                   capsys):
+    from qrdr import qcnn
+
+    calls = []
+    initial = qcnn.MlpModel.initial
+
+    def counted(n_inputs, seed):
+        calls.append((n_inputs, seed))
+        return initial(n_inputs, seed)
+
+    monkeypatch.setattr(qcnn.MlpModel, "initial", staticmethod(counted))
     assert run_cli(["qcnn-train", "--data", tiny_phase_file, "--r", "4",
                     "--arms", "mlp", "--epochs", "1", "--batch-size", "4",
                     "--seeds", "3,4", "--out", tmp_path]) == 0
@@ -663,6 +662,7 @@ def test_qcnn_train_multi_seed_mean(tmp_path, tiny_phase_file, capsys):
     assert arm["mean_final_test_acc"] == pytest.approx(mean)
     assert (tmp_path / "history_mlp_s3.csv").is_file()
     assert (tmp_path / "history_mlp_s4.csv").is_file()
+    assert calls == [(16, 3), (16, 4)]   # one model per job, trained as built
 
 
 # ---------------------------------------------------------------------------
@@ -740,8 +740,8 @@ print(__debug__, results["tfim-z2-symmetry"])
 """
 
 
-def test_verify_checks_hold_under_python_optimise():
-    # python -O strips assert statements; the checks must still fail
+def _python(*args):
+    # a fresh interpreter that imports this package
     import os
     import subprocess
     import sys
@@ -750,11 +750,24 @@ def test_verify_checks_hold_under_python_optimise():
     import qrdr
     src = str(Path(qrdr.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_Z2_UNDER_O],
-                          capture_output=True, text=True, timeout=120,
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def test_verify_checks_hold_under_python_optimise():
+    # python -O strips assert statements; the checks must still fail
+    proc = _python("-O", "-c", _BROKEN_Z2_UNDER_O)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False"]
+
+
+def test_cli_import_loads_no_thread_pool():
+    # jobs run one at a time, so no subcommand pays for concurrent.futures
+    proc = _python("-c", "import sys, qrdr.cli; "
+                         "print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_package_has_no_assert_statements():

@@ -693,7 +693,8 @@ def test_train_config_rejects_bad_learning_rate(lr):
         train(QcnnModel.initial(2, 0), _toy_split(),
               TrainConfig(learning_rate=lr))
     with pytest.raises(ValueError, match="learning rate"):
-        mlp_baseline(_toy_split(), TrainConfig(learning_rate=lr))
+        mlp_baseline(MlpModel.initial(4, 0), _toy_split(),
+                     TrainConfig(learning_rate=lr))
 
 
 def test_history_csv_round_trip(tmp_path, capsys):
@@ -761,7 +762,7 @@ def test_mlp_separates_toy_clusters(rng):
     X, y = _mlp_toy(rng, 16)
     data = SplitData(train_x=X, train_y=y, test_x=X[[0, -1]], test_y=y[[0, -1]])
     cfg = TrainConfig(learning_rate=0.01, batch_size=8, epochs=10, seed=6)
-    result = mlp_baseline(data, cfg)
+    result = mlp_baseline(MlpModel.initial(2, 6), data, cfg)
     assert result.final["test_acc"] == 1.0
     assert result.final["train_acc"] == 1.0
 
@@ -770,9 +771,12 @@ def test_mlp_deterministic(rng):
     X, y = _mlp_toy(rng, 8)
     data = SplitData(train_x=X, train_y=y, test_x=X[:2], test_y=y[:2])
     cfg = TrainConfig(batch_size=4, epochs=2, seed=8)
-    a = mlp_baseline(data, cfg)
-    b = mlp_baseline(data, cfg)
+    a = mlp_baseline(MlpModel.initial(2, 8), data, cfg)
+    b = mlp_baseline(MlpModel.initial(2, 8), data, cfg)
     assert a.history == b.history
+    # the trainer starts from the model it is given
+    other = mlp_baseline(MlpModel.initial(2, 9), data, cfg)
+    assert not np.array_equal(other.final_params, a.final_params)
 
 
 def test_mlp_shapes():

@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from qrdr.tfim import (TfimDataset, build_tfim, default_dataset_path,
-                       generate_dataset, ground_state, load_dataset,
-                       parity_operator, save_dataset)
+from qrdr.tfim import (TfimDataset, build_tfim, generate_dataset,
+                       ground_state, load_dataset, parity_operator,
+                       save_dataset)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -286,8 +286,7 @@ def test_dataset_validation():
 
 
 def test_save_load_round_trip(tmp_path, small_set):
-    path = default_dataset_path(tmp_path)
-    assert path.name == "tfim_phase.jsonl"
+    path = tmp_path / "tfim_phase.jsonl"
     save_dataset(path, small_set)
     back = load_dataset(path)
     np.testing.assert_array_equal(back.features, small_set.features)
