@@ -8,18 +8,4 @@ dataset), :mod:`qrdr.qcnn` (quantum convolutional classifier and MLP
 baseline), :mod:`qrdr.cli` (experiment runner).
 """
 
-from .engine import (QrdrHamiltonian, QrdrOutcome, RegisterLayout,
-                     build_hamiltonian, encode_dataset_state,
-                     evolve_blockwise, evolve_full, run_qrdr)
-from .pca import PcaModel, fit_pca, project, target_state
-from .resonance import SweepResult, sweep_c
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "QrdrHamiltonian", "QrdrOutcome", "RegisterLayout", "build_hamiltonian",
-    "encode_dataset_state", "evolve_blockwise", "evolve_full", "run_qrdr",
-    "PcaModel", "fit_pca", "project", "target_state",
-    "SweepResult", "sweep_c",
-    "__version__",
-]

@@ -56,15 +56,19 @@ def _finite(text: str) -> float:
 
 
 def _comma_list(convert):
-    """Flag type for a non-empty comma-separated list of converted items."""
+    """Flag type for a non-empty comma list of distinct converted items."""
     def parse(text: str):
         items = [x.strip() for x in text.split(",") if x.strip()]
         if not items:
             raise argparse.ArgumentTypeError(f"{text!r}: empty list")
         try:
-            return [convert(x) for x in items]
+            values = [convert(x) for x in items]
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(
+                f"{text!r}: an item is listed twice")
+        return values
     return parse
 
 
@@ -131,7 +135,7 @@ def build_parser() -> _Parser:
 
     p = command("qcnn-train", "train classifier arms on the phase dataset")
     p.add_argument("--data", type=str, default=None,
-                   help="phase dataset JSONL (generated in memory if omitted)")
+                   help="phase dataset JSONL written by tfim-gen (required)")
     p.add_argument("--r", type=int, default=16)
     p.add_argument("--arms", type=_comma_list(_arm), default=",".join(_ARMS),
                    help="comma list from " + ",".join(_ARMS))
@@ -224,10 +228,8 @@ def parse_config(argv) -> argparse.Namespace:
             ns.seeds = [ns.seed]
         if min(ns.seeds) < 0:
             raise ConfigError(f"seeds: must be >= 0, got {min(ns.seeds)}")
-        for key in ("seeds", "arms"):
-            if len(set(values[key])) < len(values[key]):
-                raise ConfigError(f"{key}: an item is listed twice, got "
-                                  f"{','.join(map(str, values[key]))}")
+        if ns.data is None:   # last, so every other bad flag names itself
+            raise ConfigError("data: required; write it with tfim-gen")
     return ns
 
 
@@ -360,13 +362,10 @@ def _phase_features(ds: tfim.TfimDataset, r_qubits: int, arms):
 
 
 def _run_qcnn_train(ns: argparse.Namespace):
-    if ns.data is not None:
-        ds = _load(ns, "data", tfim.load_dataset)
-    else:
-        ds = tfim.generate_dataset(seed=ns.seed)
+    ds = _load(ns, "data", tfim.load_dataset)
     r_reduced = ns.r.bit_length() - 1   # r is 4^k, checked in parse_config
     n_sites = ds.n_sites
-    if n_sites % 2:
+    if n_sites % 2 and "qcnn" in ns.arms:
         raise ConfigError(f"data: odd register of {n_sites} qubits unsupported")
     n_amplitudes = ds.features.shape[1]
     if ns.r > n_amplitudes and not set(ns.arms).isdisjoint(_REDUCED_ARMS):

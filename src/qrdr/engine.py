@@ -30,7 +30,8 @@ fixed data-register eigenvector |v_k> are invariant, reducing the problem
 to 2^n independent blocks of dimension 2^(r+1) that differ only by lam_k
 on the probe-|1> diagonal.  The blocks are built as one stacked array and
 diagonalised in one stacked eigensolve (:meth:`QrdrHamiltonian.sector_eig`);
-a reduction stacks only the sectors its data populates.  Both paths agree
+a reduction stacks only the sectors its data populates, and only the paths
+that take arbitrary states complete the data basis to 2^n.  Both paths agree
 to rounding error, and the blockwise one (:func:`run_qrdr`) is what makes
 realistic instances cheap.  The tests keep the dense reference that
 evolves, post-selects and disentangles the whole register
@@ -134,19 +135,17 @@ def encode_dataset_state(X: np.ndarray, layout: RegisterLayout) -> np.ndarray:
 class QrdrHamiltonian:
     """Assembled reduction Hamiltonian for one (dataset, rank, c) instance.
 
-    Stores the ingredients (PCA model with its data, target rank, padded
-    data spectrum/eigenbasis, component-register diagonal, coupling); the
-    dense matrix is materialised lazily since the blockwise path never
-    needs it.
+    Holds only what :func:`build_hamiltonian` checked: the PCA model with
+    its data, the target rank, the register layout and the coupling.  The
+    component-register diagonal, the sector blocks and the dense matrix
+    are all derived from them, the dense matrix lazily since the blockwise
+    path never needs it.
     """
 
     model: PcaModel
     rank: int
     layout: RegisterLayout
     c: float
-    hdiag: np.ndarray            # component-register diagonal, length 2^r
-    data_eigenvalues: np.ndarray  # padded data spectrum, length 2^n
-    data_vectors: np.ndarray      # padded eigenbasis, (2^n, 2^n)
 
     @property
     def t_resonant(self) -> float:
@@ -156,16 +155,34 @@ class QrdrHamiltonian:
     def delta_min(self) -> float:
         return self.model.delta_min(self.rank)
 
-    def sector_eig(self, count: int | None = None) -> SpectralDecomposition:
-        """Eigensystems of the first ``count`` sector blocks (all 2^n by
-        default), from one stacked eigensolve.
+    @property
+    def hdiag(self) -> np.ndarray:
+        """Component-register diagonal: -lam_1..-lam_R, then lam_1."""
+        lam = self.model.eigenvalues
+        hdiag = np.full(self.layout.dim_r, lam[0])
+        hdiag[:self.rank] = -lam[:self.rank]
+        return hdiag
+
+    def padded_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Data spectrum and eigenbasis completed to the 2^n register: the
+        padding sectors get eigenvalue 0 and basis vectors of their own.
+        Only the paths that take arbitrary states need it."""
+        n_feat, dim_n = self.model.n_features, self.layout.dim_n
+        lam = np.zeros(dim_n)
+        lam[:n_feat] = self.model.eigenvalues
+        vectors = np.eye(dim_n)
+        vectors[:n_feat, :n_feat] = self.model.components
+        return lam, vectors
+
+    def sector_eig(self, lam: np.ndarray) -> SpectralDecomposition:
+        """Eigensystems of the sector blocks of data eigenvalues ``lam``,
+        from one stacked eigensolve.
 
         Block k is the Hamiltonian restricted to the invariant sector of
         data eigenvector |v_k>, ordered (p=0 block, p=1 block), dimension
         2^(r+1); blocks differ only by lam_k on the p=1 diagonal.
         """
         dim_r = self.layout.dim_r
-        lam = self.data_eigenvalues[:count]
         coupling = (self.c * np.pi / 2.0) * spread_operator(self.layout.r_qubits)
         idx = np.arange(dim_r)
         blocks = np.zeros((lam.size, 2 * dim_r, 2 * dim_r), dtype=complex)
@@ -181,11 +198,12 @@ class QrdrHamiltonian:
         eye_n = np.eye(dim_n)
         top = np.zeros(dim_r)
         top[1:] = -1.0
-        A_pad = (self.data_vectors * self.data_eigenvalues) @ self.data_vectors.T
+        lam, vectors = self.padded_basis()
         H = np.zeros((self.layout.dim, self.layout.dim), dtype=complex)
         H += kron_all([np.diag([1.0, 0.0]), np.diag(top), eye_n])
         H += kron_all([np.diag([0.0, 1.0]), np.diag(self.hdiag), eye_n])
-        H += kron_all([np.diag([0.0, 1.0]), np.eye(dim_r), A_pad])
+        H += kron_all([np.diag([0.0, 1.0]), np.eye(dim_r),
+                       (vectors * lam) @ vectors.T])
         H += (self.c * np.pi / 2.0) * kron_all(
             [SIGMA_Y, spread_operator(self.layout.r_qubits), eye_n]
         )
@@ -245,33 +263,11 @@ def build_hamiltonian(model: PcaModel, rank: int, c: float,
                 "the quadratic error law degrades in this regime",
                 stacklevel=2,
             )
-    lam = model.eigenvalues
-    phase = np.finfo(float).eps * float(lam[0]) / c
+    phase = np.finfo(float).eps * float(model.eigenvalues[0]) / c
     if phase > DEPHASING_TOL:
         warnings.warn(f"eigenvalue rounding can dephase the resonances by "
                       f"eps lam_1 / c = {phase:.2e} rad", stacklevel=2)
-    hdiag = np.full(layout.dim_r, lam[0])
-    hdiag[:rank] = -lam[:rank]
-    data_eigenvalues = np.zeros(layout.dim_n)
-    data_eigenvalues[: model.n_features] = lam
-    data_vectors = np.eye(layout.dim_n)
-    data_vectors[: model.n_features, : model.n_features] = model.components
-    return QrdrHamiltonian(
-        model=model,
-        rank=rank,
-        layout=layout,
-        c=c,
-        hdiag=hdiag,
-        data_eigenvalues=data_eigenvalues,
-        data_vectors=data_vectors,
-    )
-
-
-def _as_columns(psi: np.ndarray):
-    psi = np.asarray(psi)
-    if psi.ndim == 1:
-        return psi[:, None], True
-    return psi, False
+    return QrdrHamiltonian(model=model, rank=rank, layout=layout, c=c)
 
 
 def evolve_full(h: QrdrHamiltonian, psi: np.ndarray) -> np.ndarray:
@@ -286,15 +282,15 @@ def evolve_blockwise(h: QrdrHamiltonian, psi: np.ndarray) -> np.ndarray:
     sectors at once with their stacked 2^(r+1)-dimensional blocks, and
     rotates back.
     """
-    psi2, squeeze = _as_columns(psi)
+    psi = np.asarray(psi)
     dim_r, dim_n = h.layout.dim_r, h.layout.dim_n
+    lam, vectors = h.padded_basis()
     # (p, j, d, i) -> (k, (p, j), i): data axis in the eigenbasis, leading
-    work = psi2.reshape(2 * dim_r, dim_n, -1).swapaxes(0, 1)
-    work = np.tensordot(h.data_vectors, work, axes=(0, 0))
-    work = evolve_spectral(h.sector_eig(), h.t_resonant, work)
-    out = np.tensordot(h.data_vectors, work, axes=(1, 0)).swapaxes(0, 1)
-    out = out.reshape(psi2.shape)
-    return out[:, 0] if squeeze else out
+    work = psi.reshape(2 * dim_r, dim_n, -1).swapaxes(0, 1)
+    work = np.tensordot(vectors, work, axes=(0, 0))
+    work = evolve_spectral(h.sector_eig(lam), h.t_resonant, work)
+    out = np.tensordot(vectors, work, axes=(1, 0)).swapaxes(0, 1)
+    return out.reshape(psi.shape)
 
 
 @dataclass
@@ -364,18 +360,18 @@ def run_qrdr(h: QrdrHamiltonian) -> QrdrOutcome:
     amplitudes: <0..0| W_j |v_k> = v_j . v_k collapses to a Kronecker delta
     for resonant j, k, and to the leading eigenvector entries otherwise.
     """
-    X = h.model.data
-    m, n_feat = X.shape
+    X, V = h.model.data, h.model.components
+    m = X.shape[0]
     dim_r, rank = h.layout.dim_r, h.rank
     f = np.linalg.norm(X)
     # sector amplitudes of the initial state: z[:, k] over samples
-    z = (X @ h.data_vectors[:n_feat, :n_feat]) / f
+    z = (X @ V) / f
     e00 = np.eye(2 * dim_r)[0]
-    # w[:, k] = exp(-i H_k / c) |p=0, j=0>, restricted to sectors that carry
-    # amplitude (k < n_feat; padding sectors start and stay empty).  C order
-    # fixes how the products below round, so reports stay byte-stable.
-    w = np.ascontiguousarray(
-        evolve_spectral(h.sector_eig(n_feat), h.t_resonant, e00).T)
+    # w[:, k] = exp(-i H_k / c) |p=0, j=0>, restricted to the model's
+    # sectors (padding sectors start and stay empty).  C order fixes how
+    # the products below round, so reports stay byte-stable.
+    w = np.ascontiguousarray(evolve_spectral(
+        h.sector_eig(h.model.eigenvalues), h.t_resonant, e00).T)
     upper = w[dim_r:, :]                       # probe |1> amplitudes, (j, k)
     z_norm2 = np.sum(z ** 2, axis=0)           # ||z_k||^2, sums to 1
     prob = float(np.sum(np.abs(upper) ** 2 @ z_norm2))
@@ -389,7 +385,7 @@ def run_qrdr(h: QrdrHamiltonian) -> QrdrOutcome:
     #   j >= rank: identity on the data register, <e0|v_k> = v_k[0]
     on_zero = np.zeros((dim_r, m), dtype=complex)
     on_zero[:rank] = (scale * np.diagonal(upper)[:rank, None]) * z[:, :rank].T
-    lead = h.data_vectors[0, :n_feat]          # first entry of each v_k
+    lead = V[0]                                # first entry of each v_k
     on_zero[rank:] = scale * (upper[rank:] @ (z * lead).T)
     return _finish_outcome(h, prob, on_zero)
 

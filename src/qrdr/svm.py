@@ -73,24 +73,23 @@ def accuracy(model: LssvmModel, X: np.ndarray, y: np.ndarray):
 
 
 def select_gamma(X: np.ndarray, y: np.ndarray, gammas=GAMMA_GRID,
-                 inner_k: int = INNER_K, seed: int = 7,
-                 stream: int = 0) -> float:
-    """Pick gamma by inner cross-validation, fitting each inner training
-    set once for every gamma; ties go to the smallest value."""
+                 seed: int = 7, stream: int = 0) -> float:
+    """Pick gamma by INNER_K-fold inner cross-validation, fitting each inner
+    training set once for every gamma; ties go to the smallest value."""
     X = require_finite(X)
     y = np.asarray(y)
     gammas = np.asarray(gammas, dtype=float)
-    folds = kfold_split(X.shape[0], inner_k, seed, stream=stream)
+    folds = kfold_split(X.shape[0], INNER_K, seed, stream=stream)
     scores = [accuracy(train_lssvm(X[tr], y[tr], gammas), X[te], y[te])
               for tr, te in folds]
     return float(gammas[int(np.argmax(np.mean(scores, axis=0)))])
 
 
-def _select_fit_score(X, y, train, test, gammas, inner_k, seed, stream):
+def _select_fit_score(X, y, train, test, gammas, seed, stream):
     """Select gamma on the training rows, fit there at it and score the test
     rows: (accuracy, gamma)."""
-    gamma = select_gamma(X[train], y[train], gammas=gammas, inner_k=inner_k,
-                         seed=seed, stream=stream)
+    gamma = select_gamma(X[train], y[train], gammas=gammas, seed=seed,
+                         stream=stream)
     model = train_lssvm(X[train], y[train], gamma)
     return accuracy(model, X[test], y[test]), gamma
 
@@ -114,7 +113,7 @@ class CvResult:
 
 
 def cross_validate(X: np.ndarray, y: np.ndarray, k: int = 8, seed: int = 7,
-                   gammas=GAMMA_GRID, inner_k: int = INNER_K) -> CvResult:
+                   gammas=GAMMA_GRID) -> CvResult:
     """k-fold accuracy with gamma chosen by nested CV inside each fold."""
     X = require_finite(X)
     y = np.asarray(y)
@@ -125,8 +124,8 @@ def cross_validate(X: np.ndarray, y: np.ndarray, k: int = 8, seed: int = 7,
                 f"fold {i}: training data contains a single class; the fold "
                 "is still evaluated", stacklevel=2,
             )
-        accs[i], gams[i] = _select_fit_score(X, y, tr, te, gammas, inner_k,
-                                             seed, 100 + i)
+        accs[i], gams[i] = _select_fit_score(X, y, tr, te, gammas, seed,
+                                             100 + i)
     return CvResult(fold_accuracies=accs, chosen_gammas=gams,
                     mean_accuracy=float(accs.mean()), k=k, seed=seed)
 
@@ -164,8 +163,8 @@ class RSweepResult:
 
 
 def r_sweep(X: np.ndarray, y: np.ndarray, ranks=(4, 8, 16, 32), reps: int = 8,
-            test_count: int = 20, seed: int = 7, gammas=GAMMA_GRID,
-            inner_k: int = INNER_K) -> RSweepResult:
+            test_count: int = 20, seed: int = 7,
+            gammas=GAMMA_GRID) -> RSweepResult:
     """Accuracy versus reduction rank under repeated random holdout.
 
     For every rank, the dataset is projected onto its top components, then
@@ -192,7 +191,7 @@ def r_sweep(X: np.ndarray, y: np.ndarray, ranks=(4, 8, 16, 32), reps: int = 8,
         Z = Z_full[:, :rank]
         for rep, (tr, te) in enumerate(splits):
             rep_accs[ri, rep], _ = _select_fit_score(
-                Z, y, tr, te, gammas, inner_k, seed, 200 + rep)
+                Z, y, tr, te, gammas, seed, 200 + rep)
     return RSweepResult(
         ranks=list(ranks),
         mean_accuracies=rep_accs.mean(axis=1),

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from qrdr.engine import (MIN_POSTSELECT_PROB, QrdrHamiltonian, QrdrOutcome,
-                         RegisterLayout, _as_columns, _finish_outcome,
+                         RegisterLayout, _finish_outcome,
                          encode_dataset_state, evolve_full)
 from qrdr.linalg import SpectralDecomposition
 from qrdr.qcnn import (_BRANCH_CLASS, MIN_LCU_PROB, branch_sources,
@@ -38,19 +38,18 @@ def postselect_probe(psi: np.ndarray, layout: RegisterLayout):
     any sample axis preserved, and is renormalised.  Raises when essentially
     no amplitude sits in the probe-|1> branch.
     """
-    psi2, squeeze = _as_columns(psi)
+    psi = np.asarray(psi)
     half = layout.dim_r * layout.dim_n
-    if psi2.shape[0] != 2 * half:
-        raise ValueError(f"state dimension {psi2.shape[0]} does not match layout")
-    total = float(np.sum(np.abs(psi2) ** 2))
-    branch = psi2[half:]
+    if psi.shape[0] != 2 * half:
+        raise ValueError(f"state dimension {psi.shape[0]} does not match layout")
+    total = float(np.sum(np.abs(psi) ** 2))
+    branch = psi[half:]
     prob = float(np.sum(np.abs(branch) ** 2) / total)
     if prob < MIN_POSTSELECT_PROB:
         raise ValueError(
             f"post-selection probability {prob:.3e} is essentially zero"
         )
-    collapsed = branch / math.sqrt(prob * total)
-    return prob, (collapsed[:, 0] if squeeze else collapsed)
+    return prob, branch / math.sqrt(prob * total)
 
 
 def _householder_apply(block: np.ndarray, v_pad: np.ndarray) -> np.ndarray:
@@ -71,14 +70,12 @@ def disentangle(psi: np.ndarray, h: QrdrHamiltonian) -> np.ndarray:
     the data register; the remaining component indices act as identity.
     Perfectly transferred amplitude therefore ends on data = |0..0>.
     """
-    psi2, squeeze = _as_columns(psi)
-    dim_r, dim_n = h.layout.dim_r, h.layout.dim_n
-    m = psi2.shape[1]
-    work = psi2.reshape(dim_r, dim_n, m).copy()
+    psi = np.asarray(psi)
+    _, vectors = h.padded_basis()
+    work = psi.reshape(h.layout.dim_r, h.layout.dim_n, -1).copy()
     for k in range(h.rank):
-        work[k] = _householder_apply(work[k], h.data_vectors[:, k])
-    out = work.reshape(psi2.shape)
-    return out[:, 0] if squeeze else out
+        work[k] = _householder_apply(work[k], vectors[:, k])
+    return work.reshape(psi.shape)
 
 
 def run_full(h: QrdrHamiltonian) -> QrdrOutcome:

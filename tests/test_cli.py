@@ -106,11 +106,20 @@ def test_threads_validation(tmp_path, capsys):
     (["qcnn-train", "--seed", "-1"], "seed: must be >= 0, got -1"),
     (["qcnn-train", "--seeds", "-3"], "seeds: must be >= 0, got -3"),
     (["qcnn-train", "--seeds", "7,7"],
-     "seeds: an item is listed twice, got 7,7"),
+     "argument --seeds: '7,7': an item is listed twice"),
     (["qcnn-train", "--arms", "mlp,mlp"],
-     "arms: an item is listed twice, got mlp,mlp"),
+     "argument --arms: 'mlp,mlp': an item is listed twice"),
+    (["sweep-c", "--c-grid", "0.004,0.004"],
+     "argument --c-grid: '0.004,0.004': an item is listed twice"),
+    (["sweep-c", "--c-grid", "0.004,0.002,0.004"],
+     "argument --c-grid: '0.004,0.002,0.004': an item is listed twice"),
+    (["qsvm", "--gammas", "1,1"],
+     "argument --gammas: '1,1': an item is listed twice"),
+    (["qsvm", "--gammas", "1,2,1.0"],
+     "argument --gammas: '1,2,1.0': an item is listed twice"),
     (["qcnn-train", "--r", "1"],
      "r: rank 1 does not map to an even reduced register"),
+    (["qcnn-train"], "data: required"),
 ], ids=["reduce-c-nan", "reduce-c-inf", "sweep-c-grid-nan", "tfim-j-nan",
         "tfim-ratio-inf", "qcnn-lr-negative", "qcnn-lr-nan", "qcnn-arms-empty",
         "qcnn-seeds-empty", "qsvm-gammas-empty", "tfim-count-zero",
@@ -120,13 +129,17 @@ def test_threads_validation(tmp_path, capsys):
         "tfim-ratio-range-negative", "tfim-ratio-range-one-item",
         "tfim-exclusion-three-items", "tfim-j-negative", "qsvm-seed-negative",
         "tfim-seed-negative", "qcnn-seed-negative", "qcnn-seeds-negative",
-        "qcnn-seeds-repeated", "qcnn-arms-repeated", "qcnn-r-one"])
+        "qcnn-seeds-repeated", "qcnn-arms-repeated", "sweep-c-grid-repeated",
+        "sweep-c-grid-repeated-apart", "qsvm-gammas-repeated",
+        "qsvm-gammas-repeated-after-conversion", "qcnn-r-one",
+        "qcnn-no-data"])
 def test_bad_flag_values_exit_one_before_any_work(tmp_path, monkeypatch,
                                                   capsys, argv, cause):
     def generate(*args, **kwargs):
         raise AssertionError("work started before the flags were checked")
 
     monkeypatch.setattr(tfim, "generate_dataset", generate)
+    monkeypatch.setattr(tfim, "load_dataset", generate)
     monkeypatch.setattr(dataset_mod, "load_sonar", generate)
     out = tmp_path / "out"
     assert run_cli([*argv, "--out", out]) == 1
@@ -560,14 +573,29 @@ def test_qcnn_train_odd_reduced_register(tmp_path, tiny_phase_file, capsys):
     assert "even reduced register" in capsys.readouterr().err
 
 
-def test_qcnn_train_checks_register_before_generating(tmp_path, monkeypatch,
-                                                      capsys):
-    def generate(*args, **kwargs):
-        raise AssertionError("dataset generated before the flags were checked")
-
-    monkeypatch.setattr(tfim, "generate_dataset", generate)
+def test_qcnn_train_checks_register_before_generating(tmp_path, capsys):
+    # a bad --r names itself before the missing --data does
     assert run_cli(["qcnn-train", "--r", "8", "--out", tmp_path]) == 1
     assert "even reduced register" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arms, code", [
+    ("mlp,mlp+dr,qcnn+qrdr", 0), ("qcnn", 1)])
+def test_qcnn_train_needs_an_even_register_only_for_the_raw_qcnn(
+        tmp_path, capsys, arms, code):
+    # the reduced QCNN reads the even log2(--r) register, whatever the sites
+    phase = tmp_path / "phase5.jsonl"
+    tfim.save_dataset(phase, tfim.generate_dataset(n_sites=5, count=10, seed=3))
+    out = tmp_path / "out"
+    assert run_cli(["qcnn-train", "--data", phase, "--r", "4", "--arms", arms,
+                    "--epochs", "1", "--batch-size", "4", "--out", out]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert "data: odd register of 5 qubits unsupported" in err
+        assert not out.exists()
+    else:
+        assert read_report(out, "qcnn-train")["metrics"]["qcnn+qrdr"][
+            "reduction"]["rank"] == 4
 
 
 def test_qcnn_train_non_finite_data_exits_one_without_report(
@@ -768,6 +796,15 @@ def test_cli_import_loads_no_thread_pool():
                          "print('concurrent.futures' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_package_import_loads_no_submodule():
+    # the package root re-exports nothing; each caller imports its module
+    proc = _python("-c", "import sys, qrdr; "
+                         "print([m for m in sys.modules if "
+                         "m.startswith('qrdr.')])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
 
 
 def test_package_has_no_assert_statements():

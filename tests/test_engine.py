@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from oracles import disentangle, postselect_probe, reconstruct, run_full
 from qrdr.dataset import make_rng
 from qrdr.engine import (REDUCTION_C_DIVISOR, InadmissibleCoupling,
-                         RegisterLayout, admissible_rank, build_hamiltonian,
-                         encode_dataset_state, evolve_blockwise, evolve_full,
-                         reduce_rows, run_qrdr, spread_operator)
+                         QrdrHamiltonian, RegisterLayout, admissible_rank,
+                         build_hamiltonian, encode_dataset_state,
+                         evolve_blockwise, evolve_full, reduce_rows, run_qrdr,
+                         spread_operator)
 from qrdr.pca import fit_pca
+from qrdr.tfim import generate_dataset
 
 
 def _spectrum_matrix(eigenvalues):
@@ -145,9 +148,30 @@ def test_build_pads_registers(sonar_features):
                                          -model.eigenvalues[1],
                                          -model.eigenvalues[2],
                                          -model.eigenvalues[3]])
-    assert np.all(h.data_eigenvalues[60:] == 0.0)
-    np.testing.assert_allclose(h.data_vectors[:60, :60], model.components)
+    lam, vectors = h.padded_basis()     # padding sectors: 0 and |d>
+    assert np.all(lam[:60] == model.eigenvalues) and np.all(lam[60:] == 0.0)
+    expect = np.eye(64)
+    expect[:60, :60] = model.components
+    assert np.array_equal(vectors, expect)
     assert h.t_resonant == pytest.approx(1e3)
+
+
+def test_hamiltonian_holds_only_what_build_checks():
+    assert [f.name for f in dataclasses.fields(QrdrHamiltonian)] == \
+        ["model", "rank", "layout", "c"]
+
+
+def test_pipeline_never_completes_the_basis(monkeypatch, sonar_features):
+    # only dense() and evolve_blockwise need the 2^n basis
+    def refuse(self):
+        raise AssertionError("the pipeline completed the 2^n basis")
+
+    monkeypatch.setattr(QrdrHamiltonian, "padded_basis", refuse)
+    out = run_qrdr(build_hamiltonian(fit_pca(sonar_features), 16, 0.004))
+    assert out.epsilon < 1e-4
+    rows, out = reduce_rows(generate_dataset(n_sites=4, count=8,
+                                             seed=3).features, 2)
+    assert rows.shape == (8, 4) and out.epsilon < 1e-6
 
 
 def test_build_rejects_non_positive_c(rng):
@@ -259,14 +283,14 @@ def test_epsilon_quarters_when_c_halves(sonar_features):
 def test_sector_stack_is_the_dense_hamiltonian_per_sector(small_instance):
     _, _, h = small_instance
     dim_r, dim_n = h.layout.dim_r, h.layout.dim_n
-    eig = h.sector_eig()
+    lam, V = h.padded_basis()
+    eig = h.sector_eig(lam)
     assert eig.vectors.shape == (dim_n, 2 * dim_r, 2 * dim_r)
     # <(p, j), v_k| H |(q, l), v_k> for every sector k
     H = h.dense().reshape(2 * dim_r, dim_n, 2 * dim_r, dim_n)
-    V = h.data_vectors
     restricted = np.einsum("dk,adbe,ek->kab", V, H, V)
     np.testing.assert_allclose(reconstruct(eig), restricted, atol=1e-12)
-    assert np.array_equal(h.sector_eig(3).values, eig.values[:3])
+    assert np.array_equal(h.sector_eig(lam[:3]).values, eig.values[:3])
 
 
 def test_blockwise_reduction_solves_one_stack(monkeypatch, rng):
@@ -302,10 +326,11 @@ def test_blockwise_preserves_sector(small_instance):
             view[p, j, :6] = coeffs[p, j] * model.components[:, 1]
     psi /= np.linalg.norm(psi)
     out = evolve_blockwise(h, psi).reshape(2 * lay.dim_r, lay.dim_n)
+    _, V = h.padded_basis()
     for k in range(lay.dim_n):
         if k == 1:
             continue
-        overlap = out @ h.data_vectors[:, k]
+        overlap = out @ V[:, k]
         assert np.abs(overlap).max() <= 1e-10
 
 

@@ -113,8 +113,7 @@ def test_train_validation_errors(rng):
     with pytest.raises(ValueError, match="gamma"):
         train_lssvm(X, np.ones(4), gamma=0.0)
     with pytest.raises(ValueError, match="gamma must be positive, got -1.0"):
-        select_gamma(X, np.array([1, -1, 1, -1]), gammas=(1.0, -1.0),
-                     inner_k=2)
+        select_gamma(X, np.array([1, -1, 1, -1]), gammas=(1.0, -1.0))
     with pytest.raises(ValueError, match="align"):
         train_lssvm(X, np.ones(3), gamma=1.0)
     with pytest.raises(ValueError, match="align"):
@@ -188,7 +187,7 @@ def test_select_gamma_tie_takes_smallest():
 
 
 def test_cross_validate_makes_one_factorisation_per_training_set(monkeypatch):
-    # inner_k fits in select_gamma and one final fit per fold, and every
+    # INNER_K fits in select_gamma and one final fit per fold, and every
     # eigendecomposition runs inside one of them
     X, y = _two_clusters(m_per_side=12)
     fits, eighs, inside = [], [], []
@@ -205,8 +204,8 @@ def test_cross_validate_makes_one_factorisation_per_training_set(monkeypatch):
     monkeypatch.setattr(svm, "train_lssvm", traced_train)
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda A: eighs.append(bool(inside)) or eigh(A))
-    cross_validate(X, y, k=4, inner_k=3)
-    assert len(fits) == 4 * (3 + 1)
+    cross_validate(X, y, k=4)
+    assert len(fits) == 4 * (svm.INNER_K + 1)
     assert eighs == [True] * len(fits)
 
 
@@ -225,7 +224,7 @@ def test_cross_validate_warns_on_single_class_fold():
     X = np.ascontiguousarray(X)
     y = np.array([1.0, 1.0, 1.0, 1.0, -1.0])
     with pytest.warns(UserWarning, match="single class"):
-        cross_validate(X, y, k=5, inner_k=2)
+        cross_validate(X, y, k=5)
 
 
 @pytest.mark.parametrize("protocol", [
