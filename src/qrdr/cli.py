@@ -43,28 +43,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _finite(text: str) -> float:
-    """Flag type for a float that is neither NaN nor infinite."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r} "
-                                         "(finite numbers only)")
-    return value
+def _checked(convert, ok, rule: str):
+    """Flag type: ``convert(text)``, accepted only where ``ok`` holds.
+
+    A rejected value reads ``argument --<flag>: '<text>': <rule>``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r}: {rule}")
+        return value
+    return parse
 
 
 def _comma_list(convert):
     """Flag type for a non-empty comma list of distinct converted items."""
     def parse(text: str):
-        items = [x.strip() for x in text.split(",") if x.strip()]
-        if not items:
+        values = [convert(x.strip()) for x in text.split(",") if x.strip()]
+        if not values:
             raise argparse.ArgumentTypeError(f"{text!r}: empty list")
-        try:
-            values = [convert(x) for x in items]
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
         if len(set(values)) < len(values):
             raise argparse.ArgumentTypeError(
                 f"{text!r}: an item is listed twice")
@@ -72,78 +72,93 @@ def _comma_list(convert):
     return parse
 
 
+def _at_least(low: int):
+    return _checked(int, lambda n: n >= low, f"must be >= {low}")
+
+
+def _out_dir(path: Path) -> bool:
+    # the nearest existing path at or above --out is where it gets created
+    return next(p for p in (path, *path.parents) if p.exists()).is_dir()
+
+
+_finite = _checked(float, math.isfinite, "must be finite")
+_positive = _checked(float, lambda x: math.isfinite(x) and x > 0,
+                     "must be finite and > 0")
+_file = _checked(str, lambda p: Path(p).is_file(), "file not found")
+_pair = _checked(_comma_list(_finite), lambda v: len(v) == 2,
+                 "need two values lo,hi")
 _ARMS = ("qcnn+qrdr", "qcnn", "mlp+dr", "mlp")
-
-
-def _arm(name: str) -> str:
-    if name not in _ARMS:
-        raise ValueError(f"unknown arm {name!r}")
-    return name
 
 
 def build_parser() -> _Parser:
     """The one place where every setting is declared, defaulted and typed.
 
-    String defaults pass through their flag's type like command-line values.
-    Flags cannot be abbreviated, so a config key never stands for another."""
+    Each flag's type holds its own rule, so a value from the command line
+    and one from --config are checked by the same code; string defaults
+    pass through it too.  Flags cannot be abbreviated, so a config key never
+    stands for another."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=7,
+    common.add_argument("--seed", type=_at_least(0), default=7,
                         help="base random seed (default 7)")
     common.add_argument("--threads", type=int, choices=(1,), default=1,
                         help="jobs run one at a time; the flag stays only "
                              "until the benchmark stops passing it")
-    common.add_argument("--config", type=str, default=None,
+    common.add_argument("--config", type=_file, default=None,
                         help="JSON object of flag values; explicit flags win")
-    common.add_argument("--out", type=Path, default=".",
-                        help="output directory for reports (default .)")
-    sonar = str(dataset_mod.sonar_path())
+    common.add_argument("--out", default=".", type=_checked(
+        Path, _out_dir, "must be a directory or a new path under one"),
+        help="output directory for reports (default .)")
+    sonar = argparse.ArgumentParser(add_help=False)
+    sonar.add_argument("--dataset", type=_file,
+                       default=str(dataset_mod.sonar_path()))
+    sonar.add_argument("--r", type=_at_least(1), default=16,
+                       help="target rank R")
 
     parser = _Parser(prog="qrdr", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary):
-        return sub.add_parser(name, parents=[common], help=summary,
+    def command(name, summary, *parents):
+        return sub.add_parser(name, parents=[common, *parents], help=summary,
                               allow_abbrev=False)
 
-    p = command("reduce", "run the resonant reduction once")
-    p.add_argument("--dataset", type=str, default=sonar)
-    p.add_argument("--r", type=int, default=16, help="target rank R")
+    p = command("reduce", "run the resonant reduction once", sonar)
     p.add_argument("--c", type=_finite, default=0.004, help="resonant coupling")
 
-    p = command("sweep-c", "infidelity across a coupling grid")
-    p.add_argument("--dataset", type=str, default=sonar)
-    p.add_argument("--r", type=int, default=16)
+    p = command("sweep-c", "infidelity across a coupling grid", sonar)
     p.add_argument("--c-grid", dest="c_grid", type=_comma_list(_finite),
                    default=list(resonance.DEFAULT_C_GRID))
 
-    p = command("qsvm", "LS-SVM cross-validation")
-    p.add_argument("--dataset", type=str, default=sonar)
-    p.add_argument("--r", type=int, default=16)
-    p.add_argument("--folds", type=int, default=8)
+    p = command("qsvm", "LS-SVM cross-validation", sonar)
+    p.add_argument("--folds", type=_at_least(2), default=8)
     p.add_argument("--arm", choices=("raw", "reduced", "both"), default="both")
-    p.add_argument("--gammas", type=_comma_list(_finite),
+    p.add_argument("--gammas", type=_comma_list(_positive),
                    default=list(svm.GAMMA_GRID))
 
     p = command("tfim-gen", "generate the Ising phase dataset")
-    p.add_argument("--n-sites", dest="n_sites", type=int, default=8)
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--j", type=_finite, default=1.0)
-    p.add_argument("--ratio-range", dest="ratio_range",
-                   type=_comma_list(_finite), default=[0.2, 1.8])
-    p.add_argument("--exclusion", type=_comma_list(_finite),
-                   default=[0.95, 1.05])
+    p.add_argument("--n-sites", dest="n_sites", type=_at_least(2), default=8)
+    p.add_argument("--count", type=_checked(
+        int, lambda n: n > 0 and n % 2 == 0,
+        "must be positive and even for balanced classes"), default=200)
+    p.add_argument("--j", type=_positive, default=1.0)
+    p.add_argument("--ratio-range", dest="ratio_range", type=_pair,
+                   default=[0.2, 1.8])
+    p.add_argument("--exclusion", type=_pair, default=[0.95, 1.05])
 
     p = command("qcnn-train", "train classifier arms on the phase dataset")
-    p.add_argument("--data", type=str, default=None,
+    p.add_argument("--data", type=_file, default=None,
                    help="phase dataset JSONL written by tfim-gen (required)")
-    p.add_argument("--r", type=int, default=16)
-    p.add_argument("--arms", type=_comma_list(_arm), default=",".join(_ARMS),
-                   help="comma list from " + ",".join(_ARMS))
-    p.add_argument("--seeds", type=_comma_list(int), default=None,
+    p.add_argument("--r", default=16, type=_checked(
+        int, lambda r: r >= 4 and r.bit_count() == 1 and r.bit_length() % 2,
+        "does not map to an even reduced register (a power of 4 from 4 up)"))
+    p.add_argument("--arms", default=",".join(_ARMS), type=_comma_list(
+        _checked(str, _ARMS.__contains__, "not one of " + ",".join(_ARMS))),
+        help="comma list from " + ",".join(_ARMS))
+    p.add_argument("--seeds", type=_comma_list(_at_least(0)), default=None,
                    help="comma list of training seeds (default: the base seed)")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=20)
-    p.add_argument("--lr", type=_finite, default=0.01)
+    p.add_argument("--epochs", type=_at_least(1), default=20)
+    p.add_argument("--batch-size", dest="batch_size", type=_at_least(1),
+                   default=20)
+    p.add_argument("--lr", type=_positive, default=0.01)
 
     command("verify", "run the invariant battery")
     return parser
@@ -152,11 +167,8 @@ def build_parser() -> _Parser:
 def _config_flags(path) -> list:
     """A --config JSON object as flags: ``{"c_grid": [1, 2]}`` reads as
     ``--c-grid=1,2``; a null value leaves the flag at its default."""
-    cfg_path = Path(path)
-    if not cfg_path.is_file():
-        raise ConfigError(f"config: file not found: {cfg_path}")
     try:
-        values = json.loads(cfg_path.read_text())
+        values = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON: {exc}") from exc
     if not isinstance(values, dict):
@@ -174,61 +186,28 @@ def _config_flags(path) -> list:
 
 
 def parse_config(argv) -> argparse.Namespace:
-    """Parse flags, with config-file values read as flags, and check ranges.
+    """Parse flags, with config-file values read as flags.
 
     The config file's flags go right after the subcommand, so flags given
-    on the command line win over them.
-    """
+    on the command line win over them.  Flag types check single values;
+    left here: the tfim-gen window order, the --seeds default, --data."""
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.config is not None:
         ns = parser.parse_args([ns.command, *_config_flags(ns.config),
                                 *argv[1:]])
-    values = vars(ns)
-    if ns.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {ns.seed}")
-    for key in ("epochs", "batch_size"):
-        if key in values and values[key] < 1:
-            raise ConfigError(f"{key}: must be >= 1, got {values[key]}")
-    if "r" in values and ns.r < 1:
-        raise ConfigError(f"r: rank must be >= 1, got {ns.r}")
-    if "folds" in values and ns.folds < 2:
-        raise ConfigError(f"folds: need at least 2, got {ns.folds}")
-    if "lr" in values and ns.lr <= 0:
-        raise ConfigError(f"lr: learning rate must be positive, got {ns.lr}")
-    if "gammas" in values and min(ns.gammas) <= 0:
-        raise ConfigError(f"gammas: must be positive, got {min(ns.gammas)}")
-    if "n_sites" in values and ns.n_sites < 2:
-        raise ConfigError(f"n_sites: need at least 2 sites, got {ns.n_sites}")
-    if "count" in values and (ns.count < 1 or ns.count % 2):
-        raise ConfigError(f"count: must be positive and even for balanced "
-                          f"classes, got {ns.count}")
     if ns.command == "tfim-gen":
-        if ns.j <= 0:
-            raise ConfigError(f"j: coupling must be positive, got {ns.j}")
-        for key in ("ratio_range", "exclusion"):
-            if len(values[key]) != 2:
-                raise ConfigError(f"{key}: need two values lo,hi, "
-                                  f"got {len(values[key])}")
         (lo, hi), (ex_lo, ex_hi) = ns.ratio_range, ns.exclusion
         if not 0 < lo < ex_lo < 1 < ex_hi < hi:
             raise ConfigError(
                 "ratio_range, exclusion: need 0 < ratio_range[0] < "
                 "exclusion[0] < 1 < exclusion[1] < ratio_range[1], got "
                 f"{ns.ratio_range} and {ns.exclusion}")
-    for key in ("dataset", "data"):
-        if values.get(key) is not None and not Path(values[key]).is_file():
-            raise ConfigError(f"{key}: file not found: {values[key]}")
     if ns.command == "qcnn-train":
-        if ns.r < 4 or ns.r & (ns.r - 1) or (ns.r.bit_length() - 1) % 2:
-            raise ConfigError(
-                f"r: rank {ns.r} does not map to an even reduced register"
-            )
         if ns.seeds is None:
             ns.seeds = [ns.seed]
-        if min(ns.seeds) < 0:
-            raise ConfigError(f"seeds: must be >= 0, got {min(ns.seeds)}")
-        if ns.data is None:   # last, so every other bad flag names itself
+        del ns.seed   # it only set the default of --seeds; the echo skips it
+        if ns.data is None:   # not required=True: --config may supply it
             raise ConfigError("data: required; write it with tfim-gen")
     return ns
 
@@ -363,7 +342,7 @@ def _phase_features(ds: tfim.TfimDataset, r_qubits: int, arms):
 
 def _run_qcnn_train(ns: argparse.Namespace):
     ds = _load(ns, "data", tfim.load_dataset)
-    r_reduced = ns.r.bit_length() - 1   # r is 4^k, checked in parse_config
+    r_reduced = ns.r.bit_length() - 1   # r is 4^k, checked by its type
     n_sites = ds.n_sites
     if n_sites % 2 and "qcnn" in ns.arms:
         raise ConfigError(f"data: odd register of {n_sites} qubits unsupported")

@@ -69,26 +69,33 @@ def test_threads_validation(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, cause", [
-    (["reduce", "--c", "nan"], "argument --c: invalid float value: 'nan' "
-                               "(finite numbers only)"),
-    (["reduce", "--c", "inf"], "argument --c: invalid float value: 'inf'"),
+    (["reduce", "--c", "nan"], "argument --c: 'nan': must be finite"),
+    (["reduce", "--c", "inf"], "argument --c: 'inf': must be finite"),
     (["sweep-c", "--c-grid", "nan,0.004"],
-     "argument --c-grid: 'nan,0.004': invalid float value: 'nan'"),
-    (["tfim-gen", "--j", "nan"], "argument --j: invalid float value: 'nan'"),
+     "argument --c-grid: 'nan': must be finite"),
+    (["tfim-gen", "--j", "nan"],
+     "argument --j: 'nan': must be finite and > 0"),
     (["tfim-gen", "--ratio-range", "0.2,inf"],
-     "argument --ratio-range: '0.2,inf': invalid float value: 'inf'"),
-    (["qcnn-train", "--lr", "-1"], "lr: learning rate must be positive"),
-    (["qcnn-train", "--lr", "nan"], "argument --lr: invalid float value"),
+     "argument --ratio-range: 'inf': must be finite"),
+    (["qcnn-train", "--lr", "-1"],
+     "argument --lr: '-1': must be finite and > 0"),
+    (["qcnn-train", "--lr", "nan"],
+     "argument --lr: 'nan': must be finite and > 0"),
     (["qcnn-train", "--arms", ","], "argument --arms: ',': empty list"),
     (["qcnn-train", "--seeds", ","], "argument --seeds: ',': empty list"),
     (["qsvm", "--gammas", ","], "argument --gammas: ',': empty list"),
-    (["tfim-gen", "--count", "0"], "count: must be positive and even"),
-    (["tfim-gen", "--count", "7"], "count: must be positive and even"),
-    (["tfim-gen", "--n-sites", "1"], "n_sites: need at least 2 sites, got 1"),
-    (["qcnn-train", "--epochs", "0"], "epochs: must be >= 1, got 0"),
-    (["qcnn-train", "--batch-size", "0"], "batch_size: must be >= 1, got 0"),
-    (["qsvm", "--gammas", "-1"], "gammas: must be positive, got -1.0"),
-    (["qsvm", "--gammas", "1,0"], "gammas: must be positive, got 0.0"),
+    (["tfim-gen", "--count", "0"],
+     "argument --count: '0': must be positive and even"),
+    (["tfim-gen", "--count", "7"],
+     "argument --count: '7': must be positive and even"),
+    (["tfim-gen", "--n-sites", "1"], "argument --n-sites: '1': must be >= 2"),
+    (["qcnn-train", "--epochs", "0"], "argument --epochs: '0': must be >= 1"),
+    (["qcnn-train", "--batch-size", "0"],
+     "argument --batch-size: '0': must be >= 1"),
+    (["qsvm", "--gammas", "-1"],
+     "argument --gammas: '-1': must be finite and > 0"),
+    (["qsvm", "--gammas", "1,0"],
+     "argument --gammas: '0': must be finite and > 0"),
     (["tfim-gen", "--ratio-range", "1.1,1.8"],
      "ratio_range, exclusion: need 0 < ratio_range[0] < exclusion[0] < 1 < "
      "exclusion[1] < ratio_range[1], got [1.1, 1.8] and [0.95, 1.05]"),
@@ -97,14 +104,14 @@ def test_threads_validation(tmp_path, capsys):
     (["tfim-gen", "--ratio-range=-0.5,1.8"],
      "got [-0.5, 1.8] and [0.95, 1.05]"),
     (["tfim-gen", "--ratio-range", "0.2"],
-     "ratio_range: need two values lo,hi, got 1"),
+     "argument --ratio-range: '0.2': need two values lo,hi"),
     (["tfim-gen", "--exclusion", "0.9,1.1,1.2"],
-     "exclusion: need two values lo,hi, got 3"),
-    (["tfim-gen", "--j", "-1"], "j: coupling must be positive, got -1.0"),
-    (["qsvm", "--seed", "-1"], "seed: must be >= 0, got -1"),
-    (["tfim-gen", "--seed", "-1"], "seed: must be >= 0, got -1"),
-    (["qcnn-train", "--seed", "-1"], "seed: must be >= 0, got -1"),
-    (["qcnn-train", "--seeds", "-3"], "seeds: must be >= 0, got -3"),
+     "argument --exclusion: '0.9,1.1,1.2': need two values lo,hi"),
+    (["tfim-gen", "--j", "-1"], "argument --j: '-1': must be finite and > 0"),
+    (["qsvm", "--seed", "-1"], "argument --seed: '-1': must be >= 0"),
+    (["tfim-gen", "--seed", "-1"], "argument --seed: '-1': must be >= 0"),
+    (["qcnn-train", "--seed", "-1"], "argument --seed: '-1': must be >= 0"),
+    (["qcnn-train", "--seeds", "-3"], "argument --seeds: '-3': must be >= 0"),
     (["qcnn-train", "--seeds", "7,7"],
      "argument --seeds: '7,7': an item is listed twice"),
     (["qcnn-train", "--arms", "mlp,mlp"],
@@ -118,7 +125,7 @@ def test_threads_validation(tmp_path, capsys):
     (["qsvm", "--gammas", "1,2,1.0"],
      "argument --gammas: '1,2,1.0': an item is listed twice"),
     (["qcnn-train", "--r", "1"],
-     "r: rank 1 does not map to an even reduced register"),
+     "argument --r: '1': does not map to an even reduced register"),
     (["qcnn-train"], "data: required"),
 ], ids=["reduce-c-nan", "reduce-c-inf", "sweep-c-grid-nan", "tfim-j-nan",
         "tfim-ratio-inf", "qcnn-lr-negative", "qcnn-lr-nan", "qcnn-arms-empty",
@@ -212,6 +219,27 @@ def test_config_seeds_list_and_flag_override(tmp_path, tiny_phase_file,
     ("qcnn-train", {"gradient": "fd"}, "unrecognized arguments: --gradient=fd"),
     ("tfim-gen", {"out_file": "x.jsonl"},
      "unrecognized arguments: --out-file=x.jsonl"),
+    ("reduce", {"seed": -1}, "argument --seed: '-1': must be >= 0"),
+    ("sweep-c", {"r": 0}, "argument --r: '0': must be >= 1"),
+    ("tfim-gen", {"n_sites": 1}, "argument --n-sites: '1': must be >= 2"),
+    ("qcnn-train", {"epochs": 0}, "argument --epochs: '0': must be >= 1"),
+    ("qcnn-train", {"batch_size": 0},
+     "argument --batch-size: '0': must be >= 1"),
+    ("tfim-gen", {"count": 7},
+     "argument --count: '7': must be positive and even"),
+    ("qcnn-train", {"lr": 0}, "argument --lr: '0': must be finite and > 0"),
+    ("tfim-gen", {"j": -1}, "argument --j: '-1': must be finite and > 0"),
+    ("qsvm", {"gammas": [1, -2]},
+     "argument --gammas: '-2': must be finite and > 0"),
+    ("qcnn-train", {"seeds": [-3]}, "argument --seeds: '-3': must be >= 0"),
+    ("tfim-gen", {"ratio_range": [0.2]},
+     "argument --ratio-range: '0.2': need two values lo,hi"),
+    ("tfim-gen", {"exclusion": [0.9, 1.1, 1.2]},
+     "argument --exclusion: '0.9,1.1,1.2': need two values lo,hi"),
+    ("qsvm", {"dataset": "absent.csv"},
+     "argument --dataset: 'absent.csv': file not found"),
+    ("qcnn-train", {"data": "absent.jsonl"},
+     "argument --data: 'absent.jsonl': file not found"),
 ])
 def test_config_values_are_checked_like_flags(tmp_path, capsys, command,
                                               values, cause):
@@ -221,6 +249,64 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, command,
     assert run_cli([command, "--config", cfg, "--out", out]) == 1
     assert cause in capsys.readouterr().err
     assert not out.exists()
+
+
+_SOME_FILE = str(dataset_mod.sonar_path())   # parse only: any file will do
+
+
+@pytest.mark.parametrize("argv, flag, lowest, parsed, below", [
+    (["reduce"], "--seed", "0", 0, "-1"),
+    (["reduce"], "--r", "1", 1, "0"),
+    (["sweep-c"], "--r", "1", 1, "0"),
+    (["qsvm"], "--r", "1", 1, "0"),
+    (["qsvm"], "--folds", "2", 2, "1"),
+    (["qsvm"], "--gammas", "5e-324", [5e-324], "0"),
+    (["tfim-gen"], "--n-sites", "2", 2, "1"),
+    (["tfim-gen"], "--count", "2", 2, "1"),
+    (["tfim-gen"], "--j", "5e-324", 5e-324, "0"),
+    (["qcnn-train", "--data", _SOME_FILE], "--r", "4", 4, "2"),
+    (["qcnn-train", "--data", _SOME_FILE], "--r", "16", 16, "8"),
+    (["qcnn-train", "--data", _SOME_FILE], "--epochs", "1", 1, "0"),
+    (["qcnn-train", "--data", _SOME_FILE], "--batch-size", "1", 1, "0"),
+    (["qcnn-train", "--data", _SOME_FILE], "--seeds", "0", [0], "-1"),
+    (["qcnn-train", "--data", _SOME_FILE], "--lr", "5e-324", 5e-324, "0"),
+], ids=["seed", "reduce-r", "sweep-c-r", "qsvm-r", "folds", "gammas",
+        "n-sites", "count", "j", "qcnn-r-4", "qcnn-r-16", "epochs",
+        "batch-size", "seeds", "lr"])
+def test_each_bound_is_exact(capsys, argv, flag, lowest, parsed, below):
+    # the lowest accepted value parses; the next value down exits 1
+    ns = cli.parse_config([*argv, flag, lowest])
+    assert getattr(ns, flag[2:].replace("-", "_")) == parsed
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_config([*argv, flag, below])
+    assert exc.value.code == 1
+    assert f"argument {flag}: '{below}': " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce"], ["tfim-gen", "--count", "4", "--n-sites", "4"],
+    ["qsvm", "--folds", "4", "--r", "8"], ["verify"],
+], ids=["reduce", "tfim-gen", "qsvm", "verify"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_out_at_or_under_a_file_exits_one_before_any_work(
+        tmp_path, monkeypatch, capsys, argv, under):
+    # its own test: the bad-flag table appends an --out of its own
+    from qrdr import verify
+
+    def work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    monkeypatch.setattr(tfim, "generate_dataset", work)
+    monkeypatch.setattr(dataset_mod, "load_sonar", work)
+    monkeypatch.setattr(verify, "run_invariants", work)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if under else taken
+    assert run_cli([*argv, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert f"argument --out: '{out}': must be a directory" in captured.err
+    assert captured.out == ""
+    assert taken.read_text() == "kept\n"
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +644,19 @@ def test_qcnn_train_rerun_byte_identical(tmp_path, tiny_phase_file, capsys):
     assert report_bytes(a, "qcnn-train") == report_bytes(b, "qcnn-train")
     assert (a / "history_qcnn_qrdr_s7.csv").read_bytes() == \
         (b / "history_qcnn_qrdr_s7.csv").read_bytes()
+
+
+def test_qcnn_train_echoes_seeds_not_seed(tmp_path, tiny_phase_file, capsys):
+    # --seed only sets the default of --seeds, so the report echoes seeds
+    for extra, seeds in (([], [7]),
+                         (["--seed", "7", "--seeds", "3,4"], [3, 4])):
+        out = tmp_path / f"out{len(seeds)}"
+        assert run_cli(["qcnn-train", "--data", tiny_phase_file, "--r", "4",
+                        "--arms", "mlp", "--epochs", "1", "--batch-size", "4",
+                        *extra, "--out", out]) == 0
+        echo = read_report(out, "qcnn-train")["config"]
+        assert echo["seeds"] == seeds and "seed" not in echo
+    capsys.readouterr()
 
 
 def test_qcnn_train_bad_arms(tmp_path, capsys):
