@@ -26,15 +26,21 @@ the data the model was fitted on under the built Hamiltonian.
 
 Two evolution paths are provided.  ``evolve_full`` exponentiates the dense
 2^(1+r+n) Hamiltonian.  ``evolve_blockwise`` exploits that sectors with a
-fixed data-register eigenvector |v_k> are invariant, reducing the problem
-to 2^n independent blocks of dimension 2^(r+1) that differ only by lam_k
-on the probe-|1> diagonal.  The blocks are built as one stacked array and
-diagonalised in one stacked eigensolve (:meth:`QrdrHamiltonian.sector_eig`);
-a reduction stacks only the sectors its data populates, and only the paths
-that take arbitrary states complete the data basis to 2^n.  Both paths agree
-to rounding error, and the blockwise one (:func:`run_qrdr`) is what makes
-realistic instances cheap.  The tests keep the dense reference that
-evolves, post-selects and disentangles the whole register
+fixed data-register eigenvector |v_k> are invariant: their blocks
+[[D0, -i g B], [i g B, D1]] differ only by lam_k in D1.  The exact
+similarities diag(1, i) between the probe halves and W = B / sqrt(2^r) on
+the probe-|0> half make each block real, with coupling gamma I
+(gamma = g sqrt(2^r)) and u u^T - I in place of D0 = diag(0, -1, ..., -1)
+(u = W e_0 = 2^(-r/2) (1, ..., 1)); all are diagonalised in one stacked
+eigensolve (:meth:`QrdrHamiltonian.sector_eig`).  A reduction stacks only
+the sectors its data populates and merges the levels j >= R: they share
+the diagonal lam_1 + lam_k and their entry of u, so permuting them fixes
+the block and the start state (u, 0), and they evolve as one level of
+weight sqrt((2^r - R) / 2^r).  Only the paths that take arbitrary states
+complete the data basis to 2^n.  Both paths agree to rounding error, and
+the blockwise one (:func:`run_qrdr`) is what makes realistic instances
+cheap.  The tests keep the dense reference that evolves, post-selects and
+disentangles the whole register, and a 40-digit evolution of each sector
 (``tests/oracles.py``).
 """
 
@@ -174,23 +180,34 @@ class QrdrHamiltonian:
         vectors[:n_feat, :n_feat] = self.model.components
         return lam, vectors
 
-    def sector_eig(self, lam: np.ndarray) -> SpectralDecomposition:
-        """Eigensystems of the sector blocks of data eigenvalues ``lam``,
-        from one stacked eigensolve.
-
-        Block k is the Hamiltonian restricted to the invariant sector of
-        data eigenvector |v_k>, ordered (p=0 block, p=1 block), dimension
-        2^(r+1); blocks differ only by lam_k on the p=1 diagonal.
-        """
-        dim_r = self.layout.dim_r
-        coupling = (self.c * np.pi / 2.0) * spread_operator(self.layout.r_qubits)
-        idx = np.arange(dim_r)
-        blocks = np.zeros((lam.size, 2 * dim_r, 2 * dim_r), dtype=complex)
-        blocks[:, idx[1:], idx[1:]] = -1.0
-        blocks[:, dim_r + idx, dim_r + idx] = self.hdiag + lam[:, None]
-        blocks[:, :dim_r, dim_r:] = -1.0j * coupling
-        blocks[:, dim_r:, :dim_r] = 1.0j * coupling
+    def sector_eig(self, lam: np.ndarray,
+                   u: np.ndarray) -> SpectralDecomposition:
+        """Eigensystems of the spread-frame blocks of data eigenvalues
+        ``lam``, [[u u^T - I, gamma I], [gamma I, diag(hdiag[:s] + lam_k)]]
+        with s = u.size, from one real stacked eigensolve.  The weights u
+        are 2^(-r/2) (1, ..., 1) for the whole register, or the merged ones
+        of :meth:`probe_amplitudes`."""
+        s = u.size
+        gamma = (self.c * np.pi / 2.0) * math.sqrt(self.layout.dim_r)
+        idx = np.arange(s)
+        blocks = np.zeros((lam.size, 2 * s, 2 * s))
+        blocks[:, :s, :s] = np.outer(u, u) - np.eye(s)
+        blocks[:, s + idx, s + idx] = self.hdiag[:s] + lam[:, None]
+        blocks[:, idx, s + idx] = blocks[:, s + idx, idx] = gamma
         return hermitian_eig(blocks, check=False)
+
+    def probe_amplitudes(self) -> np.ndarray:
+        """Probe-|1> amplitudes of exp(-i H / c) |p=0, j=0>|v_k>, (j, k),
+        over the model's sectors, i V_b (e^(-i theta t) * u^T V_a) with the
+        levels j >= R merged (module docstring) and spread back."""
+        levels = np.minimum(np.arange(self.layout.dim_r), self.rank)
+        counts = np.bincount(levels)           # j >= R share one level
+        u = np.sqrt(counts / self.layout.dim_r)
+        eig = self.sector_eig(self.model.eigenvalues, u)
+        top, bottom = np.split(eig.vectors, 2, axis=-2)
+        phased = np.exp(-1j * eig.values * self.t_resonant) * (u @ top)
+        upper = (1j * (bottom @ phased[..., None])[..., 0]).T
+        return upper[levels] / np.sqrt(counts[levels])[:, None]
 
     def dense(self) -> np.ndarray:
         """Full 2^(1+r+n) matrix (for reference evolution and checks)."""
@@ -279,16 +296,22 @@ def evolve_blockwise(h: QrdrHamiltonian, psi: np.ndarray) -> np.ndarray:
     """Evolution to t = 1/c through the invariant data-eigenvector sectors.
 
     Rotates the data register into the eigenbasis of A, evolves all 2^n
-    sectors at once with their stacked 2^(r+1)-dimensional blocks, and
-    rotates back.
+    sectors at once with their stacked 2^(r+1)-dimensional spread-frame
+    blocks, and rotates back.
     """
     psi = np.asarray(psi)
     dim_r, dim_n = h.layout.dim_r, h.layout.dim_n
     lam, vectors = h.padded_basis()
+    # the spread-frame eigenvectors mapped back through diag(W, i I)
+    eig = h.sector_eig(lam, np.full(dim_r, dim_r ** -0.5))
+    top, bottom = np.split(eig.vectors, 2, axis=-2)
+    spread = spread_operator(h.layout.r_qubits) / math.sqrt(dim_r)
+    eig = SpectralDecomposition(
+        eig.values, np.concatenate([spread @ top, 1j * bottom], axis=-2))
     # (p, j, d, i) -> (k, (p, j), i): data axis in the eigenbasis, leading
     work = psi.reshape(2 * dim_r, dim_n, -1).swapaxes(0, 1)
     work = np.tensordot(vectors, work, axes=(0, 0))
-    work = evolve_spectral(h.sector_eig(lam), h.t_resonant, work)
+    work = evolve_spectral(eig, h.t_resonant, work)
     out = np.tensordot(vectors, work, axes=(1, 0)).swapaxes(0, 1)
     return out.reshape(psi.shape)
 
@@ -366,13 +389,9 @@ def run_qrdr(h: QrdrHamiltonian) -> QrdrOutcome:
     f = np.linalg.norm(X)
     # sector amplitudes of the initial state: z[:, k] over samples
     z = (X @ V) / f
-    e00 = np.eye(2 * dim_r)[0]
-    # w[:, k] = exp(-i H_k / c) |p=0, j=0>, restricted to the model's
-    # sectors (padding sectors start and stay empty).  C order fixes how
-    # the products below round, so reports stay byte-stable.
-    w = np.ascontiguousarray(evolve_spectral(
-        h.sector_eig(h.model.eigenvalues), h.t_resonant, e00).T)
-    upper = w[dim_r:, :]                       # probe |1> amplitudes, (j, k)
+    # probe |1> amplitudes, (j, k), in C order: that fixes how the products
+    # below round, so reports stay byte-stable
+    upper = h.probe_amplitudes()
     z_norm2 = np.sum(z ** 2, axis=0)           # ||z_k||^2, sums to 1
     prob = float(np.sum(np.abs(upper) ** 2 @ z_norm2))
     if prob < MIN_POSTSELECT_PROB:

@@ -4,18 +4,20 @@ The package runs a reduction sector by sector (:func:`engine.run_qrdr`) and
 the QCNN as one batched forward pass over a stack of branch images
 (:func:`qcnn._forward_parts`).  The functions here do the same work the
 long way: the reduction evolves, post-selects and disentangles the whole
-register, and the classifier gathers each branch image, then convolves,
-pools and reads out one sample at a time.  No shipped code calls them.
+register, or evolves each sector at 40 digits, and the classifier gathers
+each branch image, then convolves, pools and reads out one sample at a
+time.  No shipped code calls them.
 """
 
 import base64
 import math
 
+import mpmath
 import numpy as np
 
 from qrdr.engine import (MIN_POSTSELECT_PROB, QrdrHamiltonian, QrdrOutcome,
                          RegisterLayout, _finish_outcome,
-                         encode_dataset_state, evolve_full)
+                         encode_dataset_state, evolve_full, spread_operator)
 from qrdr.linalg import SpectralDecomposition
 from qrdr.qcnn import (_BRANCH_CLASS, MIN_LCU_PROB, branch_sources,
                        branch_weights, n_readout, readout_features)
@@ -92,6 +94,66 @@ def run_full(h: QrdrHamiltonian) -> QrdrOutcome:
     cleaned = disentangle(collapsed, h)
     on_zero = cleaned.reshape(layout.dim_r, layout.dim_n, m)[:, 0, :]
     return _finish_outcome(h, prob, on_zero)
+
+
+# ---------------------------------------------------------------------------
+# reduction: each sector evolved at 40 digits
+
+REFERENCE_DPS = 40
+
+
+def sector_reference(h: QrdrHamiltonian, lam: np.ndarray) -> np.ndarray:
+    """i times the probe-|1> amplitudes of exp(-i H_k t) |p=0, j=0> for each
+    data eigenvalue lam_k, as (j, k), evolved at 40 significant digits.
+
+    Block k is built in the real computational frame [[D0, g B], [g B, D1]],
+    which diag(1, i) between the probe halves maps onto the sector of
+    |v_k>: hence the factor i.  ``mpmath.eigsy`` diagonalises it.  The
+    inputs (c, t = 1/c, hdiag and lam) are the float64 values the program
+    uses, taken exactly.
+    """
+    dim_r = h.layout.dim_r
+    B = spread_operator(h.layout.r_qubits)
+    out = np.zeros((dim_r, len(lam)), dtype=complex)
+    with mpmath.workdps(REFERENCE_DPS):
+        g = mpmath.mpf(h.c) * mpmath.pi / 2
+        t = mpmath.mpf(h.t_resonant)
+        for k, lam_k in enumerate(lam):
+            H = mpmath.zeros(2 * dim_r)
+            for j in range(dim_r):
+                H[j, j] = 0 if j == 0 else -1
+                H[dim_r + j, dim_r + j] = (mpmath.mpf(h.hdiag[j])
+                                           + mpmath.mpf(lam_k))
+                for l in range(dim_r):
+                    H[j, dim_r + l] = H[dim_r + l, j] = g * int(B[j, l])
+            E, Q = mpmath.eigsy(H)
+            phases = [mpmath.expj(-E[n] * t) * Q[0, n]
+                      for n in range(2 * dim_r)]
+            for j in range(dim_r):
+                amp = mpmath.fsum(Q[dim_r + j, n] * phases[n]
+                                  for n in range(2 * dim_r))
+                out[j, k] = complex(1j * amp)
+    return out
+
+
+def run_reference(h: QrdrHamiltonian, sectors=None):
+    """:func:`run_full` with the whole-register evolution replaced by
+    :func:`sector_reference` over the model's sectors, or over ``sectors``
+    only, for data that have no weight outside them.  Returns the outcome
+    and the sector amplitudes, (j, k) over ``sectors``."""
+    model, layout = h.model, h.layout
+    if sectors is None:
+        sectors = np.arange(model.n_features)
+    V = model.components[:, sectors]
+    z = model.data @ V / np.linalg.norm(model.data)
+    upper = sector_reference(h, model.eigenvalues[sectors])
+    # probe-|1> half over (j, d, i) in the computational basis
+    collapsed = np.zeros((layout.dim_r, layout.dim_n, z.shape[0]),
+                         dtype=complex)
+    collapsed[:, :model.n_features] = np.einsum("jk,dk,ik->jdi", upper, V, z)
+    prob = float(np.sum(np.abs(collapsed) ** 2))
+    cleaned = disentangle(collapsed / math.sqrt(prob), h)
+    return _finish_outcome(h, prob, cleaned[:, 0, :]), upper
 
 
 # ---------------------------------------------------------------------------

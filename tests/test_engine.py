@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import disentangle, postselect_probe, reconstruct, run_full
+from oracles import (disentangle, postselect_probe, reconstruct, run_full,
+                     run_reference)
 from qrdr.dataset import make_rng
 from qrdr.engine import (REDUCTION_C_DIVISOR, InadmissibleCoupling,
                          QrdrHamiltonian, RegisterLayout, admissible_rank,
@@ -284,19 +285,26 @@ def test_sector_stack_is_the_dense_hamiltonian_per_sector(small_instance):
     _, _, h = small_instance
     dim_r, dim_n = h.layout.dim_r, h.layout.dim_n
     lam, V = h.padded_basis()
-    eig = h.sector_eig(lam)
+    u = np.full(dim_r, dim_r ** -0.5)
+    eig = h.sector_eig(lam, u)
     assert eig.vectors.shape == (dim_n, 2 * dim_r, 2 * dim_r)
-    # <(p, j), v_k| H |(q, l), v_k> for every sector k
+    assert eig.vectors.dtype == float
+    # <(p, j), v_k| H |(q, l), v_k> for every sector k, mapped into the
+    # spread frame by diag(1, i) between the probe halves and diag(W, I)
     H = h.dense().reshape(2 * dim_r, dim_n, 2 * dim_r, dim_n)
     restricted = np.einsum("dk,adbe,ek->kab", V, H, V)
-    np.testing.assert_allclose(reconstruct(eig), restricted, atol=1e-12)
-    assert np.array_equal(h.sector_eig(lam[:3]).values, eig.values[:3])
+    frame = np.zeros((2 * dim_r, 2 * dim_r), dtype=complex)
+    frame[:dim_r, :dim_r] = spread_operator(h.layout.r_qubits) / np.sqrt(dim_r)
+    frame[dim_r:, dim_r:] = 1j * np.eye(dim_r)
+    spread_frame = frame.conj().T @ restricted @ frame
+    np.testing.assert_allclose(reconstruct(eig), spread_frame, atol=1e-12)
+    assert np.array_equal(h.sector_eig(lam[:3], u).values, eig.values[:3])
 
 
 def test_blockwise_reduction_solves_one_stack(monkeypatch, rng):
     import qrdr.engine as engine
 
-    calls = {"eig": [], "spread": 0}
+    calls = {}
     eig, spread = engine.hermitian_eig, engine.spread_operator
 
     def counted_eig(H, check=True):
@@ -310,9 +318,13 @@ def test_blockwise_reduction_solves_one_stack(monkeypatch, rng):
     monkeypatch.setattr(engine, "hermitian_eig", counted_eig)
     monkeypatch.setattr(engine, "spread_operator", counted_spread)
     X = rng.normal(size=(10, 6))
-    _reduce(X, 2, 1e-3)
-    # one stacked eigensolve over the 6 populated sectors, not the 8 padded
-    assert calls == {"eig": [(6, 4, 4)], "spread": 1}
+    # one real stacked eigensolve over the 6 populated sectors, not the 8
+    # padded, and no Kronecker product; at R = 5 (r = 3) the levels j >= 5
+    # evolve as one, so each block holds 2 (5 + 1) levels instead of 2^4
+    for rank, block in ((2, 4), (5, 12)):
+        calls.update(eig=[], spread=0)
+        _reduce(X, rank, 1e-3)
+        assert calls == {"eig": [(6, block, block)], "spread": 0}
 
 
 def test_blockwise_preserves_sector(small_instance):
@@ -342,6 +354,36 @@ def test_paths_agree_on_sonar_truncation(sonar_features):
     assert abs(full.success_probability - block.success_probability) <= 1e-10
     np.testing.assert_allclose(full.reduced_state, block.reduced_state,
                                atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# accuracy against the 40-digit sector evolution
+
+
+@pytest.mark.parametrize("rank, sectors", [
+    (4, None),
+    # every resonant sector, the two past the boundary and the smallest
+    (8, [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 59]),
+])
+def test_reduction_is_within_rounding_of_the_exact_evolution(sonar_features,
+                                                             rank, sectors):
+    model = fit_pca(sonar_features)
+    if sectors is not None:
+        # the same Hamiltonian, with the data restricted to those sectors
+        V = model.components[:, sectors]
+        model = dataclasses.replace(model, data=sonar_features @ V @ V.T)
+    h = build_hamiltonian(model, rank, 1e-3)
+    ref, ref_upper = run_reference(h, sectors)
+    out = run_qrdr(h)
+    # eigenvalue rounding, about eps lam_1, dephases over t: 3.66e-10 here
+    unit = np.finfo(float).eps * model.eigenvalues[0] * h.t_resonant
+    upper = h.probe_amplitudes()
+    if sectors is not None:
+        upper = upper[:, sectors]
+    assert np.abs(upper - ref_upper).max() <= 2.0 * unit
+    assert np.abs(out.reduced_state - ref.reduced_state).max() <= 2.0 * unit
+    assert abs(out.success_probability - ref.success_probability) <= \
+        0.05 * unit
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from oracles import conv_lcu, run_full
 from qrdr.dataset import SONAR_FEATURES, kfold_split, load_sonar, make_rng
 from qrdr.engine import (REDUCTION_C_DIVISOR, RegisterLayout,
-                         build_hamiltonian, reduce_rows, run_qrdr)
+                         build_hamiltonian, evolve_blockwise, evolve_full,
+                         reduce_rows, run_qrdr)
 from qrdr.pca import fit_pca
 from qrdr.qcnn import (N_ANSATZ_PARAMS, BranchStack, QcnnModel,
                        _forward_parts, prepare_lcu)
@@ -53,6 +54,57 @@ def test_blockwise_run_matches_dense_reference(instance):
     for out in (block, full):
         assert abs(np.linalg.norm(out.reduced_state) - 1.0) <= 1e-12
         assert 0.0 <= out.residual_weight <= 1.0
+
+
+@st.composite
+def registers(draw):
+    """(Hamiltonian, seed): M <= 12 samples of N <= 8 N(0, 1) features, an
+    r-qubit register with r in {1, 2, 3}, any rank R <= 2^r with no
+    degeneracy at its boundary and delta_min >= 1e-3 lambda_1, and a
+    hundredth of the protecting gap."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 8))
+    r_qubits = draw(st.sampled_from([1, 2, 3]))
+    rank = draw(st.integers(1, min(n, 2 ** r_qubits)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    model = fit_pca(make_rng(seed, 0).normal(size=(m, n)))
+    assume(not model.boundary_degenerate(rank))
+    assume(model.delta_min(rank) >= 1e-3 * model.eigenvalues[0])
+    layout = RegisterLayout.for_sizes(n, rank, r_qubits=r_qubits)
+    c = min(model.delta_min(rank), 2.0 ** -r_qubits) / REDUCTION_C_DIVISOR
+    return build_hamiltonian(model, rank, c, layout=layout), seed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(registers())
+def test_merged_levels_evolve_like_the_whole_register(instance):
+    # run_qrdr evolves the levels j >= R as one; the whole-register paths
+    # evolve each of them
+    h, seed = instance
+    lay, V = h.layout, h.model.components
+    n_feat = V.shape[1]
+    start = np.zeros((2, lay.dim_r, lay.dim_n, n_feat))
+    start[0, 0, :n_feat] = V                 # |p=0, j=0>|v_k>, column k
+    start = start.reshape(lay.dim, n_feat)
+
+    def probe_one(psi):
+        # <p=1, j, v_k| psi_k, as (j, k)
+        half = psi.reshape(2, lay.dim_r, lay.dim_n, n_feat)[1, :, :n_feat]
+        return np.einsum("jdk,dk->jk", half, V)
+
+    # 1e-10, or the dephasing that eigenvalue rounding allows over t
+    tol = max(1e-10, 10.0 * EPS * max(1.0, h.model.eigenvalues[0]) / h.c)
+    merged = h.probe_amplitudes()
+    for path in (evolve_blockwise, evolve_full):
+        assert np.abs(merged - probe_one(path(h, start))).max() <= tol
+    out, ref = run_qrdr(h), run_full(h)
+    assert np.abs(out.reduced_state - ref.reduced_state).max() <= tol
+    assert abs(out.success_probability - ref.success_probability) <= tol
+    rng = make_rng(seed, 1)
+    psi = rng.normal(size=(lay.dim, 2)) + 1j * rng.normal(size=(lay.dim, 2))
+    psi /= np.linalg.norm(psi, axis=0)
+    assert np.abs(evolve_blockwise(h, psi) - evolve_full(h, psi)).max() \
+        <= tol
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
