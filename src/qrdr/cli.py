@@ -7,11 +7,11 @@
     qcnn-train  train the quantum/classical classifier arms
     verify      run the cross-module invariant battery
 
+Every setting is a flag; a flag left out takes its built-in default.
 Reports are JSON with sorted keys plus CSV side files, all written by the
 two writers below, and contain no volatile fields: rerunning any experiment
-with the same config and seed reproduces the report byte for byte
-(wall-clock timing goes to stderr only).  Flag precedence is flag > config
-file > built-in default.  Exit codes: 0 success, 1 configuration/validation
+with the same flags reproduces the report byte for byte (wall-clock timing
+goes to stderr only).  Exit codes: 0 success, 1 configuration/validation
 error, 2 runtime failure.
 """
 
@@ -93,18 +93,15 @@ _ARMS = ("qcnn+qrdr", "qcnn", "mlp+dr", "mlp")
 def build_parser() -> _Parser:
     """The one place where every setting is declared, defaulted and typed.
 
-    Each flag's type holds its own rule, so a value from the command line
-    and one from --config are checked by the same code; string defaults
-    pass through it too.  Flags cannot be abbreviated, so a config key never
-    stands for another."""
+    Each flag's type holds its own rule, which string defaults pass
+    through too.  Flags cannot be abbreviated, so a prefix of a flag is
+    rejected rather than read as the flag."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_at_least(0), default=7,
                         help="base random seed (default 7)")
     common.add_argument("--threads", type=int, choices=(1,), default=1,
                         help="jobs run one at a time; the flag stays only "
                              "until the benchmark stops passing it")
-    common.add_argument("--config", type=_file, default=None,
-                        help="JSON object of flag values; explicit flags win")
     common.add_argument("--out", default=".", type=_checked(
         Path, _out_dir, "must be a directory or a new path under one"),
         help="output directory for reports (default .)")
@@ -145,8 +142,8 @@ def build_parser() -> _Parser:
     p.add_argument("--exclusion", type=_pair, default=[0.95, 1.05])
 
     p = command("qcnn-train", "train classifier arms on the phase dataset")
-    p.add_argument("--data", type=_file, default=None,
-                   help="phase dataset JSONL written by tfim-gen (required)")
+    p.add_argument("--data", type=_file, required=True,
+                   help="phase dataset JSONL written by tfim-gen")
     p.add_argument("--r", default=16, type=_checked(
         int, lambda r: r >= 4 and r.bit_count() == 1 and r.bit_length() % 2,
         "does not map to an even reduced register (a power of 4 from 4 up)"))
@@ -164,38 +161,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_flags(path) -> list:
-    """A --config JSON object as flags: ``{"c_grid": [1, 2]}`` reads as
-    ``--c-grid=1,2``; a null value leaves the flag at its default."""
-    try:
-        values = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON: {exc}") from exc
-    if not isinstance(values, dict):
-        raise ConfigError("config: top level must be a JSON object")
-    if "config" in values:
-        raise ConfigError("config: a config file cannot name another")
-    flags = []
-    for key, value in values.items():
-        if value is None:
-            continue
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        flags.append(f"--{key.replace('_', '-')}={value}")
-    return flags
-
-
 def parse_config(argv) -> argparse.Namespace:
-    """Parse flags, with config-file values read as flags.
+    """Parse the flags of one run.
 
-    The config file's flags go right after the subcommand, so flags given
-    on the command line win over them.  Flag types check single values;
-    left here: the tfim-gen window order, the --seeds default, --data."""
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    if ns.config is not None:
-        ns = parser.parse_args([ns.command, *_config_flags(ns.config),
-                                *argv[1:]])
+    Flag types check single values; left here: the tfim-gen window order
+    and the --seeds default."""
+    ns = build_parser().parse_args(argv)
     if ns.command == "tfim-gen":
         (lo, hi), (ex_lo, ex_hi) = ns.ratio_range, ns.exclusion
         if not 0 < lo < ex_lo < 1 < ex_hi < hi:
@@ -207,8 +178,6 @@ def parse_config(argv) -> argparse.Namespace:
         if ns.seeds is None:
             ns.seeds = [ns.seed]
         del ns.seed   # it only set the default of --seeds; the echo skips it
-        if ns.data is None:   # not required=True: --config may supply it
-            raise ConfigError("data: required; write it with tfim-gen")
     return ns
 
 
@@ -423,12 +392,11 @@ _RUNNERS = {
 
 def run_experiment(ns: argparse.Namespace) -> dict:
     """Run the subcommand and write its report, which echoes every flag
-    but --config and --out, with the input files --dataset and --data
-    named by content.  A failing verify check raises only after the report
+    but --out, with the input files --dataset and --data named by
+    content.  A failing verify check raises only after the report
     that names it is written."""
     metrics, artifacts = _RUNNERS[ns.command](ns)
-    config = {key: value for key, value in vars(ns).items()
-              if key not in ("config", "out")}
+    config = {key: value for key, value in vars(ns).items() if key != "out"}
     for key in ("dataset", "data"):
         # by content, not path, so the report reads the same from any
         # checkout; CRC-32 because importing hashlib loads OpenSSL, which

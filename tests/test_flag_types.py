@@ -1,9 +1,9 @@
 """Every numeric flag carries its own range rule in its type.
 
-A flag typed as a bare ``int`` or ``float`` takes any number, so its range
-would have to be checked somewhere else, where a value read from
-``--config`` could miss it.  ``--threads`` is exempt: ``choices=(1,)``
-bounds it until the flag is deleted.
+A flag typed as a bare ``int`` or ``float`` takes any number, which leaves
+its range check to code elsewhere, away from the flag's declaration.
+``--threads`` is exempt: ``choices=(1,)`` bounds it until the flag is
+deleted.
 """
 
 import argparse
