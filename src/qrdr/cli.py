@@ -136,7 +136,6 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=_checked(
         int, lambda n: n > 0 and n % 2 == 0,
         "must be positive and even for balanced classes"), default=200)
-    p.add_argument("--j", type=_positive, default=1.0)
     p.add_argument("--ratio-range", dest="ratio_range", type=_pair,
                    default=[0.2, 1.8])
     p.add_argument("--exclusion", type=_pair, default=[0.95, 1.05])
@@ -271,9 +270,7 @@ def _run_qsvm(ns: argparse.Namespace):
 def _run_tfim_gen(ns: argparse.Namespace):
     ds = tfim.generate_dataset(
         n_sites=ns.n_sites, count=ns.count, seed=ns.seed,
-        ratio_range=tuple(ns.ratio_range), exclusion=tuple(ns.exclusion),
-        J=ns.j,
-    )
+        ratio_range=tuple(ns.ratio_range), exclusion=tuple(ns.exclusion))
     path = ns.out / "tfim_phase.jsonl"
     ns.out.mkdir(parents=True, exist_ok=True)
     tfim.save_dataset(path, ds)

@@ -64,7 +64,7 @@ MIN_POSTSELECT_PROB = 1e-12
 
 # reduce_rows evolves at c = min(delta_min, 2^-r) / REDUCTION_C_DIVISOR, a
 # hundredth of the protecting gap, and accepts a rank only if
-# delta_min >= REDUCTION_GAP_RTOL * lam_1.  Where delta_min sets the gap,
+# delta_min > REDUCTION_GAP_RTOL * lam_1.  Where delta_min sets the gap,
 # the evolution time is t = 1/c <= 100 / (sqrt(eps) lam_1), so eigenvalue
 # rounding (about eps * lam_1) dephases the sectors by at most
 # 100 sqrt(eps) ~ 1.5e-6; where 2^-r sets it, by 100 * 2^r * eps * lam_1.
@@ -410,22 +410,22 @@ def run_qrdr(h: QrdrHamiltonian) -> QrdrOutcome:
 
 
 def admissible_rank(model: PcaModel, max_rank: int) -> int:
-    """Largest rank R <= max_rank that the reduction can target reliably.
+    """Largest rank R <= max_rank whose protecting gap exceeds a floor,
+    delta_min(R) > REDUCTION_GAP_RTOL * lam_1, which a zero gap never does.
 
-    R must be accepted by :func:`build_hamiltonian` (no degeneracy across
-    the R-boundary) and its protecting gap must satisfy
-    delta_min(R) >= REDUCTION_GAP_RTOL * lam_1.  On a fast-decaying spectrum
-    this floor, not a null space, sets the rank: for the seed-7 8-site Ising
-    data (lambda = 167, 32, 1.01, 0.080, 1.67e-3, 1.65e-4, 1.7e-6, ...)
-    delta_min(7) = 1.52e-6 falls below the floor 2.49e-6, so R = 6.
+    delta_min(R) includes the gap across the R-boundary, and the floor lies
+    far above ``pca.DEGENERACY_RTOL``, so no chosen R is degenerate at its
+    boundary.  On a fast-decaying spectrum this floor, not a null space,
+    sets the rank: for the seed-7 8-site Ising data (lambda = 167, 32,
+    1.01, 0.080, 1.67e-3, 1.65e-4, 1.7e-6, ...) delta_min(7) = 1.52e-6
+    falls below the floor 2.49e-6, so R = 6.
     """
     floor = REDUCTION_GAP_RTOL * float(model.eigenvalues[0])
     for rank in range(min(max_rank, model.n_features), 0, -1):
-        if (not model.boundary_degenerate(rank)
-                and model.delta_min(rank) >= floor):
+        if model.delta_min(rank) > floor:
             return rank
     raise ValueError(
-        f"no rank <= {max_rank} has a protecting gap >= {floor:.3e}; "
+        f"no rank <= {max_rank} has a protecting gap > {floor:.3e}; "
         "the spectrum is degenerate at the top"
     )
 

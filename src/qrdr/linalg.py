@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Tolerance for Hermiticity checks, relative to max(1, largest entry).
-HERMITICITY_ATOL = 1e-10
+# Tolerance for Hermiticity checks, relative to the largest entry.
+HERMITICITY_RTOL = 1e-10
 
 
 def kron_all(ops) -> np.ndarray:
@@ -34,15 +34,17 @@ def kron_all(ops) -> np.ndarray:
 
 
 def _hermitian_deviation(H: np.ndarray) -> np.ndarray:
-    # max |H - H^dagger| of each matrix, relative to max(1, its largest entry)
+    # max |H - H^dagger| of each matrix over its largest entry, if nonzero
     dev = np.abs(H - np.swapaxes(H, -1, -2).conj()).max(axis=(-2, -1),
                                                         initial=0.0)
-    return dev / np.maximum(1.0, np.abs(H).max(axis=(-2, -1), initial=0.0))
+    scale = np.abs(H).max(axis=(-2, -1), initial=0.0)
+    return dev / np.where(scale > 0, scale, 1.0)
 
 
-def is_hermitian(H: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
+def is_hermitian(H: np.ndarray) -> bool:
     """True when every matrix of ``H`` (shape ``(..., d, d)``) is Hermitian."""
-    return bool(np.all(_hermitian_deviation(np.asarray(H)) <= atol))
+    return bool(np.all(_hermitian_deviation(np.asarray(H))
+                       <= HERMITICITY_RTOL))
 
 
 @dataclass
@@ -63,8 +65,7 @@ def hermitian_eig(H: np.ndarray, check: bool = True) -> SpectralDecomposition:
 
     A stack is diagonalised in one ``eigh`` call, which gives the same bits
     as diagonalising its matrices one by one.  With ``check`` the input must
-    be Hermitian within ``HERMITICITY_ATOL`` (relative to the largest entry
-    of each matrix); ``ValueError`` is raised instead of silently
+    pass :func:`is_hermitian`; ``ValueError`` is raised instead of silently
     symmetrising the way ``eigh`` would.
     """
     H = np.asarray(H)
@@ -78,18 +79,15 @@ def hermitian_eig(H: np.ndarray, check: bool = True) -> SpectralDecomposition:
     return SpectralDecomposition(values=values, vectors=vectors)
 
 
-def evolve_spectral(decomp: SpectralDecomposition | np.ndarray, t: float,
+def evolve_spectral(decomp: SpectralDecomposition, t: float,
                     psi: np.ndarray) -> np.ndarray:
-    """Apply exp(-i H t) to ``psi`` through the eigenbasis of H.
+    """Apply exp(-i H t) to ``psi`` through the eigenbasis ``decomp`` of H,
+    a single or stacked :func:`hermitian_eig` result.
 
-    ``decomp`` may be a precomputed :class:`SpectralDecomposition` (reused
-    across many times / states) or the Hermitian matrix itself, single or
-    stacked.  ``psi`` holds either one state per matrix, shape ``(..., d)``
-    with at most as many axes as ``decomp.values``, or a matrix of column
-    states per matrix, shape ``(..., d, m)``; leading axes broadcast.
+    ``psi`` holds either one state per matrix, shape ``(..., d)`` with at
+    most as many axes as ``decomp.values``, or a matrix of column states
+    per matrix, shape ``(..., d, m)``; leading axes broadcast.
     """
-    if not isinstance(decomp, SpectralDecomposition):
-        decomp = hermitian_eig(decomp)
     vectors = decomp.vectors
     phases = np.exp(-1j * decomp.values * t)[..., None]
     psi = np.asarray(psi)

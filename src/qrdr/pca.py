@@ -17,8 +17,9 @@ import numpy as np
 
 from .dataset import require_finite
 
-# adjacent eigenvalues closer than this are reported as degenerate
-DEGENERACY_ATOL = 1e-9
+# adjacent eigenvalues closer than this times lambda_1 are reported as
+# degenerate; relative, because the spectrum scales as X^2
+DEGENERACY_RTOL = 1e-12
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
@@ -38,7 +39,8 @@ class PcaModel:
     ``eigenvalues`` are descending; ``components[:, k]`` is the k-th
     principal direction, sign-fixed so the largest-magnitude entry is
     positive.  ``degenerate_pairs`` lists adjacent indices (k, k+1), 0-based,
-    with an eigenvalue spacing below ``DEGENERACY_ATOL``.  Every question
+    with an eigenvalue spacing at most ``DEGENERACY_RTOL`` times the largest
+    eigenvalue, so scaling X leaves them unchanged.  Every question
     about a reduction takes its rank R, which must lie in [1, N].
     """
 
@@ -99,11 +101,9 @@ def fit_pca(X: np.ndarray) -> PcaModel:
     order = np.argsort(values)[::-1]
     values = values[order]
     vectors = _fix_signs(vectors[:, order])
-    pairs = [
-        (k, k + 1)
-        for k in range(n - 1)
-        if values[k] - values[k + 1] <= DEGENERACY_ATOL
-    ]
+    tol = DEGENERACY_RTOL * values[0]
+    pairs = [(k, k + 1) for k in range(n - 1)
+             if values[k] - values[k + 1] <= tol]
     return PcaModel(eigenvalues=values, components=vectors, data=X,
                     degenerate_pairs=pairs)
 

@@ -372,9 +372,12 @@ def loss_and_grad(model: QcnnModel, Z, labels: np.ndarray):
 
 
 class _Adam:
-    def __init__(self, n: int, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    """Adam at learning rate ``lr``, with Kingma & Ba's beta1, beta2, eps."""
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, n: int, lr: float):
+        self.lr = lr
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
@@ -457,10 +460,7 @@ def train(model: QcnnModel, data: SplitData, cfg: TrainConfig) -> TrainResult:
     stack."""
     stacked = replace(data, train_x=BranchStack.of(model.r, data.train_x),
                       test_x=BranchStack.of(model.r, data.test_x))
-    # the lambdas look the functions up per call, so wrapped ones are seen
-    return _fit(model, stacked, cfg,
-                lambda m, X, y: loss_and_grad(m, X, y),
-                lambda m, X: logits(m, X))
+    return _fit(model, stacked, cfg, loss_and_grad, logits)
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +544,4 @@ def mlp_loss_and_grad(model: MlpModel, X: np.ndarray, labels: np.ndarray):
 def mlp_baseline(model: MlpModel, data: SplitData,
                  cfg: TrainConfig) -> TrainResult:
     """Train the MLP under the same protocol as the quantum classifier."""
-    return _fit(model, data, cfg,
-                lambda m, X, y: mlp_loss_and_grad(m, X, y),
-                lambda m, X: mlp_logits(m, X))
+    return _fit(model, data, cfg, mlp_loss_and_grad, mlp_logits)

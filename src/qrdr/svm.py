@@ -163,16 +163,16 @@ class RSweepResult:
 
 
 def r_sweep(X: np.ndarray, y: np.ndarray, ranks=(4, 8, 16, 32), reps: int = 8,
-            test_count: int = 20, seed: int = 7,
-            gammas=GAMMA_GRID) -> RSweepResult:
+            test_count: int = 20, seed: int = 7) -> RSweepResult:
     """Accuracy versus reduction rank under repeated random holdout.
 
     For every rank, the dataset is projected onto its top components, then
     ``reps`` random holdout splits (``test_count`` test samples each) are
-    scored with nested gamma selection on the training part.  All splits
-    are shared across ranks so the comparison is paired.  Ranks must be
-    powers of two in [2, N]; the full dimension N is also allowed as the
-    isometric reference point (it cannot change the linear kernel).
+    scored with nested gamma selection from ``GAMMA_GRID`` on the training
+    part.  All splits are shared across ranks so the comparison is paired.
+    Ranks must be powers of two in [2, N]; the full dimension N is also
+    allowed as the isometric reference point (it cannot change the linear
+    kernel).
     """
     X = require_finite(X)
     y = np.asarray(y)
@@ -191,7 +191,7 @@ def r_sweep(X: np.ndarray, y: np.ndarray, ranks=(4, 8, 16, 32), reps: int = 8,
         Z = Z_full[:, :rank]
         for rep, (tr, te) in enumerate(splits):
             rep_accs[ri, rep], _ = _select_fit_score(
-                Z, y, tr, te, gammas, seed, 200 + rep)
+                Z, y, tr, te, GAMMA_GRID, seed, 200 + rep)
     return RSweepResult(
         ranks=list(ranks),
         mean_accuracies=rep_accs.mean(axis=1),

@@ -222,9 +222,10 @@ class TfimDataset:
 
 
 def generate_dataset(n_sites: int = 8, count: int = 200, seed: int = 7,
-                     ratio_range=(0.2, 1.8), exclusion=(0.95, 1.05),
-                     J: float = 1.0) -> TfimDataset:
-    """Sample ground states on both sides of the transition.
+                     ratio_range=(0.2, 1.8),
+                     exclusion=(0.95, 1.05)) -> TfimDataset:
+    """Sample ground states on both sides of the transition, at J = 1: the
+    phase depends on h/J alone, so each field is its ratio.
 
     ``count``/2 ratios are drawn uniformly from each of
     [ratio_range[0], exclusion[0]] and [exclusion[1], ratio_range[1]], so
@@ -247,14 +248,14 @@ def generate_dataset(n_sites: int = 8, count: int = 200, seed: int = 7,
         rng.uniform(ex_hi, hi, half),
     ])
     ratios.sort()
-    features = ground_state(n_sites, J, J * ratios).amplitudes
+    features = ground_state(n_sites, 1.0, ratios).amplitudes
     labels = np.where(ratios > 1.0, 1, -1)
     return TfimDataset(
         features=features,
         labels=labels,
         ratios=ratios,
         n_sites=n_sites,
-        J=J,
+        J=1.0,
         seed=seed,
         meta={"ratio_range": list(ratio_range), "exclusion": list(exclusion)},
     )
@@ -294,14 +295,19 @@ def load_dataset(path) -> TfimDataset:
     """Read a file written by :func:`save_dataset`.
 
     A missing field raises ``ValueError`` naming the header or the 1-based
-    record, as do the checks of :class:`TfimDataset`.
+    record, as do a record count other than the header's ``count`` and the
+    checks of :class:`TfimDataset`.
     """
     header, records = load_jsonl(path)
     if not isinstance(header, dict) or header.get("kind") != "tfim-phase":
         raise ValueError(f"{path}: not a phase dataset file")
     if not records:
         raise ValueError(f"{path}: no records")
-    n_sites, J, seed = _fields(header, ("n_sites", "J", "seed"), "header")
+    n_sites, J, seed, count = _fields(
+        header, ("n_sites", "J", "seed", "count"), "header")
+    if count != len(records):
+        raise ValueError(f"{path}: header count {count!r} but "
+                         f"{len(records)} records")
     amplitudes, labels, ratios = zip(*(
         _fields(rec, ("amplitudes", "label", "h_over_j"), f"record {i}")
         for i, rec in enumerate(records, start=1)))

@@ -76,8 +76,6 @@ _SOME_FILE = str(dataset_mod.sonar_path())   # parse only: any file will do
     (["reduce", "--c", "inf"], "argument --c: 'inf': must be finite"),
     (["sweep-c", "--c-grid", "nan,0.004"],
      "argument --c-grid: 'nan': must be finite"),
-    (["tfim-gen", "--j", "nan"],
-     "argument --j: 'nan': must be finite and > 0"),
     (["tfim-gen", "--ratio-range", "0.2,inf"],
      "argument --ratio-range: 'inf': must be finite"),
     (["qcnn-train", "--lr", "-1"],
@@ -110,7 +108,6 @@ _SOME_FILE = str(dataset_mod.sonar_path())   # parse only: any file will do
      "argument --ratio-range: '0.2': need two values lo,hi"),
     (["tfim-gen", "--exclusion", "0.9,1.1,1.2"],
      "argument --exclusion: '0.9,1.1,1.2': need two values lo,hi"),
-    (["tfim-gen", "--j", "-1"], "argument --j: '-1': must be finite and > 0"),
     (["qsvm", "--seed", "-1"], "argument --seed: '-1': must be >= 0"),
     (["tfim-gen", "--seed", "-1"], "argument --seed: '-1': must be >= 0"),
     (["qcnn-train", "--seed", "-1"], "argument --seed: '-1': must be >= 0"),
@@ -130,6 +127,7 @@ _SOME_FILE = str(dataset_mod.sonar_path())   # parse only: any file will do
     (["qcnn-train", "--r", "1"],
      "argument --r: '1': does not map to an even reduced register"),
     (["reduce", "--folds", "4"], "unrecognized arguments: --folds 4"),
+    (["tfim-gen", "--j", "2"], "unrecognized arguments: --j 2"),
     (["tfim-gen", "--out-file", "x.jsonl"],
      "unrecognized arguments: --out-file x.jsonl"),
     (["qcnn-train", "--data", _SOME_FILE, "--ep", "3"],
@@ -145,22 +143,22 @@ _SOME_FILE = str(dataset_mod.sonar_path())   # parse only: any file will do
     (["qcnn-train", "--data", "absent.jsonl"],
      "argument --data: 'absent.jsonl': file not found"),
     (["qcnn-train"], "the following arguments are required: --data"),
-], ids=["reduce-c-nan", "reduce-c-inf", "sweep-c-grid-nan", "tfim-j-nan",
-        "tfim-ratio-inf", "qcnn-lr-negative", "qcnn-lr-nan", "qcnn-arms-empty",
+], ids=["reduce-c-nan", "reduce-c-inf", "sweep-c-grid-nan", "tfim-ratio-inf",
+        "qcnn-lr-negative", "qcnn-lr-nan", "qcnn-arms-empty",
         "qcnn-seeds-empty", "qsvm-gammas-empty", "tfim-count-zero",
         "tfim-count-odd", "tfim-n-sites-one", "qcnn-epochs-zero",
         "qcnn-batch-size-zero", "qsvm-gammas-negative", "qsvm-gammas-zero",
         "tfim-ratio-range-above-one", "tfim-exclusion-above-one",
         "tfim-ratio-range-negative", "tfim-ratio-range-one-item",
-        "tfim-exclusion-three-items", "tfim-j-negative", "qsvm-seed-negative",
+        "tfim-exclusion-three-items", "qsvm-seed-negative",
         "tfim-seed-negative", "qcnn-seed-negative", "qcnn-seeds-negative",
         "qcnn-seeds-repeated", "qcnn-arms-repeated", "sweep-c-grid-repeated",
         "sweep-c-grid-repeated-apart", "qsvm-gammas-repeated",
         "qsvm-gammas-repeated-after-conversion", "qcnn-r-one",
-        "reduce-folds-unknown", "tfim-out-file-unknown", "qcnn-abbreviated",
-        "qsvm-arm-bogus", "reduce-r-not-int", "reduce-c-not-float",
-        "qcnn-arms-unknown", "qsvm-dataset-absent", "qcnn-data-absent",
-        "qcnn-no-data"])
+        "reduce-folds-unknown", "tfim-j-unknown", "tfim-out-file-unknown",
+        "qcnn-abbreviated", "qsvm-arm-bogus", "reduce-r-not-int",
+        "reduce-c-not-float", "qcnn-arms-unknown", "qsvm-dataset-absent",
+        "qcnn-data-absent", "qcnn-no-data"])
 def test_bad_flag_values_exit_one_before_any_work(tmp_path, monkeypatch,
                                                   capsys, argv, cause):
     def generate(*args, **kwargs):
@@ -184,7 +182,6 @@ def test_bad_flag_values_exit_one_before_any_work(tmp_path, monkeypatch,
     (["qsvm"], "--gammas", "5e-324", [5e-324], "0"),
     (["tfim-gen"], "--n-sites", "2", 2, "1"),
     (["tfim-gen"], "--count", "2", 2, "1"),
-    (["tfim-gen"], "--j", "5e-324", 5e-324, "0"),
     (["qcnn-train", "--data", _SOME_FILE], "--r", "4", 4, "2"),
     (["qcnn-train", "--data", _SOME_FILE], "--r", "16", 16, "8"),
     (["qcnn-train", "--data", _SOME_FILE], "--epochs", "1", 1, "0"),
@@ -192,7 +189,7 @@ def test_bad_flag_values_exit_one_before_any_work(tmp_path, monkeypatch,
     (["qcnn-train", "--data", _SOME_FILE], "--seeds", "0", [0], "-1"),
     (["qcnn-train", "--data", _SOME_FILE], "--lr", "5e-324", 5e-324, "0"),
 ], ids=["seed", "reduce-r", "sweep-c-r", "qsvm-r", "folds", "gammas",
-        "n-sites", "count", "j", "qcnn-r-4", "qcnn-r-16", "epochs",
+        "n-sites", "count", "qcnn-r-4", "qcnn-r-16", "epochs",
         "batch-size", "seeds", "lr"])
 def test_each_bound_is_exact(capsys, argv, flag, lowest, parsed, below):
     # the lowest accepted value parses; the next value down exits 1
@@ -656,6 +653,20 @@ def test_qcnn_train_bad_record_exits_one_without_report(
     assert run_cli(["qcnn-train", "--data", bad, "--r", "4", "--arms", "mlp",
                     "--epochs", "1", "--batch-size", "4", "--out", out]) == 1
     assert cause in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_qcnn_train_truncated_data_exits_one_without_report(
+        tmp_path, tiny_phase_file, capsys):
+    # records are sorted by ratio, so a cut file would train on one phase
+    # more than the other
+    lines = tiny_phase_file.read_text().splitlines()
+    bad = tmp_path / "cut.jsonl"
+    bad.write_text("\n".join(lines[:7]) + "\n")
+    out = tmp_path / "out"
+    assert run_cli(["qcnn-train", "--data", bad, "--r", "4", "--arms", "mlp",
+                    "--epochs", "1", "--batch-size", "4", "--out", out]) == 1
+    assert "header count 8 but 6 records" in capsys.readouterr().err
     assert not out.exists()
 
 

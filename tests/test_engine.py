@@ -505,6 +505,27 @@ def test_admissible_rank_skips_degenerate_levels():
     assert admissible_rank(model, 3) == 1     # pair inside the targets
     with pytest.raises(ValueError, match="degenerate at the top"):
         admissible_rank(fit_pca(np.eye(4)), 4)
+    with pytest.raises(ValueError, match="degenerate at the top"):
+        admissible_rank(fit_pca(np.zeros((4, 4))), 4)     # no gap at all
+
+
+def test_rank_decisions_do_not_depend_on_the_data_scale(sonar_features):
+    # the spectrum scales as X^2, so degeneracy and the gap floor are
+    # relative to lambda_1: scaling X moves no pair and no rank
+    paired = _spectrum_matrix([3.0, 2.0, 2.0, 1.0])
+    ranks = {}
+    for scale in 10.0 ** np.arange(-5, 6):
+        for name, X, max_ranks in (("sonar", sonar_features, (2, 16, 60)),
+                                   ("paired", paired, (2, 3, 4))):
+            model = fit_pca(scale * X)
+            seen = (model.degenerate_pairs,
+                    [admissible_rank(model, m) for m in max_ranks])
+            assert ranks.setdefault(name, seen) == seen, (name, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # dephasing at the large scales
+            assert reduce_rows(scale * sonar_features, 4)[1].rank == 16
+    assert ranks["sonar"] == ([], [2, 16, 60])
+    assert ranks["paired"] == ([(1, 2)], [1, 1, 1])
 
 
 def test_reduce_rows_follow_the_target(rng):

@@ -37,8 +37,11 @@ def test_kron_single_and_empty():
 
 
 def test_is_hermitian():
-    assert is_hermitian(SIGMA_Y)
-    assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the deviation is measured against the matrix's own largest entry
+    for scale in (1.0, 1e-11, 1e-300, 1e11):
+        assert is_hermitian(scale * SIGMA_Y)
+        assert not is_hermitian(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert is_hermitian(np.zeros((3, 3)))
 
 
 def test_eig_diagonal():
@@ -64,6 +67,8 @@ def test_eig_reconstruction(rng):
 def test_eig_rejects_non_hermitian(rng):
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eig(rng.normal(size=(4, 4)))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eig(1e-11 * np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="square"):
         hermitian_eig(np.zeros((2, 3)))
 
@@ -103,9 +108,11 @@ def test_evolve_stack_matches_single_evolutions(rng):
     mats = evolve_spectral(d, 0.8, cols)
     assert vecs.shape == (3, 4) and mats.shape == (3, 4, 2)
     for k in range(3):
-        np.testing.assert_allclose(vecs[k], evolve_spectral(H[k], 0.8, e0),
+        single = hermitian_eig(H[k])
+        np.testing.assert_allclose(vecs[k], evolve_spectral(single, 0.8, e0),
                                    atol=1e-12)
-        np.testing.assert_allclose(mats[k], evolve_spectral(H[k], 0.8, cols[k]),
+        np.testing.assert_allclose(mats[k],
+                                   evolve_spectral(single, 0.8, cols[k]),
                                    atol=1e-12)
 
 
@@ -121,13 +128,14 @@ def _taylor_evolution(H, t, psi, terms=25):
 
 def test_evolve_zero_generator(rng):
     psi = rng.normal(size=4)
-    out = evolve_spectral(np.zeros((4, 4)), 2.7, psi)
+    out = evolve_spectral(hermitian_eig(np.zeros((4, 4))), 2.7, psi)
     np.testing.assert_allclose(out, psi, atol=1e-14)
 
 
 def test_evolve_sigma_y_rotation():
     # exp(-i sigma_y t)|0> = cos(t)|0> + sin(t)|1>; t = pi/4
-    out = evolve_spectral(SIGMA_Y, np.pi / 4, np.array([1.0, 0.0]))
+    out = evolve_spectral(hermitian_eig(SIGMA_Y), np.pi / 4,
+                          np.array([1.0, 0.0]))
     np.testing.assert_allclose(out, [np.cos(np.pi / 4), np.sin(np.pi / 4)],
                                atol=1e-12)
 
@@ -137,7 +145,7 @@ def test_evolve_matches_taylor_series(rng):
     H = (raw + raw.conj().T) / 2
     psi = rng.normal(size=16) + 1j * rng.normal(size=16)
     psi /= np.linalg.norm(psi)
-    out = evolve_spectral(H, 0.3, psi)
+    out = evolve_spectral(hermitian_eig(H), 0.3, psi)
     assert np.abs(out - _taylor_evolution(H, 0.3, psi)).max() <= 1e-8
 
 
@@ -149,5 +157,5 @@ def test_evolve_accepts_decomposition_and_columns(rng):
     out = evolve_spectral(d, 0.5, cols)
     for j in range(3):
         np.testing.assert_allclose(out[:, j],
-                                   evolve_spectral(H, 0.5, cols[:, j]),
+                                   evolve_spectral(d, 0.5, cols[:, j]),
                                    atol=1e-12)

@@ -651,6 +651,27 @@ def test_train_first_epoch_reduces_loss():
     assert result.history[0]["train_loss"] < before
 
 
+def test_train_reaches_the_functions_a_tracer_replaces(monkeypatch):
+    # a tracer (bench/spans.py) replaces these module attributes before a
+    # run, so train must look them up when it runs: one loss_and_grad per
+    # minibatch, and one logits, hence one prepare_lcu, for the training
+    # rows and one for the test rows per epoch
+    data = _toy_split()
+    cfg = TrainConfig(learning_rate=0.1, batch_size=3, epochs=4, seed=2)
+    plain = qcnn.train(QcnnModel.initial(2, 2), data, cfg)
+    calls = dict.fromkeys(("loss_and_grad", "logits", "prepare_lcu"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(qcnn, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(qcnn, name, counted)
+    traced = qcnn.train(QcnnModel.initial(2, 2), data, cfg)
+    batches = math.ceil(len(data.train_y) / cfg.batch_size)
+    assert calls == {"loss_and_grad": cfg.epochs * batches,
+                     "logits": 2 * cfg.epochs, "prepare_lcu": 2 * cfg.epochs}
+    assert traced.history == plain.history
+
+
 def test_train_deterministic_under_seed():
     data = _toy_split()
     cfg = TrainConfig(learning_rate=0.05, batch_size=4, epochs=3, seed=4)

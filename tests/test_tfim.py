@@ -359,7 +359,9 @@ def test_load_rejects_malformed_record(tmp_path, small_set, edit, cause):
     (lambda header: header.pop("n_sites"), "header: missing field 'n_sites'"),
     (lambda header: header.update(n_sites=3),
      "3 sites need 8 amplitudes per record, got 16"),
-], ids=["no-sites", "wrong-sites"])
+    (lambda header: header.pop("count"), "header: missing field 'count'"),
+    (lambda header: header.update(count=13), "header count 13 but 12 records"),
+], ids=["no-sites", "wrong-sites", "no-count", "count-above-records"])
 def test_load_rejects_malformed_header(tmp_path, small_set, edit, cause):
     path = tmp_path / "bad.jsonl"
     save_dataset(path, small_set)
