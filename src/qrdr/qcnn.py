@@ -274,9 +274,12 @@ class BranchStack:
         if require_finite(np.abs(Z), column="amplitude").shape[1] != 2 ** r:
             raise ValueError(f"state rows must have 2^{r} = {2 ** r} "
                              f"amplitudes, got {Z.shape[1]}")
-        return BranchStack(np.ascontiguousarray(
-            Z[:, branch_sources(r)[:9]].swapaxes(0, 1),
-            complex if np.iscomplexobj(Z) else float))
+        Z = Z.astype(complex if np.iscomplexobj(Z) else float, copy=False)
+        images = np.empty((9, *Z.shape), Z.dtype)
+        for k, source in enumerate(branch_sources(r)[:9]):
+            # the sources are in range; mode "raise" would buffer the output
+            np.take(Z, source, axis=1, out=images[k], mode="clip")
+        return BranchStack(images)
 
     def __getitem__(self, rows) -> "BranchStack":
         return BranchStack(np.take(self.images, rows, axis=1))

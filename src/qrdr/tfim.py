@@ -2,9 +2,12 @@
 
     H = -J sum_i Z_i Z_{i+1} + h sum_i X_i        (open boundary)
 
-Site 0 maps to the most significant bit of the computational index.  Ground
-states come from a matrix-free Lanczos run on the parity sector of the
-global spin flip, batched over fields (:func:`ground_state`); the dense
+The phase depends on h/J alone, so the chains here take J = 1 as the
+energy unit and a field h is the ratio h/J.  Site 0 maps to the most
+significant bit of the computational index.  Ground states come from a
+matrix-free Lanczos run on the parity sector of the global spin flip,
+batched over fields and continued in h: a field starts from the converged
+states of its nearest smaller fields (:func:`ground_state`).  The dense
 matrix (:func:`build_tfim`) is the reference the tests compare with.  The
 dataset pairs each ground state with the phase label of its coupling ratio
 (h/J > 1 paramagnetic, labelled +1; h/J < 1 ferromagnetic, labelled -1),
@@ -23,11 +26,9 @@ from .dataset import (load_jsonl, make_rng, require_finite, require_labels,
                       save_jsonl)
 
 
-def _validate(n_sites: int, J: float, h) -> None:
+def _validate(n_sites: int, h) -> None:
     if n_sites < 2:
         raise ValueError("need at least 2 sites for a coupling term")
-    if not 0 < J < np.inf:
-        raise ValueError(f"coupling J must be positive and finite, got {J}")
     h = np.ravel(h)
     bad = ~((0 <= h) & (h < np.inf))
     if bad.any():
@@ -35,14 +36,14 @@ def _validate(n_sites: int, J: float, h) -> None:
                          f"{h[bad][0]}")
 
 
-def build_tfim(n_sites: int, J: float = 1.0, h: float = 1.0) -> np.ndarray:
+def build_tfim(n_sites: int, h: float = 1.0) -> np.ndarray:
     """Dense open-chain Hamiltonian matrix, dimension 2^n_sites."""
-    _validate(n_sites, J, h)
+    _validate(n_sites, h)
     s = np.arange(2 ** n_sites)
     # z[s, i] = +/-1: the Z eigenvalue of site i (bit n - 1 - i) in state s
     z = 1 - 2 * ((s[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1)
     H = np.zeros((s.size, s.size))
-    H[s, s] = -J * (z[:, :-1] * z[:, 1:]).sum(axis=1)
+    H[s, s] = -(z[:, :-1] * z[:, 1:]).sum(axis=1)
     for i in range(n_sites):
         H[s ^ (1 << (n_sites - 1 - i)), s] = h
     return H
@@ -66,93 +67,107 @@ class GroundState:
 
 # fields solved together in one Lanczos run.  A block's Krylov basis holds
 # block x steps x 2^(n-1) floats; at 8 sites all 200 fields of a dataset in
-# one block raise the peak RSS of tfim-gen by 30%, 25 keep it level
+# one block raise the peak RSS of tfim-gen by 30%, 25 keep it level, and 50
+# are no faster but cost 2.6 MB more
 _BLOCK = 25
 
-# steps between Ritz-residual checks.  Each check eigendecomposes every
-# field's tridiagonal matrix and costs more than a Lanczos step: checking
-# every step takes 2.5 times as long at 8 sites, and the few steps a check
-# can overshoot only tighten the result
+# steps between Ritz-residual checks.  A check (an eigvalsh and two solves
+# of each running field's tridiagonal matrix) costs about three Lanczos steps
+# at 8 sites; checking every 8 steps is 9% faster there but 10% slower at 12
+# sites, and the few steps a check can overshoot only tighten the result
 _CHECK_EVERY = 6
 
-# residual bound ||H psi - E psi|| relative to J (n - 1) + h n >= ||H||
+# residual bound ||H psi - E psi|| relative to (n - 1) + h n >= ||H||
 _RESIDUAL_TOL = 1e-12
 
 
-def _sector(n_sites: int, J: float):
+def _sector(n_sites: int):
     """The chain on the parity-sector basis (|r> + eta |~r>)/sqrt(2), r <
     2^(n-1): the ZZ diagonal, the index each site's flip sends r to, and
     (-1)^popcount(r), the all-minus product state of the sector."""
     half = 2 ** (n_sites - 1)
     r = np.arange(half)
     z = 1 - 2 * ((r[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1)
-    diag = -J * (z[:, :-1] * z[:, 1:]).sum(axis=1)
+    diag = -(z[:, :-1] * z[:, 1:]).sum(axis=1)
     # only site 0's flip sets the top bit, and r ^ 2^(n-1) is the complement
     # of r ^ (2^(n-1) - 1): that flip folds back with sign eta
     masks = [half - 1] + [1 << (n_sites - 1 - i) for i in range(1, n_sites)]
     return diag, r ^ np.array(masks)[:, None], z.prod(axis=1)
 
 
-def _lanczos(diag, flips, start, eta: int, fields, bound):
+def _lanczos(diag, flips, eta: int, fields, start, bound):
     """Lowest eigenpairs of diag + h X on the sector, one per field, by one
-    Lanczos run with full reorthogonalisation that is batched over fields.
+    Lanczos run with full reorthogonalisation that is batched over fields;
+    ``start`` holds each field's unit start vector, or one for all.
 
-    A field stops at the first check where its Ritz residual
-    |beta_k s_k0| is at most half its ``bound``; the Krylov space closes
-    early (beta = 0) at the size of the reflection-even subspace, which a
-    check then catches.  Raises if an assembled residual exceeds ``bound``.
+    A field stops at the first check where its Ritz residual |beta_k s_k|
+    is at most half its ``bound``, s being the lowest eigenvector of its
+    tridiagonal matrix T.  A check takes the lowest eigenvalue theta of T
+    and then s by two solves of (T - sigma) x = x', from x' = e_0, with
+    sigma = theta - bound: T - sigma is positive definite, so only the
+    lowest pair can grow, and s_0 > 0 (the Ritz vector overlaps the start
+    positively).  The Krylov space closes early (beta = 0) at the size of
+    the reflection-even subspace, which a check then catches.  Raises if
+    an assembled residual exceeds ``bound``.
     """
     count, dim = fields.size, diag.size
 
-    def apply(V):
+    def apply(V, h):
         G = V[:, flips]
         G[:, 0] *= eta
-        return diag * V + fields[:, None] * G.sum(axis=1)
+        return diag * V + h[:, None] * G.sum(axis=1)
 
-    # room for the 30-40 steps of an 8-site chain, doubled when full
+    # room for the 18-36 steps of an 8-site chain, doubled when full
     basis = np.empty((count, min(dim, 48), dim))
-    basis[:, 0] = start / np.sqrt(dim)
+    basis[:, 0] = start
     alpha, beta = np.zeros((count, dim)), np.zeros((count, dim))
     energy, vectors = np.zeros(count), np.zeros((count, dim))
-    running = np.ones(count, dtype=bool)
+    live = np.arange(count)   # the field of each row still running
     for k in range(dim):
         q, Q = basis[:, k], basis[:, :k + 1]
-        w = apply(q)
+        w = apply(q, fields[live])
         alpha[:, k] = np.einsum("bd,bd->b", q, w)
         for _ in range(2):   # Gram-Schmidt against the whole basis, twice
             w -= np.matmul(np.matmul(Q, w[:, :, None]).transpose(0, 2, 1),
                            Q)[:, 0]
         beta[:, k] = np.sqrt(np.einsum("bd,bd->b", w, w))
         if ((k + 1) % _CHECK_EVERY == 0 or k + 1 == dim
-                or (beta[running, k] <= bound[running] / 2).any()):
-            idx = np.flatnonzero(running)
+                or (beta[:, k] <= bound[live] / 2).any()):
             i = np.arange(k + 1)
-            T = np.zeros((idx.size, k + 1, k + 1))
-            T[:, i, i] = alpha[idx, :k + 1]
-            T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = beta[idx, :k]
-            theta, S = np.linalg.eigh(T)
-            done = np.abs(beta[idx, k] * S[:, -1, 0]) <= bound[idx] / 2
-            idx = idx[done]
-            energy[idx] = theta[done, 0]
-            vectors[idx] = np.matmul(S[done, None, :, 0],
-                                     basis[idx, :k + 1])[:, 0]
-            running[idx] = False
-        if not running.any() or k + 1 == dim:
+            T = np.zeros((live.size, k + 1, k + 1))
+            T[:, i, i] = alpha[:, :k + 1]
+            T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = beta[:, :k]
+            theta = np.linalg.eigvalsh(T)[:, 0]
+            T[:, i, i] -= (theta - bound[live])[:, None]
+            s = np.zeros((live.size, k + 1, 1))
+            s[:, 0] = 1.0
+            for _ in range(2):
+                s = np.linalg.solve(T, s)
+                s /= np.linalg.norm(s, axis=1, keepdims=True)
+            done = np.abs(beta[:, k] * s[:, -1, 0]) <= bound[live] / 2
+            if done.any():
+                energy[live[done]] = theta[done]
+                vectors[live[done]] = np.matmul(s[done].transpose(0, 2, 1),
+                                                Q[done])[:, 0]
+                # the finished fields leave the run
+                live, basis, alpha, beta, w = (
+                    a[~done] for a in (live, basis, alpha, beta, w))
+        if not live.size or k + 1 == dim:
             break
         if k + 1 == basis.shape[1]:
             basis = np.concatenate([basis, np.empty_like(basis)], axis=1)
         basis[:, k + 1] = w / np.where(beta[:, k] > 0, beta[:, k], 1)[:, None]
-    residual = np.linalg.norm(apply(vectors) - energy[:, None] * vectors,
-                              axis=1)
-    if running.any() or (residual > bound).any():
-        worst = np.argmax(np.where(running, np.inf, residual / bound))
+    residual = np.linalg.norm(
+        apply(vectors, fields) - energy[:, None] * vectors, axis=1)
+    if live.size or (residual > bound).any():
+        worst = live[0] if live.size else np.argmax(residual / bound)
         raise RuntimeError(f"Lanczos did not converge at h = {fields[worst]}: "
                            f"residual {residual[worst]:.2e} above "
                            f"{bound[worst]:.2e}")
     return energy, vectors
 
 
-def ground_state(n_sites: int, J: float, h) -> GroundState:
+def ground_state(n_sites: int, h) -> GroundState:
     """Ground state of the chain for one field ``h`` or for each field of a
     1-D array, real with a deterministic global sign (the largest
     |amplitude| is positive).
@@ -161,8 +176,16 @@ def ground_state(n_sites: int, J: float, h) -> GroundState:
     prod_i X_i = (-1)^n_sites, which the result has exactly.  At h = 0 the
     two fully polarised states are exactly degenerate and no unique ground
     state exists, so a zero field raises.
+
+    The fields are solved as a continuation in h.  Sorted, they are dealt
+    into B = ceil(count / _BLOCK) strided blocks, block b holding sorted
+    fields b, b + B, b + 2B, ...  Block 0 starts from the all-minus product
+    state of the sector.  In a later block each field starts from the
+    converged state of its neighbour below, in block b - 1, extrapolated
+    linearly in h through the next one down, in block b - 2.  A single
+    field is one cold-started block.  Results come in the caller's order.
     """
-    _validate(n_sites, J, h)
+    _validate(n_sites, h)
     fields = np.asarray(h, dtype=float)
     if fields.ndim > 1:
         raise ValueError(f"h must be one field or a 1-D array of fields, "
@@ -174,18 +197,34 @@ def ground_state(n_sites: int, J: float, h) -> GroundState:
             "exactly doubly degenerate, no unique phase representative exists"
         )
     eta = (-1) ** n_sites
-    diag, flips, start = _sector(n_sites, J)
+    diag, flips, product = _sector(n_sites)
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    blocks = -(-flat.size // _BLOCK)
     energy = np.empty(flat.size)
     amplitudes = np.empty((flat.size, 2 ** n_sites))
-    for lo in range(0, flat.size, _BLOCK):
-        block = flat[lo:lo + _BLOCK]
-        bound = _RESIDUAL_TOL * (J * (n_sites - 1) + block * n_sites)
-        e, y = _lanczos(diag, flips, start, eta, block, bound)
-        peak = y[np.arange(block.size), np.argmax(np.abs(y), axis=1)]
-        y *= np.sign(peak)[:, None]
-        energy[lo:lo + _BLOCK] = e
-        amplitudes[lo:lo + _BLOCK] = np.concatenate([y, eta * y[:, ::-1]],
-                                                    axis=1) / np.sqrt(2.0)
+    below = further = None      # the converged states of blocks b-1, b-2
+    for b in range(blocks):
+        pos = np.arange(b, flat.size, blocks)
+        block = ordered[pos]
+        if b == 0:
+            start = product / np.sqrt(diag.size)
+        else:
+            start = below[:pos.size]
+        if b > 1:
+            # the secant through the two converged neighbours below
+            h1, h0 = ordered[pos - 1], ordered[pos - 2]
+            step = (block - h1) / np.where(h1 > h0, h1 - h0, np.inf)
+            start = start + step[:, None] * (start - further[:pos.size])
+            start /= np.linalg.norm(start, axis=1, keepdims=True)
+        bound = _RESIDUAL_TOL * (n_sites - 1 + block * n_sites)
+        e, y = _lanczos(diag, flips, eta, block, start, bound)
+        further, below = below, y
+        peak = y[np.arange(pos.size), np.argmax(np.abs(y), axis=1)]
+        y = y * np.sign(peak)[:, None]
+        energy[order[pos]] = e
+        amplitudes[order[pos]] = np.concatenate([y, eta * y[:, ::-1]],
+                                                axis=1) / np.sqrt(2.0)
     if fields.ndim == 0:
         return GroundState(energy=float(energy[0]), amplitudes=amplitudes[0])
     return GroundState(energy=energy, amplitudes=amplitudes)
@@ -195,9 +234,9 @@ def ground_state(n_sites: int, J: float, h) -> GroundState:
 class TfimDataset:
     """Ground-state amplitudes with phase labels, sorted by ratio h/J.
 
-    Each record holds 2^n_sites finite real amplitudes and a +1/-1 label;
-    the first bad value is rejected, naming its 1-based record (and
-    amplitude).
+    Each record holds 2^n_sites finite real amplitudes and the +1/-1 label
+    of its ratio; the first bad value is rejected, naming its 1-based
+    record (and amplitude).
     """
 
     features: np.ndarray   # (count, 2^n_sites) real amplitudes
@@ -215,6 +254,12 @@ class TfimDataset:
                              f"amplitudes per record, got "
                              f"{self.features.shape[1]}")
         self.labels = require_labels(self.labels, self.count, "record")
+        self.ratios = np.asarray(self.ratios, dtype=float)
+        bad = np.flatnonzero(self.labels != np.where(self.ratios > 1, 1, -1))
+        if bad.size:
+            raise ValueError(f"record {bad[0] + 1}: label "
+                             f"{self.labels[bad[0]]:+d} contradicts h/J = "
+                             f"{self.ratios[bad[0]]} (+1 exactly when h/J > 1)")
 
     @property
     def count(self) -> int:
@@ -248,7 +293,7 @@ def generate_dataset(n_sites: int = 8, count: int = 200, seed: int = 7,
         rng.uniform(ex_hi, hi, half),
     ])
     ratios.sort()
-    features = ground_state(n_sites, 1.0, ratios).amplitudes
+    features = ground_state(n_sites, ratios).amplitudes
     labels = np.where(ratios > 1.0, 1, -1)
     return TfimDataset(
         features=features,
@@ -276,7 +321,7 @@ def save_dataset(path, ds: TfimDataset) -> None:
         {
             "h_over_j": float(ds.ratios[i]),
             "label": int(ds.labels[i]),
-            "amplitudes": [float(a) for a in ds.features[i]],
+            "amplitudes": ds.features[i].tolist(),
         }
         for i in range(ds.count)
     )

@@ -74,8 +74,8 @@ def _check_svm_separable():
 
 
 def _check_tfim_symmetry():
-    gs = tfim.ground_state(4, 1.0, 0.8)
-    e0 = np.linalg.eigvalsh(tfim.build_tfim(4, 1.0, 0.8))[0]
+    gs = tfim.ground_state(4, 0.8)
+    e0 = np.linalg.eigvalsh(tfim.build_tfim(4, 0.8))[0]
     _check(abs(gs.energy - e0) <= 1e-12, f"energy {gs.energy} vs {e0}")
     # prod_i X_i reverses the computational index; the parity at 4 sites is +1
     _check(np.array_equal(gs.amplitudes[::-1], gs.amplitudes),

@@ -157,10 +157,10 @@ def test_criterion_08_tfim_brute_force_agreement():
     for n in (2, 4):
         parity = tfim.parity_operator(n)
         for h in (0.5, 1.0, 2.0):
-            ours = tfim.ground_state(n, 1.0, h).energy
+            ours = tfim.ground_state(n, h).energy
             ref = np.linalg.eigvalsh(dense(n, 1.0, h))[0]
             assert abs(ours - ref) <= 1e-10, f"n={n} h={h}: {ours} vs {ref}"
-            H = tfim.build_tfim(n, 1.0, h)
+            H = tfim.build_tfim(n, h)
             assert np.abs(H @ parity - parity @ H).max() <= 1e-12
 
 

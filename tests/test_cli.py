@@ -640,7 +640,9 @@ def test_qcnn_train_non_finite_data_exits_one_without_report(
 @pytest.mark.parametrize("edit, cause", [
     (lambda rec: rec.update(label=0), "data: record 3: label 0 is not +1/-1"),
     (lambda rec: rec.pop("label"), "data: record 3: missing field 'label'"),
-], ids=["label-0", "no-label"])
+    (lambda rec: rec.update(label=1),
+     "data: record 3: label +1 contradicts h/J = 0.7042627587765704"),
+], ids=["label-0", "no-label", "label-against-ratio"])
 def test_qcnn_train_bad_record_exits_one_without_report(
         tmp_path, tiny_phase_file, capsys, edit, cause):
     lines = tiny_phase_file.read_text().splitlines()
@@ -776,9 +778,9 @@ def test_verify_z2_check_reads_the_shipped_solver(monkeypatch):
 
     solve = tfim.ground_state
 
-    def broken(n_sites, J, h):
+    def broken(n_sites, h):
         # the exact ground state with its parity broken in the last digit
-        gs = solve(n_sites, J, h)
+        gs = solve(n_sites, h)
         gs.amplitudes[0] *= 1 + 1e-15
         return gs
 
@@ -794,8 +796,8 @@ from qrdr import tfim, verify
 
 solve = tfim.ground_state
 
-def broken(n_sites, J, h):
-    gs = solve(n_sites, J, h)
+def broken(n_sites, h):
+    gs = solve(n_sites, h)
     gs.amplitudes[0] *= 1 + 1e-15
     return gs
 
@@ -839,18 +841,39 @@ for argv in (["reduce", "--r", "16", "--c", "0.004"], ["sweep-c", "--r", "16"],
 """
 
 
-def test_sonar_outputs_are_the_same_at_one_and_two_blas_threads(tmp_path):
-    # the byte-identity claim holds across BLAS thread counts for the sonar
-    # steps; qcnn-train's is not covered (README "Reproducibility")
+_TFIM_STEPS = """
+import sys
+from qrdr import cli
+
+sys.exit(cli.main(["tfim-gen", "--n-sites", "8", "--count", "200",
+                   "--out", sys.argv[1]]))
+"""
+
+
+def _trees_at_one_and_two_blas_threads(tmp_path, steps):
+    # the files that ``steps`` writes, run in a fresh interpreter at
+    # OPENBLAS_NUM_THREADS=1 and at =2
     trees = []
     for threads in ("1", "2"):
         out = tmp_path / threads
-        proc = _python("-c", _SONAR_STEPS, str(out),
-                       OPENBLAS_NUM_THREADS=threads)
+        proc = _python("-c", steps, str(out), OPENBLAS_NUM_THREADS=threads)
         assert proc.returncode == 0, proc.stderr
         trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    return trees
+
+
+def test_sonar_outputs_are_the_same_at_one_and_two_blas_threads(tmp_path):
+    # the byte-identity claim holds across BLAS thread counts for the sonar
+    # steps; qcnn-train's is not covered (README "Reproducibility")
+    trees = _trees_at_one_and_two_blas_threads(tmp_path, _SONAR_STEPS)
     assert sorted(trees[0]) == ["report_qsvm.json", "report_reduce.json",
                                 "report_sweep_c.json", "sweep_c_r16.csv"]
+    assert trees[1] == trees[0]
+
+
+def test_phase_file_is_the_same_at_one_and_two_blas_threads(tmp_path):
+    trees = _trees_at_one_and_two_blas_threads(tmp_path, _TFIM_STEPS)
+    assert sorted(trees[0]) == ["report_tfim_gen.json", "tfim_phase.jsonl"]
     assert trees[1] == trees[0]
 
 

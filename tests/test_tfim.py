@@ -1,8 +1,11 @@
+import functools
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrdr.tfim import (TfimDataset, build_tfim, generate_dataset,
                        ground_state, load_dataset, parity_operator,
@@ -21,11 +24,11 @@ def _site_operator(op, i, n):
     return out
 
 
-def _chain_oracle(n, J, h):
+def _chain_oracle(n, h):
     dim = 2 ** n
     H = np.zeros((dim, dim))
     for i in range(n - 1):
-        H -= J * _site_operator(PAULI_Z, i, n) @ _site_operator(PAULI_Z, i + 1, n)
+        H -= _site_operator(PAULI_Z, i, n) @ _site_operator(PAULI_Z, i + 1, n)
     for i in range(n):
         H += h * _site_operator(PAULI_X, i, n)
     return H
@@ -36,27 +39,26 @@ def _chain_oracle(n, J, h):
 
 
 def test_two_site_classical_spectrum():
-    w = np.linalg.eigvalsh(build_tfim(2, J=1.0, h=1e-300))
+    w = np.linalg.eigvalsh(build_tfim(2, h=1e-300))
     np.testing.assert_allclose(w, [-1.0, -1.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_matrix_matches_kron_oracle():
-    for n, J, h in [(2, 1.0, 0.5), (3, 1.0, 1.0), (3, 2.0, 0.3),
-                    (4, 1.0, 2.0), (4, 0.7, 1.3)]:
-        np.testing.assert_allclose(build_tfim(n, J, h), _chain_oracle(n, J, h),
+    for n, h in [(2, 0.5), (3, 1.0), (3, 0.3 / 2.0), (4, 2.0), (4, 1.3 / 0.7)]:
+        np.testing.assert_allclose(build_tfim(n, h), _chain_oracle(n, h),
                                    atol=1e-12)
 
 
-def _loop_build_tfim(n, J, h):
+def _loop_build_tfim(n, h):
     # the per-state loop that build_tfim vectorises, kept as its reference
     H = np.zeros((2 ** n, 2 ** n))
     for s in range(2 ** n):
-        zz = 0.0
+        zz = 0
         for i in range(n - 1):
             za = 1 - 2 * ((s >> (n - 1 - i)) & 1)
             zb = 1 - 2 * ((s >> (n - 2 - i)) & 1)
             zz += za * zb
-        H[s, s] = -J * zz
+        H[s, s] = -zz
         for i in range(n):
             H[s ^ (1 << (n - 1 - i)), s] += h
     return H
@@ -64,22 +66,22 @@ def _loop_build_tfim(n, J, h):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 10])
 def test_matrix_equals_per_state_loop_bit_for_bit(n):
-    for J, h in [(1.0, 1.0), (1.0, 0.0), (0.7, 1.3), (2.5, 0.37)]:
-        built, ref = build_tfim(n, J, h), _loop_build_tfim(n, J, h)
+    for h in [1.0, 0.0, 1.3 / 0.7, 0.37 / 2.5]:
+        built, ref = build_tfim(n, h), _loop_build_tfim(n, h)
         assert np.array_equal(built, ref)
         assert np.array_equal(np.signbit(built), np.signbit(ref))
 
 
 def test_open_boundary_has_no_wrap_term():
-    # closing the chain would add -J Z_0 Z_{n-1}, turning +2 into +1 here
-    H = build_tfim(3, J=1.0, h=1e-300)
+    # closing the chain would add -Z_0 Z_{n-1}, turning +2 into +1 here
+    H = build_tfim(3, h=1e-300)
     assert H[0b101, 0b101] == pytest.approx(2.0)   # two frustrated bonds
     assert H[0b000, 0b000] == pytest.approx(-2.0)  # two aligned bonds
 
 
 def test_parity_symmetry():
     for n, h in [(2, 0.5), (4, 1.0), (5, 2.0)]:
-        H = build_tfim(n, 1.0, h)
+        H = build_tfim(n, h)
         P = parity_operator(n)
         assert np.abs(H @ P - P @ H).max() <= 1e-12
         np.testing.assert_allclose(P @ P, np.eye(2 ** n), atol=1e-12)
@@ -87,27 +89,22 @@ def test_parity_symmetry():
 
 def test_validation_errors():
     with pytest.raises(ValueError, match="at least 2 sites"):
-        build_tfim(1, 1.0, 1.0)
-    with pytest.raises(ValueError, match="J"):
-        build_tfim(2, 0.0, 1.0)
+        build_tfim(1, 1.0)
     with pytest.raises(ValueError, match="h"):
-        build_tfim(2, 1.0, -0.5)
+        build_tfim(2, -0.5)
     with pytest.raises(ValueError,
                        match="field h must be non-negative and finite, got -1.0"):
-        ground_state(4, 1.0, np.array([0.5, -1.0]))
+        ground_state(4, np.array([0.5, -1.0]))
     with pytest.raises(ValueError, match="1-D array of fields"):
-        ground_state(4, 1.0, np.ones((2, 2)))
+        ground_state(4, np.ones((2, 2)))
 
 
-@pytest.mark.parametrize("J, h, cause", [
-    (np.nan, 1.0, "coupling J"), (np.inf, 1.0, "coupling J"),
-    (1.0, np.nan, "field h"), (1.0, np.inf, "field h"),
-])
-def test_validation_rejects_non_finite_parameters(J, h, cause):
-    with pytest.raises(ValueError, match=f"{cause} must be .* finite"):
-        build_tfim(2, J, h)
-    with pytest.raises(ValueError, match=f"{cause} must be .* finite"):
-        ground_state(2, J, h)
+@pytest.mark.parametrize("h", [np.nan, np.inf])
+def test_validation_rejects_non_finite_parameters(h):
+    with pytest.raises(ValueError, match="field h must be .* finite"):
+        build_tfim(2, h)
+    with pytest.raises(ValueError, match="field h must be .* finite"):
+        ground_state(2, h)
 
 
 # ---------------------------------------------------------------------------
@@ -116,30 +113,30 @@ def test_validation_rejects_non_finite_parameters(J, h, cause):
 
 def test_ground_state_matches_dense_solver():
     for n, h in [(2, 0.5), (4, 2.0)]:
-        gs = ground_state(n, 1.0, h)
-        w = np.linalg.eigvalsh(_chain_oracle(n, 1.0, h))
+        gs = ground_state(n, h)
+        w = np.linalg.eigvalsh(_chain_oracle(n, h))
         assert gs.energy == pytest.approx(w[0], abs=1e-12)
         assert np.linalg.norm(gs.amplitudes) == pytest.approx(1.0)
-        resid = _chain_oracle(n, 1.0, h) @ gs.amplitudes - gs.energy * gs.amplitudes
+        resid = _chain_oracle(n, h) @ gs.amplitudes - gs.energy * gs.amplitudes
         assert np.abs(resid).max() <= 1e-10
 
 
 def test_ground_state_sign_and_determinism():
-    a = ground_state(4, 1.0, 0.8)
-    b = ground_state(4, 1.0, 0.8)
+    a = ground_state(4, 0.8)
+    b = ground_state(4, 0.8)
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
     assert a.amplitudes[np.argmax(np.abs(a.amplitudes))] > 0
 
 
 def test_zero_field_rejected():
     with pytest.raises(ValueError, match="doubly degenerate"):
-        ground_state(3, 1.0, 0.0)
+        ground_state(3, 0.0)
     with pytest.raises(ValueError,
                        match=r"h = 0 \(field 2\).*doubly degenerate"):
-        ground_state(4, 1.0, np.array([0.5, 1.2, 0.0, 1.5]))
+        ground_state(4, np.array([0.5, 1.2, 0.0, 1.5]))
 
 
-def _sector_oracle(n, J, h):
+def _sector_oracle(n, h):
     # dense eigh of build_tfim on the basis (|r> + eta |~r>)/sqrt(2), r <
     # 2^(n-1), of parity eta = (-1)^n; the state lifted back and signed
     eta = (-1) ** n
@@ -147,17 +144,17 @@ def _sector_oracle(n, J, h):
     B = np.zeros((2 ** n, half))
     B[np.arange(half), np.arange(half)] = 1 / np.sqrt(2)
     B[np.arange(half) ^ (2 ** n - 1), np.arange(half)] = eta / np.sqrt(2)
-    w, U = np.linalg.eigh(B.T @ build_tfim(n, J, h) @ B)
+    w, U = np.linalg.eigh(B.T @ build_tfim(n, h) @ B)
     psi = B @ U[:, 0]
     return w[0], psi * np.sign(psi[np.argmax(np.abs(psi))])
 
 
 def test_ground_states_match_dense_sector_solver_at_8_sites():
     fields = np.array([0.05, 0.2, 0.6, 0.95, 1.0, 1.05, 1.4, 1.8, 6.0])
-    gs = ground_state(8, 1.0, fields)
+    gs = ground_state(8, fields)
     assert gs.amplitudes.shape == (fields.size, 256)
     for i, h in enumerate(fields):
-        energy, psi = _sector_oracle(8, 1.0, h)
+        energy, psi = _sector_oracle(8, h)
         assert abs(gs.energy[i] - energy) <= 1e-10
         assert np.abs(gs.amplitudes[i] - psi).max() <= 1e-10
 
@@ -165,13 +162,13 @@ def test_ground_states_match_dense_sector_solver_at_8_sites():
 @pytest.mark.parametrize("n", range(2, 10))
 def test_ground_states_have_exact_parity(n):
     # for h > 0 the ground state has prod_i X_i = (-1)^n, odd n included
-    fields = np.array([0.1, 0.9, 1.1, 3.0])
-    gs = ground_state(n, 0.8, fields)
+    fields = np.array([0.1, 0.9, 1.1, 3.0]) / 0.8
+    gs = ground_state(n, fields)
     P = parity_operator(n)
     for h, energy, psi in zip(fields, gs.energy, gs.amplitudes):
         assert np.array_equal(P @ psi, (-1) ** n * psi)
         assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
-        H = build_tfim(n, 0.8, h)
+        H = build_tfim(n, h)
         assert energy == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-12)
         assert np.abs(H @ psi - energy * psi).max() <= 1e-10
 
@@ -179,25 +176,57 @@ def test_ground_states_have_exact_parity(n):
 def test_energy_matches_free_fermion_solution_at_12_sites():
     # the open chain maps to free fermions whose single-particle energies
     # are twice the singular values of the bidiagonal M (h on the
-    # diagonal, J above it): E0 = -sum_k sigma_k(M)
-    n, J = 12, 1.0
+    # diagonal, J = 1 above it): E0 = -sum_k sigma_k(M)
+    n = 12
     fields = np.array([0.3, 0.95, 1.05, 1.7])
-    gs = ground_state(n, J, fields)
+    gs = ground_state(n, fields)
     for h, energy in zip(fields, gs.energy):
-        M = np.diag(np.full(n, h)) + np.diag(np.full(n - 1, J), 1)
+        M = np.diag(np.full(n, h)) + np.diag(np.ones(n - 1), 1)
         oracle = -np.linalg.svd(M, compute_uv=False).sum()
         assert abs(energy - oracle) <= 1e-9
 
 
 def test_field_array_agrees_with_one_field_at_a_time():
-    # 30 fields span two solver blocks
-    fields = np.linspace(0.2, 1.8, 30)
-    gs = ground_state(6, 1.0, fields)
+    # 62 fields in an order that jumps between small and large ones span
+    # three solver blocks, so some fields start from a neighbour's state
+    # and some from the secant through two; 1.8 appears twice
+    grid = np.linspace(0.2, 1.8, 57)
+    fields = np.concatenate([[0.05, 6.0, 0.95, 1.05, 1.8],
+                             grid[np.arange(57) * 23 % 57]])
+    gs = ground_state(6, fields)
     for i, h in enumerate(fields):
-        one = ground_state(6, 1.0, h)
+        one = ground_state(6, h)
         assert isinstance(one.energy, float) and one.amplitudes.shape == (64,)
         assert abs(one.energy - gs.energy[i]) <= 1e-12
         assert np.abs(one.amplitudes - gs.amplitudes[i]).max() <= 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_ground_energy(n, k):
+    # the lowest eigenvalue of the dense matrix at h = k/8.  H commutes with
+    # the flip r -> ~r, so on the bases (|r> +/- |~r>)/sqrt(2), r < 2^(n-1),
+    # it splits exactly into the two parity blocks H[r, r'] +/- H[r, ~r']
+    H = build_tfim(n, k / 8)
+    half = 2 ** (n - 1)
+    same, flipped = H[:half, :half], H[:half, half:][:, ::-1]
+    return min(np.linalg.eigvalsh(same + flipped)[0],
+               np.linalg.eigvalsh(same - flipped)[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 10),
+       steps=st.lists(st.integers(1, 48), min_size=26, max_size=76))
+def test_every_continued_state_is_the_ground_state(n, steps):
+    # 26 to 76 fields on the grid k/8 in (0, 6], repeats included, in the
+    # drawn order, span two to four blocks: no warm start may settle on an
+    # excited state of the sector
+    fields = np.array(steps) / 8
+    gs = ground_state(n, fields)
+    for k, h, energy, psi in zip(steps, fields, gs.energy, gs.amplitudes):
+        assert abs(energy - _dense_ground_energy(n, k)) <= 1e-12
+        assert np.array_equal(psi[::-1], (-1) ** n * psi)
+        residual = build_tfim(n, h) @ psi - energy * psi
+        assert np.linalg.norm(residual) <= 1e-12 * (n - 1 + h * n)
 
 
 def test_unconverged_solve_raises(monkeypatch):
@@ -205,7 +234,7 @@ def test_unconverged_solve_raises(monkeypatch):
 
     monkeypatch.setattr(tfim, "_RESIDUAL_TOL", -1.0)   # no residual meets it
     with pytest.raises(RuntimeError, match="Lanczos did not converge"):
-        ground_state(4, 1.0, 0.8)
+        ground_state(4, 0.8)
 
 
 def test_dataset_at_4_sites_survives_early_krylov_closure():
@@ -214,7 +243,7 @@ def test_dataset_at_4_sites_survives_early_krylov_closure():
     ds = generate_dataset(n_sites=4)
     assert ds.count == 200 and np.isfinite(ds.features).all()
     for h, psi in zip(ds.ratios, ds.features):
-        H = build_tfim(4, 1.0, h)
+        H = build_tfim(4, h)
         energy = psi @ H @ psi
         assert np.abs(H @ psi - energy * psi).max() <= 1e-10
         assert energy == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-12)
@@ -222,7 +251,7 @@ def test_dataset_at_4_sites_survives_early_krylov_closure():
 
 def test_high_field_limit_is_minus_product():
     # ground state of +h sum X_i: every site in the -1 eigenstate of X
-    gs = ground_state(4, 1.0, 50.0)
+    gs = ground_state(4, 50.0)
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
     target = minus
     for _ in range(3):
@@ -343,10 +372,13 @@ def _edit_record(path, line, edit):
 @pytest.mark.parametrize("edit, cause", [
     (lambda rec: rec.update(label=0), "record 4: label 0 is not +1/-1"),
     (lambda rec: rec.update(label=2.5), "record 4: label 2.5 is not +1/-1"),
+    (lambda rec: rec.update(label=1), "record 4: label +1 contradicts "
+     "h/J = 0.6680562329928319 (+1 exactly when h/J > 1)"),
     (lambda rec: rec.pop("label"), "record 4: missing field 'label'"),
     (lambda rec: rec.pop("amplitudes"), "record 4: missing field 'amplitudes'"),
     (lambda rec: rec.pop("h_over_j"), "record 4: missing field 'h_over_j'"),
-], ids=["label-0", "label-2.5", "no-label", "no-amplitudes", "no-ratio"])
+], ids=["label-0", "label-2.5", "label-against-ratio", "no-label",
+        "no-amplitudes", "no-ratio"])
 def test_load_rejects_malformed_record(tmp_path, small_set, edit, cause):
     path = tmp_path / "bad.jsonl"
     save_dataset(path, small_set)
