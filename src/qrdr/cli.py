@@ -96,13 +96,14 @@ def build_parser() -> _Parser:
     Each flag's type holds its own rule, which string defaults pass
     through too.  Flags cannot be abbreviated, so a prefix of a flag is
     rejected rather than read as the flag."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_at_least(0), default=7,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_at_least(0), default=7,
                         help="base random seed (default 7)")
-    common.add_argument("--threads", type=int, choices=(1,), default=1,
+    seeded.add_argument("--threads", type=int, choices=(1,), default=1,
                         help="jobs run one at a time; the flag stays only "
                              "until the benchmark stops passing it")
-    common.add_argument("--out", default=".", type=_checked(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".", type=_checked(
         Path, _out_dir, "must be a directory or a new path under one"),
         help="output directory for reports (default .)")
     sonar = argparse.ArgumentParser(add_help=False)
@@ -115,23 +116,24 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, summary, *parents):
-        return sub.add_parser(name, parents=[common, *parents], help=summary,
+        return sub.add_parser(name, parents=[*parents, out], help=summary,
                               allow_abbrev=False)
 
-    p = command("reduce", "run the resonant reduction once", sonar)
+    p = command("reduce", "run the resonant reduction once", seeded, sonar)
     p.add_argument("--c", type=_finite, default=0.004, help="resonant coupling")
 
-    p = command("sweep-c", "infidelity across a coupling grid", sonar)
+    p = command("sweep-c", "infidelity across a coupling grid", seeded,
+                sonar)
     p.add_argument("--c-grid", dest="c_grid", type=_comma_list(_finite),
                    default=list(resonance.DEFAULT_C_GRID))
 
-    p = command("qsvm", "LS-SVM cross-validation", sonar)
+    p = command("qsvm", "LS-SVM cross-validation", seeded, sonar)
     p.add_argument("--folds", type=_at_least(2), default=8)
     p.add_argument("--arm", choices=("raw", "reduced", "both"), default="both")
     p.add_argument("--gammas", type=_comma_list(_positive),
                    default=list(svm.GAMMA_GRID))
 
-    p = command("tfim-gen", "generate the Ising phase dataset")
+    p = command("tfim-gen", "generate the Ising phase dataset", seeded)
     p.add_argument("--n-sites", dest="n_sites", type=_at_least(2), default=8)
     p.add_argument("--count", type=_checked(
         int, lambda n: n > 0 and n % 2 == 0,
@@ -140,7 +142,8 @@ def build_parser() -> _Parser:
                    default=[0.2, 1.8])
     p.add_argument("--exclusion", type=_pair, default=[0.95, 1.05])
 
-    p = command("qcnn-train", "train classifier arms on the phase dataset")
+    p = command("qcnn-train", "train classifier arms on the phase dataset",
+                seeded)
     p.add_argument("--data", type=_file, required=True,
                    help="phase dataset JSONL written by tfim-gen")
     p.add_argument("--r", default=16, type=_checked(
@@ -167,12 +170,10 @@ def parse_config(argv) -> argparse.Namespace:
     and the --seeds default."""
     ns = build_parser().parse_args(argv)
     if ns.command == "tfim-gen":
-        (lo, hi), (ex_lo, ex_hi) = ns.ratio_range, ns.exclusion
-        if not 0 < lo < ex_lo < 1 < ex_hi < hi:
-            raise ConfigError(
-                "ratio_range, exclusion: need 0 < ratio_range[0] < "
-                "exclusion[0] < 1 < exclusion[1] < ratio_range[1], got "
-                f"{ns.ratio_range} and {ns.exclusion}")
+        try:
+            tfim.check_window(ns.ratio_range, ns.exclusion)
+        except ValueError as exc:
+            raise ConfigError(f"ratio_range, exclusion: {exc}") from None
     if ns.command == "qcnn-train":
         if ns.seeds is None:
             ns.seeds = [ns.seed]

@@ -38,12 +38,14 @@ def require_finite(values, row: str = "row",
                    column: str = "column") -> np.ndarray:
     """``values`` as a 2-D float array of finite reals.
 
-    Complex input and other shapes are rejected, and so is the first NaN or
-    infinity, named by its 1-based row and column.
+    Complex, string and object input is rejected, as are other shapes, and
+    so is the first NaN or infinity, named by its 1-based row and column.
     """
     values = np.asarray(values)
-    if np.iscomplexobj(values):
-        raise ValueError(f"complex values where real {column}s are expected")
+    if values.dtype.kind not in "biuf":
+        kind = {"c": "complex", "U": "string", "S": "string"}.get(
+            values.dtype.kind, str(values.dtype))
+        raise ValueError(f"{kind} values where real {column}s are expected")
     values = values.astype(float, copy=False)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-D array ({row}s x {column}s), "

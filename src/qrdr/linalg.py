@@ -1,11 +1,11 @@
 """Dense linear-algebra primitives shared by the simulator modules.
 
 Everything here is a thin, validated layer over ``numpy.linalg``: Hermitian
-eigendecompositions, spectral time evolution exp(-i H t) |psi> and Kronecker
-products over operator lists.  Eigendecompositions and evolution work on a
-single matrix or on a stack of matrices of shape ``(..., d, d)``.  All
-operators are dense ``numpy`` arrays; no sparse formats are used anywhere in
-the package.
+eigendecompositions and their sign convention, evolution exp(-i H t) |psi>
+and Kronecker products over operator lists.  Eigendecompositions and
+evolution work on a single matrix or on a stack of matrices of shape
+``(..., d, d)``.  All operators are dense ``numpy`` arrays; no sparse
+formats are used anywhere in the package.
 """
 
 from __future__ import annotations
@@ -31,6 +31,15 @@ def kron_all(ops) -> np.ndarray:
     for op in ops[1:]:
         out = np.kron(out, op)
     return out
+
+
+def fix_signs(V: np.ndarray) -> np.ndarray:
+    """A copy of ``V``, each column signed so its largest |entry| is > 0."""
+    V = V.copy()
+    lead = np.argmax(np.abs(V), axis=0)   # a tie goes to the lowest index
+    flip = V[lead, np.arange(V.shape[1])] < 0
+    V[:, flip] *= -1.0
+    return V
 
 
 def _hermitian_deviation(H: np.ndarray) -> np.ndarray:

@@ -16,20 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import require_finite
+from .linalg import fix_signs
 
 # adjacent eigenvalues closer than this times lambda_1 are reported as
 # degenerate; relative, because the spectrum scales as X^2
 DEGENERACY_RTOL = 1e-12
-
-
-def _fix_signs(V: np.ndarray) -> np.ndarray:
-    # orient each eigenvector so its largest-magnitude component is positive
-    # (ties broken by the lowest index, which argmax already picks)
-    V = V.copy()
-    lead = np.argmax(np.abs(V), axis=0)
-    flip = V[lead, np.arange(V.shape[1])] < 0
-    V[:, flip] *= -1.0
-    return V
 
 
 @dataclass
@@ -100,7 +91,7 @@ def fit_pca(X: np.ndarray) -> PcaModel:
     values, vectors = np.linalg.eigh(X.T @ X)
     order = np.argsort(values)[::-1]
     values = values[order]
-    vectors = _fix_signs(vectors[:, order])
+    vectors = fix_signs(vectors[:, order])
     tol = DEGENERACY_RTOL * values[0]
     pairs = [(k, k + 1) for k in range(n - 1)
              if values[k] - values[k + 1] <= tol]

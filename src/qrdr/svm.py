@@ -5,7 +5,7 @@ X X^T + I/gamma) has the decision function of ridge regression on centred
 data with an unpenalised bias (Suykens & Vandewalle 1999).  This module
 solves that primal form, w = V diag(1/(s + 1/gamma)) V^T Xc^T (y - mean y)
 with (s, V) = eigh(Xc^T Xc) and b = mean y - (mean x) . w, so one
-eigendecomposition serves every gamma; the tests keep the dual as oracle.
+eigendecomposition fits a whole gamma grid; the tests keep the dual as oracle.
 Protocols: seeded k-fold cross-validation with nested gamma selection, and
 repeated random holdout tracing accuracy against the reduction rank.
 """
@@ -27,22 +27,25 @@ INNER_K = 4
 
 @dataclass
 class LssvmModel:
-    """A fit at one gamma, or at each gamma of an array (weights columns)."""
+    """A fit at each gamma of a grid: one weights column per gamma."""
 
-    weights: np.ndarray
-    bias: float | np.ndarray
-    gamma: float | np.ndarray
+    weights: np.ndarray   # (features, G)
+    bias: np.ndarray      # (G,)
+    gammas: np.ndarray    # (G,)
 
 
-def train_lssvm(X: np.ndarray, y: np.ndarray, gamma) -> LssvmModel:
-    """Fit the least-squares SVM at one gamma or at each of an array of
-    gammas, from one eigendecomposition of the centred training set; X must
-    hold finite reals."""
+def train_lssvm(X: np.ndarray, y: np.ndarray, gammas) -> LssvmModel:
+    """Fit the least-squares SVM at each gamma of a non-empty 1-D grid,
+    from one eigendecomposition of the centred training set; X must hold
+    finite reals."""
     X = require_finite(X)
     y = np.asarray(y, dtype=float)
     if X.shape[0] == 0 or y.shape != (X.shape[0],):
         raise ValueError("labels must align with one or more feature rows")
-    gammas = np.atleast_1d(np.asarray(gamma, dtype=float))
+    gammas = np.asarray(gammas, dtype=float)
+    if gammas.ndim != 1 or not gammas.size:
+        raise ValueError(f"gammas must be a non-empty 1-D grid, got shape "
+                         f"{gammas.shape}")
     if not np.all(gammas > 0):
         raise ValueError(f"gamma must be positive, got {gammas.min()}")
     x_mean, y_mean = X.mean(axis=0), y.mean()
@@ -50,26 +53,22 @@ def train_lssvm(X: np.ndarray, y: np.ndarray, gamma) -> LssvmModel:
     s, V = np.linalg.eigh(Xc.T @ Xc)
     rhs = V.T @ (Xc.T @ (y - y_mean))
     W = V @ (rhs[:, None] / (s[:, None] + 1.0 / gammas))
-    b = y_mean - x_mean @ W
-    if np.ndim(gamma):
-        return LssvmModel(weights=W, bias=b, gamma=gammas)
-    return LssvmModel(weights=W[:, 0], bias=float(b[0]), gamma=float(gamma))
+    return LssvmModel(weights=W, bias=y_mean - x_mean @ W, gammas=gammas)
 
 
 def decision_values(model: LssvmModel, X: np.ndarray) -> np.ndarray:
-    """w . x + b per row (and per gamma); X must hold finite reals."""
+    """w . x + b per row and per gamma; X must hold finite reals."""
     return require_finite(np.atleast_2d(X)) @ model.weights + model.bias
 
 
 def predict(model: LssvmModel, X: np.ndarray) -> np.ndarray:
-    """Class labels +/-1; ties (decision value 0) resolve to +1."""
+    """Labels +/-1 per row and gamma; ties (decision value 0) resolve to +1."""
     return np.where(decision_values(model, X) >= 0.0, 1, -1)
 
 
-def accuracy(model: LssvmModel, X: np.ndarray, y: np.ndarray):
-    """Fraction of rows labelled correctly, or one fraction per gamma."""
-    hits = predict(model, X).T == np.asarray(y)
-    return hits.mean(axis=-1) if hits.ndim > 1 else float(hits.mean())
+def accuracy(model: LssvmModel, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Fraction of rows labelled correctly, one per gamma."""
+    return (predict(model, X).T == np.asarray(y)).mean(axis=1)
 
 
 def select_gamma(X: np.ndarray, y: np.ndarray, gammas=GAMMA_GRID,
@@ -90,8 +89,8 @@ def _select_fit_score(X, y, train, test, gammas, seed, stream):
     rows: (accuracy, gamma)."""
     gamma = select_gamma(X[train], y[train], gammas=gammas, seed=seed,
                          stream=stream)
-    model = train_lssvm(X[train], y[train], gamma)
-    return accuracy(model, X[test], y[test]), gamma
+    model = train_lssvm(X[train], y[train], (gamma,))
+    return float(accuracy(model, X[test], y[test])[0]), gamma
 
 
 @dataclass

@@ -24,6 +24,7 @@ import numpy as np
 
 from .dataset import (load_jsonl, make_rng, require_finite, require_labels,
                       save_jsonl)
+from .linalg import fix_signs
 
 
 def _validate(n_sites: int, h) -> None:
@@ -170,7 +171,7 @@ def _lanczos(diag, flips, eta: int, fields, start, bound):
 def ground_state(n_sites: int, h) -> GroundState:
     """Ground state of the chain for one field ``h`` or for each field of a
     1-D array, real with a deterministic global sign (the largest
-    |amplitude| is positive).
+    |amplitude| is positive, :func:`linalg.fix_signs`).
 
     For h > 0 the ground state is the unique lowest state of parity
     prod_i X_i = (-1)^n_sites, which the result has exactly.  At h = 0 the
@@ -220,8 +221,7 @@ def ground_state(n_sites: int, h) -> GroundState:
         bound = _RESIDUAL_TOL * (n_sites - 1 + block * n_sites)
         e, y = _lanczos(diag, flips, eta, block, start, bound)
         further, below = below, y
-        peak = y[np.arange(pos.size), np.argmax(np.abs(y), axis=1)]
-        y = y * np.sign(peak)[:, None]
+        y = fix_signs(y.T).T
         energy[order[pos]] = e
         amplitudes[order[pos]] = np.concatenate([y, eta * y[:, ::-1]],
                                                 axis=1) / np.sqrt(2.0)
@@ -234,9 +234,9 @@ def ground_state(n_sites: int, h) -> GroundState:
 class TfimDataset:
     """Ground-state amplitudes with phase labels, sorted by ratio h/J.
 
-    Each record holds 2^n_sites finite real amplitudes and the +1/-1 label
-    of its ratio; the first bad value is rejected, naming its 1-based
-    record (and amplitude).
+    Each record holds 2^n_sites finite real amplitudes, a finite positive
+    number h/J and the +1/-1 label of that ratio; the first bad value is
+    rejected, naming its 1-based record (and amplitude).
     """
 
     features: np.ndarray   # (count, 2^n_sites) real amplitudes
@@ -254,6 +254,11 @@ class TfimDataset:
                              f"amplitudes per record, got "
                              f"{self.features.shape[1]}")
         self.labels = require_labels(self.labels, self.count, "record")
+        for i, r in enumerate(self.ratios, start=1):
+            if isinstance(r, bool) or not (isinstance(r, (int, float))
+                                           and 0 < r < np.inf):
+                raise ValueError(f"record {i}: h/J = {r!r} is not a finite "
+                                 "positive number")
         self.ratios = np.asarray(self.ratios, dtype=float)
         bad = np.flatnonzero(self.labels != np.where(self.ratios > 1, 1, -1))
         if bad.size:
@@ -264,6 +269,15 @@ class TfimDataset:
     @property
     def count(self) -> int:
         return self.features.shape[0]
+
+
+def check_window(ratio_range, exclusion) -> None:
+    """Raise ``ValueError`` unless the sampling windows are in order."""
+    (lo, hi), (ex_lo, ex_hi) = ratio_range, exclusion
+    if not 0 < lo < ex_lo < 1 < ex_hi < hi:
+        raise ValueError(
+            "need 0 < ratio_range[0] < exclusion[0] < 1 < exclusion[1] < "
+            f"ratio_range[1], got {list(ratio_range)} and {list(exclusion)}")
 
 
 def generate_dataset(n_sites: int = 8, count: int = 200, seed: int = 7,
@@ -279,18 +293,12 @@ def generate_dataset(n_sites: int = 8, count: int = 200, seed: int = 7,
     """
     if count <= 0 or count % 2:
         raise ValueError("count must be positive and even for balanced classes")
-    lo, hi = ratio_range
-    ex_lo, ex_hi = exclusion
-    if not lo < ex_lo < 1.0 < ex_hi < hi:
-        raise ValueError(
-            "admissible ratio ranges are empty: need "
-            "ratio_range[0] < exclusion[0] < 1 < exclusion[1] < ratio_range[1]"
-        )
+    check_window(ratio_range, exclusion)
     rng = make_rng(seed, 3)
     half = count // 2
     ratios = np.concatenate([
-        rng.uniform(lo, ex_lo, half),
-        rng.uniform(ex_hi, hi, half),
+        rng.uniform(ratio_range[0], exclusion[0], half),
+        rng.uniform(exclusion[1], ratio_range[1], half),
     ])
     ratios.sort()
     features = ground_state(n_sites, ratios).amplitudes
@@ -340,8 +348,9 @@ def load_dataset(path) -> TfimDataset:
     """Read a file written by :func:`save_dataset`.
 
     A missing field raises ``ValueError`` naming the header or the 1-based
-    record, as do a record count other than the header's ``count`` and the
-    checks of :class:`TfimDataset`.
+    record, as do a header ``n_sites``, ``seed`` or ``count`` that is not a
+    JSON integer, a record count other than ``count`` and the checks of
+    :class:`TfimDataset`.
     """
     header, records = load_jsonl(path)
     if not isinstance(header, dict) or header.get("kind") != "tfim-phase":
@@ -350,6 +359,9 @@ def load_dataset(path) -> TfimDataset:
         raise ValueError(f"{path}: no records")
     n_sites, J, seed, count = _fields(
         header, ("n_sites", "J", "seed", "count"), "header")
+    for key, value in (("n_sites", n_sites), ("seed", seed), ("count", count)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"header: {key} {value!r} is not an integer")
     if count != len(records):
         raise ValueError(f"{path}: header count {count!r} but "
                          f"{len(records)} records")
@@ -360,9 +372,9 @@ def load_dataset(path) -> TfimDataset:
     return TfimDataset(
         features=amplitudes,
         labels=labels,
-        ratios=np.array(ratios),
-        n_sites=int(n_sites),
+        ratios=ratios,
+        n_sites=n_sites,
         J=float(J),
-        seed=int(seed),
+        seed=seed,
         meta=meta,
     )

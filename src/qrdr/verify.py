@@ -69,8 +69,8 @@ def _check_low_rank_reduction():
 def _check_svm_separable():
     X = np.array([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.0], [-0.9, -0.1]])
     y = np.array([1, 1, -1, -1])
-    model = svm.train_lssvm(X, y, 2.0)
-    _check(np.array_equal(svm.predict(model, X), y), "separable case failed")
+    labels = svm.predict(svm.train_lssvm(X, y, (2.0,)), X)[:, 0]
+    _check(np.array_equal(labels, y), "separable case failed")
 
 
 def _check_tfim_symmetry():

@@ -62,7 +62,7 @@ def test_threads_validation(tmp_path, capsys):
     # jobs run one at a time: the flag takes only 1
     out = tmp_path / "out"
     for threads in ("0", "2"):
-        assert run_cli(["verify", "--threads", threads, "--out", out]) == 1
+        assert run_cli(["reduce", "--threads", threads, "--out", out]) == 1
         assert f"argument --threads: invalid choice: {threads}" in \
             capsys.readouterr().err
     assert not out.exists()
@@ -130,6 +130,8 @@ _SOME_FILE = str(dataset_mod.sonar_path())   # parse only: any file will do
     (["tfim-gen", "--j", "2"], "unrecognized arguments: --j 2"),
     (["tfim-gen", "--out-file", "x.jsonl"],
      "unrecognized arguments: --out-file x.jsonl"),
+    (["verify", "--threads", "1"], "unrecognized arguments: --threads 1"),
+    (["verify", "--seed", "7"], "unrecognized arguments: --seed 7"),
     (["qcnn-train", "--data", _SOME_FILE, "--ep", "3"],
      "unrecognized arguments: --ep 3"),
     (["qsvm", "--arm", "bogus"], "argument --arm: invalid choice: 'bogus'"),
@@ -156,6 +158,7 @@ _SOME_FILE = str(dataset_mod.sonar_path())   # parse only: any file will do
         "sweep-c-grid-repeated-apart", "qsvm-gammas-repeated",
         "qsvm-gammas-repeated-after-conversion", "qcnn-r-one",
         "reduce-folds-unknown", "tfim-j-unknown", "tfim-out-file-unknown",
+        "verify-threads-unknown", "verify-seed-unknown",
         "qcnn-abbreviated", "qsvm-arm-bogus", "reduce-r-not-int",
         "reduce-c-not-float", "qcnn-arms-unknown", "qsvm-dataset-absent",
         "qcnn-data-absent", "qcnn-no-data"])
@@ -642,7 +645,14 @@ def test_qcnn_train_non_finite_data_exits_one_without_report(
     (lambda rec: rec.pop("label"), "data: record 3: missing field 'label'"),
     (lambda rec: rec.update(label=1),
      "data: record 3: label +1 contradicts h/J = 0.7042627587765704"),
-], ids=["label-0", "no-label", "label-against-ratio"])
+    (lambda rec: rec.update(h_over_j=float("nan")),
+     "data: record 3: h/J = nan is not a finite positive number"),
+    (lambda rec: rec.update(h_over_j=-0.2),
+     "data: record 3: h/J = -0.2 is not a finite positive number"),
+    (lambda rec: rec.update(h_over_j="0.214"),
+     "data: record 3: h/J = '0.214' is not a finite positive number"),
+], ids=["label-0", "no-label", "label-against-ratio", "ratio-nan",
+        "ratio-negative", "ratio-string"])
 def test_qcnn_train_bad_record_exits_one_without_report(
         tmp_path, tiny_phase_file, capsys, edit, cause):
     lines = tiny_phase_file.read_text().splitlines()

@@ -6,7 +6,8 @@ import pytest
 from oracles import read_vector
 from qrdr.dataset import (LabeledDataset, SONAR_FEATURES,
                           holdout_split, kfold_split, load_jsonl, load_sonar,
-                          make_rng, save_jsonl, sonar_path, vector_json)
+                          make_rng, require_finite, save_jsonl, sonar_path,
+                          vector_json)
 
 
 def test_make_rng_deterministic():
@@ -42,6 +43,18 @@ def test_labeled_dataset_rejects_non_finite(value):
     X[2, 0] = np.nan
     with pytest.raises(ValueError, match="row 2, column 3: non-finite"):
         LabeledDataset(X, np.array([1, -1, 1]))
+
+
+@pytest.mark.parametrize("values, cause", [
+    ([["1e3", "2"]], "string values where real columns are expected"),
+    (np.array([[b"1"]]), "string values where real columns are expected"),
+    (np.array([[1.0, None]]), "object values where real columns are expected"),
+], ids=["str", "bytes", "object"])
+def test_require_finite_rejects_values_that_are_not_real_numbers(values,
+                                                                 cause):
+    # numpy would convert the strings to floats
+    with pytest.raises(ValueError, match=cause):
+        require_finite(values)
 
 
 def test_load_rejects_nan_feature(tmp_path):

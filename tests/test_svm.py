@@ -48,20 +48,21 @@ def _dual_lssvm(X, y, gamma):
 def test_train_mirror_pair_is_antisymmetric():
     X = np.array([[1.0, 2.0], [-1.0, -2.0]])
     y = np.array([1.0, -1.0])
-    model = train_lssvm(X, y, gamma=2.0)
-    assert model.bias == pytest.approx(0.0, abs=1e-12)
+    model = train_lssvm(X, y, (2.0,))
+    assert model.bias[0] == pytest.approx(0.0, abs=1e-12)
     eta, b = _dual_lssvm(X, y, 2.0)
     assert eta[0] == pytest.approx(-eta[1])
-    np.testing.assert_allclose(model.weights, X.T @ eta, atol=1e-12)
-    vals = decision_values(model, X)
+    np.testing.assert_allclose(model.weights[:, 0], X.T @ eta, atol=1e-12)
+    vals = decision_values(model, X)[:, 0]
     assert vals[0] == pytest.approx(-vals[1])
-    np.testing.assert_array_equal(predict(model, X), [1, -1])
+    np.testing.assert_array_equal(predict(model, X), [[1], [-1]])
 
 
 def test_train_single_class_predicts_it(rng):
     X = rng.normal(size=(5, 3))
-    model = train_lssvm(X, np.ones(5), gamma=1.0)
-    assert np.all(predict(model, rng.normal(size=(8, 3))) == 1)
+    model = train_lssvm(X, np.ones(5), (1.0,))
+    np.testing.assert_array_equal(predict(model, rng.normal(size=(8, 3))),
+                                  np.ones((8, 1)))
 
 
 def test_train_matches_block_elimination_solver(rng):
@@ -69,13 +70,13 @@ def test_train_matches_block_elimination_solver(rng):
     X = rng.normal(size=(6, 4))
     y = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
     gamma = 3.0
-    model = train_lssvm(X, y, gamma)
+    model = train_lssvm(X, y, (gamma,))
     om_inv = np.linalg.inv(X @ X.T + np.eye(6) / gamma)
     ones = np.ones(6)
     b = (ones @ om_inv @ y) / (ones @ om_inv @ ones)
     eta = om_inv @ (y - b * ones)
-    assert model.bias == pytest.approx(b, abs=1e-10)
-    np.testing.assert_allclose(model.weights, X.T @ eta, atol=1e-10)
+    assert model.bias[0] == pytest.approx(b, abs=1e-10)
+    np.testing.assert_allclose(model.weights[:, 0], X.T @ eta, atol=1e-10)
 
 
 def test_train_residual_and_constraint(rng):
@@ -83,11 +84,11 @@ def test_train_residual_and_constraint(rng):
     # w = X^T eta, sum(eta) = 0, and the bordered system holds
     X = rng.normal(size=(9, 5))
     y = np.sign(rng.normal(size=9)) + (rng.normal(size=9) == 0)
-    model = train_lssvm(X, y, gamma=4.0)
-    eta = 4.0 * (y - decision_values(model, X))
+    model = train_lssvm(X, y, (4.0,))
+    eta = 4.0 * (y - decision_values(model, X)[:, 0])
     assert abs(eta.sum()) <= 1e-9
-    np.testing.assert_allclose(model.weights, X.T @ eta, atol=1e-10)
-    sol = np.concatenate([[model.bias], eta])
+    np.testing.assert_allclose(model.weights[:, 0], X.T @ eta, atol=1e-10)
+    sol = np.concatenate([model.bias, eta])
     rhs = np.concatenate([[0.0], y])
     residual = _bordered_system(X, 4.0) @ sol - rhs
     assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(y)
@@ -104,30 +105,37 @@ def test_train_matches_dual_decision_values(seed, m, n_feat, gamma):
     X_eval = rng.normal(size=(5, n_feat))
     eta, b = _dual_lssvm(X, y, gamma)
     dual = X_eval @ (X.T @ eta) + b
-    primal = decision_values(train_lssvm(X, y, gamma), X_eval)
+    primal = decision_values(train_lssvm(X, y, (gamma,)), X_eval)[:, 0]
     assert np.linalg.norm(primal - dual) <= 1e-10 * np.linalg.norm(dual)
 
 
 def test_train_validation_errors(rng):
     X = rng.normal(size=(4, 2))
     with pytest.raises(ValueError, match="gamma"):
-        train_lssvm(X, np.ones(4), gamma=0.0)
+        train_lssvm(X, np.ones(4), (0.0,))
     with pytest.raises(ValueError, match="gamma must be positive, got -1.0"):
         select_gamma(X, np.array([1, -1, 1, -1]), gammas=(1.0, -1.0))
     with pytest.raises(ValueError, match="align"):
-        train_lssvm(X, np.ones(3), gamma=1.0)
+        train_lssvm(X, np.ones(3), (1.0,))
     with pytest.raises(ValueError, match="align"):
-        train_lssvm(X[:0], np.ones(0), gamma=1.0)
+        train_lssvm(X[:0], np.ones(0), (1.0,))
+    # a fit takes a grid; one gamma is the grid (gamma,)
+    with pytest.raises(ValueError, match=r"1-D grid, got shape \(\)"):
+        train_lssvm(X, np.ones(4), 1.0)
+    with pytest.raises(ValueError, match=r"non-empty 1-D grid"):
+        train_lssvm(X, np.ones(4), ())
+    with pytest.raises(ValueError, match=r"1-D grid, got shape \(2, 1\)"):
+        train_lssvm(X, np.ones(4), [[1.0], [2.0]])
 
 
 def test_train_and_decision_values_reject_non_finite_features(rng):
     X = rng.normal(size=(4, 3))
-    model = train_lssvm(X, np.array([1.0, -1.0, 1.0, -1.0]), gamma=1.0)
+    model = train_lssvm(X, np.array([1.0, -1.0, 1.0, -1.0]), (1.0,))
     for bad in (np.nan, np.inf):
         Xb = X.copy()
         Xb[2, 1] = bad
         with pytest.raises(ValueError, match="row 3, column 2: non-finite"):
-            train_lssvm(Xb, np.ones(4), gamma=1.0)
+            train_lssvm(Xb, np.ones(4), (1.0,))
         with pytest.raises(ValueError, match="row 3, column 2: non-finite"):
             predict(model, Xb)
     with pytest.raises(ValueError, match="complex"):
@@ -141,21 +149,24 @@ def test_train_and_decision_values_reject_non_finite_features(rng):
 def test_interpolating_fit_memorizes_labels(rng):
     X = rng.normal(size=(10, 6))
     y = np.where(rng.normal(size=10) > 0, 1.0, -1.0)
-    model = train_lssvm(X, y, gamma=1e6)
-    assert accuracy(model, X, y) == 1.0
+    model = train_lssvm(X, y, (1e6,))
+    np.testing.assert_array_equal(accuracy(model, X, y), [1.0])
 
 
 def test_decision_values_shape_and_single_row():
     X, y = _two_clusters()
-    model = train_lssvm(X, y, gamma=1.0)
+    model = train_lssvm(X, y, (1.0,))
     vals = decision_values(model, X[:3])
-    assert vals.shape == (3,)
-    assert decision_values(model, X[0])[0] == pytest.approx(vals[0])
+    assert vals.shape == (3, 1)
+    assert decision_values(model, X[0]).shape == (1, 1)
+    assert decision_values(model, X[0])[0, 0] == pytest.approx(vals[0, 0])
 
 
 def test_predict_tie_resolves_positive():
-    model = LssvmModel(weights=np.zeros(2), bias=0.0, gamma=1.0)
-    np.testing.assert_array_equal(predict(model, np.ones((3, 2))), [1, 1, 1])
+    model = LssvmModel(weights=np.zeros((2, 1)), bias=np.zeros(1),
+                       gammas=np.ones(1))
+    np.testing.assert_array_equal(predict(model, np.ones((3, 2))),
+                                  [[1], [1], [1]])
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +181,15 @@ def test_fit_at_a_gamma_grid_matches_one_fit_per_gamma(rng):
     grid = np.array(GAMMA_GRID)
     models = train_lssvm(X, y, grid)
     assert models.weights.shape == (4, grid.size)
-    np.testing.assert_array_equal(models.gamma, grid)
+    np.testing.assert_array_equal(models.gammas, grid)
     accs = accuracy(models, X_eval, y_eval)
     assert accs.shape == grid.shape
     for k, gamma in enumerate(GAMMA_GRID):
-        one = train_lssvm(X, y, gamma)
-        np.testing.assert_allclose(models.weights[:, k], one.weights,
+        one = train_lssvm(X, y, (gamma,))
+        np.testing.assert_allclose(models.weights[:, k], one.weights[:, 0],
                                    rtol=0, atol=1e-12)
-        assert models.bias[k] == pytest.approx(one.bias, abs=1e-12)
-        assert accs[k] == accuracy(one, X_eval, y_eval)
+        assert models.bias[k] == pytest.approx(one.bias[0], abs=1e-12)
+        assert accs[k] == accuracy(one, X_eval, y_eval)[0]
 
 
 def test_select_gamma_tie_takes_smallest():
@@ -298,5 +309,5 @@ def test_r_sweep_full_rank_equals_raw_holdout():
     for rep in range(4):
         tr, te = holdout_split(20, 5, 11, rep)
         gamma = select_gamma(X[tr], y[tr], seed=11, stream=200 + rep)
-        model = train_lssvm(X[tr], y[tr], gamma)
-        assert res.rep_accuracies[1, rep] == accuracy(model, X[te], y[te])
+        model = train_lssvm(X[tr], y[tr], (gamma,))
+        assert res.rep_accuracies[1, rep] == accuracy(model, X[te], y[te])[0]

@@ -299,15 +299,27 @@ def test_dataset_count_two():
     assert list(ds.labels) == [-1, 1]
 
 
+WINDOW = ("need 0 < ratio_range[0] < exclusion[0] < 1 < exclusion[1] < "
+          "ratio_range[1]")
+
+
 def test_dataset_validation():
     with pytest.raises(ValueError, match="even"):
         generate_dataset(n_sites=2, count=7)
     with pytest.raises(ValueError, match="even"):
         generate_dataset(n_sites=2, count=0)
-    with pytest.raises(ValueError, match="admissible ratio ranges"):
+    with pytest.raises(ValueError, match=re.escape(WINDOW)):
         generate_dataset(n_sites=2, count=4, ratio_range=(1.1, 1.8))
-    with pytest.raises(ValueError, match="admissible ratio ranges"):
+    with pytest.raises(ValueError, match=re.escape(WINDOW)):
         generate_dataset(n_sites=2, count=4, exclusion=(1.2, 1.4))
+
+
+@pytest.mark.parametrize("low", [-0.5, 0.0])
+def test_dataset_window_starts_above_zero(low):
+    # a field at or below zero has no unique ground state to label
+    with pytest.raises(ValueError, match=re.escape(
+            f"{WINDOW}, got [{low}, 1.8] and [0.95, 1.05]")):
+        generate_dataset(n_sites=2, count=4, ratio_range=(low, 1.8))
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +389,24 @@ def _edit_record(path, line, edit):
     (lambda rec: rec.pop("label"), "record 4: missing field 'label'"),
     (lambda rec: rec.pop("amplitudes"), "record 4: missing field 'amplitudes'"),
     (lambda rec: rec.pop("h_over_j"), "record 4: missing field 'h_over_j'"),
+    (lambda rec: rec.update(h_over_j=float("nan")),
+     "record 4: h/J = nan is not a finite positive number"),
+    (lambda rec: rec.update(h_over_j=float("inf"), label=1),
+     "record 4: h/J = inf is not a finite positive number"),
+    (lambda rec: rec.update(h_over_j=-0.2),
+     "record 4: h/J = -0.2 is not a finite positive number"),
+    (lambda rec: rec.update(h_over_j=0),
+     "record 4: h/J = 0 is not a finite positive number"),
+    (lambda rec: rec.update(h_over_j="0.214"),
+     "record 4: h/J = '0.214' is not a finite positive number"),
+    (lambda rec: rec.update(h_over_j=True),
+     "record 4: h/J = True is not a finite positive number"),
+    (lambda rec: rec["amplitudes"].__setitem__(2, "0.5"),
+     "string values where real amplitudes are expected"),
 ], ids=["label-0", "label-2.5", "label-against-ratio", "no-label",
-        "no-amplitudes", "no-ratio"])
+        "no-amplitudes", "no-ratio", "ratio-nan", "ratio-inf",
+        "ratio-negative", "ratio-zero", "ratio-string", "ratio-bool",
+        "amplitude-string"])
 def test_load_rejects_malformed_record(tmp_path, small_set, edit, cause):
     path = tmp_path / "bad.jsonl"
     save_dataset(path, small_set)
@@ -393,7 +421,21 @@ def test_load_rejects_malformed_record(tmp_path, small_set, edit, cause):
      "3 sites need 8 amplitudes per record, got 16"),
     (lambda header: header.pop("count"), "header: missing field 'count'"),
     (lambda header: header.update(count=13), "header count 13 but 12 records"),
-], ids=["no-sites", "wrong-sites", "no-count", "count-above-records"])
+    (lambda header: header.update(n_sites=4.7),
+     "header: n_sites 4.7 is not an integer"),
+    (lambda header: header.update(n_sites=4.0),
+     "header: n_sites 4.0 is not an integer"),
+    (lambda header: header.update(n_sites="4"),
+     "header: n_sites '4' is not an integer"),
+    (lambda header: header.update(seed=5.5),
+     "header: seed 5.5 is not an integer"),
+    (lambda header: header.update(seed=True),
+     "header: seed True is not an integer"),
+    (lambda header: header.update(count=12.0),
+     "header: count 12.0 is not an integer"),
+], ids=["no-sites", "wrong-sites", "no-count", "count-above-records",
+        "sites-fraction", "sites-float", "sites-string", "seed-fraction",
+        "seed-bool", "count-float"])
 def test_load_rejects_malformed_header(tmp_path, small_set, edit, cause):
     path = tmp_path / "bad.jsonl"
     save_dataset(path, small_set)
