@@ -1,4 +1,5 @@
-"""Dataset loading, validation, deterministic splits, and JSON persistence.
+"""Dataset loading, validation, deterministic splits, and the exact JSON
+encoding of checkpoint vectors.
 
 The sonar benchmark (208 samples, 60 band-energy features in [0, 1], labels
 mine/rock) ships with the package; :func:`sonar_path` locates the bundled
@@ -10,7 +11,6 @@ and platforms.
 from __future__ import annotations
 
 import binascii
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -178,25 +178,3 @@ def holdout_split(n_samples: int, test_count: int, seed: int, rep: int = 0):
     train = np.sort(perm[test_count:])
     return train, test
 
-
-def save_jsonl(path, header: dict, records) -> None:
-    """Write one header object plus one JSON object per record.
-
-    Keys are sorted and floats go through ``repr`` (via ``json``), so output
-    bytes are a pure function of the data.
-    """
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def load_jsonl(path):
-    """Read back (header, records) written by :func:`save_jsonl`."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty JSON-lines file")
-    header = json.loads(lines[0])
-    records = [json.loads(line) for line in lines[1:]]
-    return header, records

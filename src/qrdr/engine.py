@@ -236,7 +236,7 @@ class InadmissibleCoupling(ValueError):
 
 
 def build_hamiltonian(model: PcaModel, rank: int, c: float,
-                      layout: RegisterLayout | None = None) -> QrdrHamiltonian:
+                      r_qubits: int | None = None) -> QrdrHamiltonian:
     """Assemble the reduction Hamiltonian of rank R, enforcing admissibility.
 
     Rejects spectra degenerate across the R-boundary and couplings at or
@@ -246,8 +246,9 @@ def build_hamiltonian(model: PcaModel, rank: int, c: float,
     resonance structure is lost.  Warns when c exceeds a tenth of either
     gap, where the O(c^2) error law starts to visibly bend, and when
     eigenvalue rounding can dephase the resonances by more than
-    :data:`DEPHASING_TOL`.  The layout defaults to the smallest registers
-    that hold R components and the features.  A non-finite c is a plain
+    :data:`DEPHASING_TOL`.  The registers come from
+    :meth:`RegisterLayout.for_sizes`: ``r_qubits`` component qubits, by
+    default the fewest that hold R.  A non-finite c is a plain
     ``ValueError``, which a sweep does not skip.
     """
     if not math.isfinite(c):
@@ -262,8 +263,7 @@ def build_hamiltonian(model: PcaModel, rank: int, c: float,
             f"lam[{rank + 1}] = {lam[rank]:.6e}; the top-R "
             "subspace is not well defined"
         )
-    if layout is None:
-        layout = RegisterLayout.for_sizes(model.n_features, rank)
+    layout = RegisterLayout.for_sizes(model.n_features, rank, r_qubits)
     gaps = (("delta_min", model.delta_min(rank)),
             ("2^-r", 2.0 ** -layout.r_qubits))
     for name, gap in gaps:
@@ -459,7 +459,5 @@ def reduce_rows(X: np.ndarray, r_qubits: int):
     model = fit_pca(X)
     rank = admissible_rank(model, 2 ** r_qubits)
     c = min(model.delta_min(rank), 2.0 ** -r_qubits) / REDUCTION_C_DIVISOR
-    layout = RegisterLayout.for_sizes(model.n_features, rank,
-                                      r_qubits=r_qubits)
-    outcome = run_qrdr(build_hamiltonian(model, rank, c, layout=layout))
+    outcome = run_qrdr(build_hamiltonian(model, rank, c, r_qubits))
     return sample_rows(outcome.reduced_state, model.data.shape[0]), outcome

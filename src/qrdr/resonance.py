@@ -44,7 +44,6 @@ class SweepResult:
     rank: int
     c_values: np.ndarray
     epsilon: np.ndarray
-    fidelity: np.ndarray
     success_probability: np.ndarray
     ideal_probability: float
     delta_min: float
@@ -76,8 +75,9 @@ class SweepResult:
         return float(coef[0]), float(coef[1])
 
     def rows(self):
-        """One dict per kept coupling, keyed by :data:`SWEEP_FIELDS`."""
-        for row in zip(self.c_values, self.epsilon, self.fidelity,
+        """One dict per kept coupling, keyed by :data:`SWEEP_FIELDS`; the
+        fidelity is 1 - epsilon."""
+        for row in zip(self.c_values, self.epsilon, 1.0 - self.epsilon,
                        self.success_probability):
             yield dict(zip(SWEEP_FIELDS, map(float, row)))
 
@@ -136,7 +136,6 @@ def sweep_c(X: np.ndarray, rank: int, c_values=DEFAULT_C_GRID) -> SweepResult:
         rank=rank,
         c_values=np.asarray(kept),
         epsilon=np.array([o.epsilon for o in outcomes]),
-        fidelity=np.array([o.fidelity for o in outcomes]),
         success_probability=np.array([o.success_probability for o in outcomes]),
         ideal_probability=model.variance_fraction(rank),
         delta_min=model.delta_min(rank),

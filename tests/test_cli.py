@@ -640,25 +640,29 @@ def test_qcnn_train_non_finite_data_exits_one_without_report(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("edit, cause", [
-    (lambda rec: rec.update(label=0), "data: record 3: label 0 is not +1/-1"),
-    (lambda rec: rec.pop("label"), "data: record 3: missing field 'label'"),
-    (lambda rec: rec.update(label=1),
+@pytest.mark.parametrize("line, edit, cause", [
+    (3, lambda rec: rec.update(label=0),
+     "data: record 3: label 0 is not +1/-1"),
+    (3, lambda rec: rec.pop("label"), "data: record 3: missing field 'label'"),
+    (3, lambda rec: rec.update(label=1),
      "data: record 3: label +1 contradicts h/J = 0.7042627587765704"),
-    (lambda rec: rec.update(h_over_j=float("nan")),
+    (3, lambda rec: rec.update(h_over_j=float("nan")),
      "data: record 3: h/J = nan is not a finite positive number"),
-    (lambda rec: rec.update(h_over_j=-0.2),
+    (3, lambda rec: rec.update(h_over_j=-0.2),
      "data: record 3: h/J = -0.2 is not a finite positive number"),
-    (lambda rec: rec.update(h_over_j="0.214"),
-     "data: record 3: h/J = '0.214' is not a finite positive number"),
+    (3, lambda rec: rec.update(h_over_j="0.214"),
+     "data: record 3: h/J = '0.214' is not a number"),
+    (0, lambda header: header.update(J=2.5),
+     "data: header: J 2.5 is not 1.0, the energy unit"),
 ], ids=["label-0", "no-label", "label-against-ratio", "ratio-nan",
-        "ratio-negative", "ratio-string"])
+        "ratio-negative", "ratio-string", "j-2.5"])
 def test_qcnn_train_bad_record_exits_one_without_report(
-        tmp_path, tiny_phase_file, capsys, edit, cause):
+        tmp_path, tiny_phase_file, capsys, line, edit, cause):
+    # line 0 is the header, so line 3 holds record 3
     lines = tiny_phase_file.read_text().splitlines()
-    rec = json.loads(lines[3])
+    rec = json.loads(lines[line])
     edit(rec)
-    lines[3] = json.dumps(rec)
+    lines[line] = json.dumps(rec)
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import read_vector
-from qrdr.dataset import (LabeledDataset, SONAR_FEATURES,
-                          holdout_split, kfold_split, load_jsonl, load_sonar,
-                          make_rng, require_finite, save_jsonl, sonar_path,
-                          vector_json)
+from qrdr.dataset import (LabeledDataset, SONAR_FEATURES, holdout_split,
+                          kfold_split, load_sonar, make_rng, require_finite,
+                          sonar_path, vector_json)
 
 
 def test_make_rng_deterministic():
@@ -200,37 +199,6 @@ def test_holdout_reps_independent_and_deterministic():
     c = holdout_split(50, 10, seed=5, rep=3)
     assert np.array_equal(a[1], b[1])
     assert not np.array_equal(a[1], c[1])
-
-
-def test_jsonl_round_trip(tmp_path):
-    p = tmp_path / "data.jsonl"
-    header = {"kind": "demo", "n": 2}
-    records = [{"x": 0.1 + 0.2, "tag": "a"}, {"x": -1.5e-7, "tag": "b"}]
-    save_jsonl(p, header, records)
-    back_header, back_records = load_jsonl(p)
-    assert back_header == header
-    assert back_records == records
-    assert back_records[0]["x"] == 0.1 + 0.2  # exact float round trip
-
-
-def test_jsonl_bytes_deterministic(tmp_path):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    header = {"z": 1, "a": 2}
-    records = [{"k": 3.14159, "j": True}]
-    save_jsonl(a, header, records)
-    save_jsonl(b, header, records)
-    assert a.read_bytes() == b.read_bytes()
-    # keys are sorted in the output
-    assert json.loads(a.read_text().splitlines()[0]) == header
-    assert a.read_text().splitlines()[0].index('"a"') < \
-        a.read_text().splitlines()[0].index('"z"')
-
-
-def test_jsonl_empty_file_rejected(tmp_path):
-    p = tmp_path / "empty.jsonl"
-    p.write_text("")
-    with pytest.raises(ValueError, match="empty"):
-        load_jsonl(p)
 
 
 def test_vector_json_round_trips_every_bit():

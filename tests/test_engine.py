@@ -20,8 +20,8 @@ def _spectrum_matrix(eigenvalues):
     return np.diag(np.sqrt(np.asarray(eigenvalues, dtype=float)))
 
 
-def _reduce(X, rank, c, layout=None):
-    return run_qrdr(build_hamiltonian(fit_pca(X), rank, c, layout=layout))
+def _reduce(X, rank, c, r_qubits=None):
+    return run_qrdr(build_hamiltonian(fit_pca(X), rank, c, r_qubits))
 
 
 def _index(lay, p, j, d):
@@ -212,9 +212,8 @@ def test_build_rejects_coupling_at_probe_gap():
     assert model.delta_min(2) == pytest.approx(100.0)
     with pytest.raises(InadmissibleCoupling, match="2\\^-r = 5.000e-01"):
         build_hamiltonian(model, 2, 0.5)
-    wide = RegisterLayout.for_sizes(3, 2, r_qubits=3)
     with pytest.raises(InadmissibleCoupling, match="2\\^-r = 1.250e-01"):
-        build_hamiltonian(model, 2, 0.2, layout=wide)
+        build_hamiltonian(model, 2, 0.2, r_qubits=3)
     with pytest.warns(UserWarning, match="2\\^-r/10"):
         build_hamiltonian(model, 2, 0.06)
     with warnings.catch_warnings():
@@ -226,6 +225,16 @@ def test_build_rejects_degenerate_boundary():
     model = fit_pca(_spectrum_matrix([4.0, 2.0, 2.0, 1.0]))
     with pytest.raises(ValueError, match="degenerate at the rank boundary"):
         build_hamiltonian(model, 2, 1e-4)
+
+
+def test_build_rejects_a_register_too_small_for_the_rank(rng):
+    # every layout comes from RegisterLayout.for_sizes, which the rank checks
+    model = fit_pca(rng.normal(size=(12, 6)))
+    with pytest.raises(ValueError, match="component register too small: "
+                                         "need r >= 2"):
+        build_hamiltonian(model, 4, 1e-4, r_qubits=1)
+    assert build_hamiltonian(model, 4, 1e-4, r_qubits=3).layout == \
+        RegisterLayout(r_qubits=3, n_qubits=3)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +484,7 @@ def test_success_probability_tracks_variance(sonar_features):
 
 def test_outcome_metrics_and_overrides(rng):
     X = rng.normal(size=(7, 6))
-    out = _reduce(X, 2, 1e-3, RegisterLayout.for_sizes(6, 2, r_qubits=3))
+    out = _reduce(X, 2, 1e-3, r_qubits=3)
     assert out.layout.r_qubits == 3
     assert out.reduced_state.shape == (8 * 7,)
     assert np.linalg.norm(out.reduced_state) == pytest.approx(1.0)

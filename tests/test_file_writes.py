@@ -1,9 +1,9 @@
-"""Only the CLI and the two dataset writers open files for writing.
+"""Only the CLI and the phase-file writer open files for writing.
 
 Reports, checkpoints and CSV side files share one output convention, kept
-by the JSON and CSV writers in ``cli.py``; ``dataset.py`` and ``tfim.py``
-write the dataset formats their loaders read back.  Any other module that
-writes a file would be a second copy of that convention.
+by the JSON and CSV writers in ``cli.py``; ``tfim.py`` writes the phase
+file its loader reads back.  Any other module that writes a file would be
+a second copy of that convention.
 """
 
 import ast
@@ -13,7 +13,7 @@ import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qrdr")
                  .glob("*.py"))
-WRITERS = {"cli.py", "dataset.py", "tfim.py"}
+WRITERS = {"cli.py", "tfim.py"}
 WRITE_METHODS = {"write_text", "write_bytes", "tofile", "savetxt", "savez",
                  "savez_compressed"}
 
@@ -58,9 +58,8 @@ def test_module_opens_no_file_for_writing(path):
 
 
 def test_the_guard_sees_the_writers():
-    # tfim.py writes through dataset.save_jsonl, so it opens no file itself
     by_name = {p.name: p for p in SOURCES}
-    for name in ("cli.py", "dataset.py"):
+    for name in sorted(WRITERS):
         assert _file_writes(by_name[name]), f"no write found in {name}"
     tree = ast.parse("open(p, 'w')\nopen(p)\nPath(p).open('a')\n"
                      "p.write_text(s)\nopen(p, mode=m)\n")

@@ -70,9 +70,8 @@ def registers(draw):
     model = fit_pca(make_rng(seed, 0).normal(size=(m, n)))
     assume(not model.boundary_degenerate(rank))
     assume(model.delta_min(rank) >= 1e-3 * model.eigenvalues[0])
-    layout = RegisterLayout.for_sizes(n, rank, r_qubits=r_qubits)
     c = min(model.delta_min(rank), 2.0 ** -r_qubits) / REDUCTION_C_DIVISOR
-    return build_hamiltonian(model, rank, c, layout=layout), seed
+    return build_hamiltonian(model, rank, c, r_qubits), seed
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -118,8 +118,8 @@ def test_sweep_full_grid_kept(sweep16):
     assert sweep16.skipped_c == []
     assert not sweep16.degenerate_fit
     assert np.all(np.diff(sweep16.epsilon) > 0)
-    np.testing.assert_allclose(sweep16.fidelity, 1.0 - sweep16.epsilon,
-                               atol=1e-12)
+    np.testing.assert_array_equal([row["fidelity"] for row in sweep16.rows()],
+                                  1.0 - sweep16.epsilon)
 
 
 def test_sweep_quadratic_law_rank16(sweep16):
@@ -221,7 +221,7 @@ def test_sweep_csv_round_trip(tmp_path, sonar_features, capsys):
     assert [float(r["c"]) for r in rows] == [0.002, 0.008]
     for i, row in enumerate(rows):
         assert float(row["epsilon"]) == res.epsilon[i]
-        assert float(row["fidelity"]) == res.fidelity[i]
+        assert float(row["fidelity"]) == 1.0 - res.epsilon[i]
         assert float(row["success_probability"]) == res.success_probability[i]
 
 

@@ -280,8 +280,8 @@ def test_dataset_balance_and_order(small_set):
 
 def test_dataset_respects_windows(small_set):
     ds = small_set
-    lo, hi = ds.meta["ratio_range"]
-    ex_lo, ex_hi = ds.meta["exclusion"]
+    lo, hi = ds.ratio_range
+    ex_lo, ex_hi = ds.exclusion
     assert np.all((ds.ratios >= lo) & (ds.ratios <= hi))
     assert not np.any((ds.ratios > ex_lo) & (ds.ratios < ex_hi))
 
@@ -333,8 +333,9 @@ def test_save_load_round_trip(tmp_path, small_set):
     np.testing.assert_array_equal(back.features, small_set.features)
     np.testing.assert_array_equal(back.labels, small_set.labels)
     np.testing.assert_array_equal(back.ratios, small_set.ratios)
-    assert back.n_sites == 4 and back.J == 1.0 and back.seed == 5
-    assert back.meta == small_set.meta
+    assert back.n_sites == 4 and back.seed == 5
+    assert back.ratio_range == small_set.ratio_range == [0.2, 1.8]
+    assert back.exclusion == small_set.exclusion == [0.95, 1.05]
 
 
 def test_save_header_schema(tmp_path, small_set):
@@ -346,7 +347,15 @@ def test_save_header_schema(tmp_path, small_set):
     assert header["boundary"] == "open"
     assert header["count"] == 12
     assert header["n_sites"] == 4
+    assert header["J"] == 1.0
     assert header["exclusion"] == [0.95, 1.05]
+
+
+def test_load_rejects_empty_file(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("\n")
+    with pytest.raises(ValueError, match="empty.jsonl: empty file"):
+        load_dataset(path)
 
 
 def test_load_rejects_foreign_file(tmp_path):
@@ -396,17 +405,27 @@ def _edit_record(path, line, edit):
     (lambda rec: rec.update(h_over_j=-0.2),
      "record 4: h/J = -0.2 is not a finite positive number"),
     (lambda rec: rec.update(h_over_j=0),
-     "record 4: h/J = 0 is not a finite positive number"),
+     "record 4: h/J = 0.0 is not a finite positive number"),
     (lambda rec: rec.update(h_over_j="0.214"),
-     "record 4: h/J = '0.214' is not a finite positive number"),
+     "record 4: h/J = '0.214' is not a number"),
     (lambda rec: rec.update(h_over_j=True),
-     "record 4: h/J = True is not a finite positive number"),
+     "record 4: h/J = True is not a number"),
     (lambda rec: rec["amplitudes"].__setitem__(2, "0.5"),
-     "string values where real amplitudes are expected"),
+     "record 4, amplitude 3: '0.5' is not a number"),
+    (lambda rec: rec["amplitudes"].__setitem__(2, True),
+     "record 4, amplitude 3: True is not a number"),
+    (lambda rec: rec["amplitudes"].__setitem__(2, None),
+     "record 4, amplitude 3: None is not a number"),
+    (lambda rec: rec["amplitudes"].pop(),
+     "record 4: 4 sites need 16 amplitudes per record, got 15"),
+    (lambda rec: rec.update(amplitudes=0.5),
+     "record 4: 4 sites need 16 amplitudes per record, got 0.5"),
+    (lambda rec: rec.update(label=True), "record 4: label True is not a number"),
 ], ids=["label-0", "label-2.5", "label-against-ratio", "no-label",
         "no-amplitudes", "no-ratio", "ratio-nan", "ratio-inf",
         "ratio-negative", "ratio-zero", "ratio-string", "ratio-bool",
-        "amplitude-string"])
+        "amplitude-string", "amplitude-true", "amplitude-null",
+        "amplitudes-too-few", "amplitudes-not-a-list", "label-bool"])
 def test_load_rejects_malformed_record(tmp_path, small_set, edit, cause):
     path = tmp_path / "bad.jsonl"
     save_dataset(path, small_set)
@@ -433,9 +452,28 @@ def test_load_rejects_malformed_record(tmp_path, small_set, edit, cause):
      "header: seed True is not an integer"),
     (lambda header: header.update(count=12.0),
      "header: count 12.0 is not an integer"),
+    (lambda header: header.update(J=float("nan")),
+     "header: J nan is not 1.0, the energy unit"),
+    (lambda header: header.update(J=2.5),
+     "header: J 2.5 is not 1.0, the energy unit"),
+    (lambda header: header.update(J=True), "header: J True is not a number"),
+    (lambda header: header.update(J="1"), "header: J '1' is not a number"),
+    (lambda header: header.pop("J"), "header: missing field 'J'"),
+    (lambda header: header.update(ratio_range=[5, -1]),
+     f"{WINDOW}, got [5, -1] and [0.95, 1.05]"),
+    (lambda header: header.update(exclusion="x"),
+     "header: exclusion 'x' is not two numbers"),
+    (lambda header: header.update(ratio_range=[0.2, True]),
+     "header: ratio_range [0.2, True] is not two numbers"),
+    (lambda header: header.pop("ratio_range"),
+     "header: missing field 'ratio_range'"),
+    (lambda header: header.pop("exclusion"),
+     "header: missing field 'exclusion'"),
 ], ids=["no-sites", "wrong-sites", "no-count", "count-above-records",
         "sites-fraction", "sites-float", "sites-string", "seed-fraction",
-        "seed-bool", "count-float"])
+        "seed-bool", "count-float", "j-nan", "j-2.5", "j-bool", "j-string",
+        "no-j", "ratio-range-reversed", "exclusion-string",
+        "ratio-range-bool", "no-ratio-range", "no-exclusion"])
 def test_load_rejects_malformed_header(tmp_path, small_set, edit, cause):
     path = tmp_path / "bad.jsonl"
     save_dataset(path, small_set)
@@ -448,4 +486,5 @@ def test_dataset_rejects_labels_other_than_plus_minus_one(small_set):
     labels = small_set.labels.copy()
     labels[2] = 0
     with pytest.raises(ValueError, match=r"record 3: label 0 is not \+1/-1"):
-        TfimDataset(small_set.features, labels, small_set.ratios, 4, 1.0, 5)
+        TfimDataset(small_set.features, labels, small_set.ratios, 4, 5,
+                    [0.2, 1.8], [0.95, 1.05])
