@@ -398,7 +398,7 @@ def run_experiment(ns: argparse.Namespace) -> dict:
     for key in ("dataset", "data"):
         # by content, not path, so the report reads the same from any
         # checkout; CRC-32 because importing hashlib loads OpenSSL, which
-        # adds 3.7 MB to peak RSS (CPython 3.11, Linux)
+        # adds 3.5 MB to peak RSS (CPython 3.11, Linux)
         if config.get(key) is not None:
             path = Path(config[key])
             data = path.read_bytes()

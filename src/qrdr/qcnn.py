@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import make_rng, require_finite, vector_json
+from .dataset import PhiloxStream, require_finite, vector_json
 from .linalg import kron_all
 
 N_ANSATZ_PARAMS = 28
@@ -212,7 +212,7 @@ class QcnnModel:
     def initial(r: int, seed: int) -> "QcnnModel":
         if r % 2:
             raise ValueError("data register must have an even number of qubits")
-        rng = make_rng(seed, 5)
+        rng = PhiloxStream(seed, 5)
         return QcnnModel(
             r=r,
             theta=rng.uniform(-0.1, 0.1, N_ANSATZ_PARAMS),
@@ -433,7 +433,7 @@ def _fit(model, data: SplitData, cfg: TrainConfig, grad_fn,
     cfg.validate(len(data.train_y))
     params = model.params()
     opt = _Adam(params.size, cfg.learning_rate)
-    shuffle = make_rng(cfg.seed, 4)
+    shuffle = PhiloxStream(cfg.seed, 4)
     result = TrainResult()
     n = len(data.train_y)
     for epoch in range(cfg.epochs):
@@ -480,7 +480,7 @@ class MlpModel:
 
     @staticmethod
     def initial(n_inputs: int, seed: int) -> "MlpModel":
-        rng = make_rng(seed, 6)
+        rng = PhiloxStream(seed, 6)
         sizes = [n_inputs] + [MLP_WIDTH] * MLP_DEPTH + [1]
         weights, biases = [], []
         for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

@@ -19,11 +19,12 @@ full-precision floats.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import make_rng, require_finite, require_labels
+from .dataset import PhiloxStream, require_finite, require_labels
 from .linalg import fix_signs
 
 
@@ -235,10 +236,11 @@ class TfimDataset:
     """Ground-state amplitudes with phase labels, sorted by ratio h/J, and
     the windows the ratios were drawn from.
 
-    Each record holds 2^n_sites finite real amplitudes, a finite positive
-    ratio h/J and the +1/-1 label of that ratio; the first bad value is
-    rejected, naming its 1-based record (and amplitude).  The windows must
-    pass :func:`check_window`.
+    ``n_sites`` must be below 63, so that a record can hold its 2^n_sites
+    amplitudes.  Each record holds 2^n_sites finite real amplitudes, a
+    finite positive ratio h/J and the +1/-1 label of that ratio; the first
+    bad value is rejected, naming its 1-based record (and amplitude).  The
+    windows must pass :func:`check_window`.
     """
 
     features: np.ndarray   # (count, 2^n_sites) real amplitudes
@@ -251,6 +253,7 @@ class TfimDataset:
 
     def __post_init__(self):
         self.features = require_finite(self.features, "record", "amplitude")
+        _check_sites(self.n_sites, "n_sites")
         if self.features.shape[1] != 2 ** self.n_sites:
             raise ValueError(f"{self.n_sites} sites need {2 ** self.n_sites} "
                              f"amplitudes per record, got "
@@ -271,6 +274,20 @@ class TfimDataset:
     @property
     def count(self) -> int:
         return self.features.shape[0]
+
+
+# no list is longer than sys.maxsize < 2^63, so no record holds the
+# 2^n_sites amplitudes of 63 or more sites
+_SITE_LIMIT = sys.maxsize.bit_length()
+
+
+def _check_sites(n_sites: int, where: str) -> None:
+    """Raise ``ValueError`` naming ``where`` unless some record can hold
+    the 2^n_sites amplitudes, before anything computes that power."""
+    if not 0 <= n_sites < _SITE_LIMIT:
+        raise ValueError(f"{where} {n_sites} is outside 0 .. "
+                         f"{_SITE_LIMIT - 1}: no record holds 2^n_sites "
+                         "amplitudes")
 
 
 def check_window(ratio_range, exclusion) -> None:
@@ -296,7 +313,7 @@ def generate_dataset(n_sites: int = 8, count: int = 200, seed: int = 7,
     if count <= 0 or count % 2:
         raise ValueError("count must be positive and even for balanced classes")
     check_window(ratio_range, exclusion)
-    rng = make_rng(seed, 3)
+    rng = PhiloxStream(seed, 3)
     half = count // 2
     ratios = np.concatenate([
         rng.uniform(ratio_range[0], exclusion[0], half),
@@ -344,19 +361,37 @@ def _number(value, where: str):
     return value
 
 
+def _objects(fh):
+    # the JSON value of each non-blank line; a line that is not JSON is
+    # named by its line in the file and by the header or its 1-based record
+    record = 0
+    for lineno, line in enumerate(fh, start=1):
+        if line.strip():
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                where = f"record {record}" if record else "header"
+                raise ValueError(f"{where} (line {lineno}): not valid JSON: "
+                                 f"{exc.msg} at column {exc.colno}") from None
+            yield value
+            record += 1
+
+
 def load_dataset(path) -> TfimDataset:
     """Read a file written by :func:`save_dataset`, one line at a time.
 
-    The header's ``n_sites``, ``seed`` and ``count`` must be JSON integers,
-    its ``J`` 1.0 and its windows pairs of numbers; each of the ``count``
-    records holds a number ``h_over_j``, a number ``label`` and 2^n_sites
-    number ``amplitudes``.  A missing field or a bad value raises
-    ``ValueError`` naming the header field, or the 1-based record (and
-    amplitude), as do the checks of :class:`TfimDataset`.
+    Every non-blank line must be JSON.  The header's ``n_sites``, ``seed``
+    and ``count`` must be JSON integers, ``n_sites`` below 63, its ``J``
+    1.0 and its windows pairs of numbers; each of the ``count`` records
+    holds a number ``h_over_j``, a number ``label`` and 2^n_sites number
+    ``amplitudes``.  A line that is not JSON, a missing field or a bad
+    value raises ``ValueError`` naming the header field, or the 1-based
+    record (and amplitude), as do the checks of :class:`TfimDataset`; a
+    line that is not JSON is named by its file line too.
     """
     keys = ("n_sites", "seed", "count", "J", "ratio_range", "exclusion")
     with open(path, "r", encoding="ascii") as fh:
-        lines = (json.loads(line) for line in fh if line.strip())
+        lines = _objects(fh)
         header = next(lines, None)
         if not isinstance(header, dict) or header.get("kind") != "tfim-phase":
             raise ValueError(f"{path}: " + ("empty file" if header is None
@@ -366,6 +401,7 @@ def load_dataset(path) -> TfimDataset:
         for key, value in zip(keys[:3], values):
             if type(value) is not int:
                 raise ValueError(f"header: {key} {value!r} is not an integer")
+        _check_sites(n_sites, "header: n_sites")
         if _number(J, "header: J") != 1.0:
             raise ValueError(f"header: J {J!r} is not 1.0, the energy unit")
         for key, window in zip(keys[4:], windows):

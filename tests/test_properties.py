@@ -8,11 +8,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import conv_lcu, run_full
-from qrdr.dataset import SONAR_FEATURES, kfold_split, load_sonar, make_rng
+from qrdr.dataset import (SONAR_FEATURES, PhiloxStream, kfold_split,
+                          load_sonar, make_rng)
 from qrdr.engine import (REDUCTION_C_DIVISOR, RegisterLayout,
                          build_hamiltonian, evolve_blockwise, evolve_full,
                          reduce_rows, run_qrdr)
@@ -134,6 +136,61 @@ def test_kfold_splits_partition_the_samples(n, k, seed, stream):
         expect = np.sort(np.setdiff1d(perm, test, assume_unique=True))
         assert train.dtype == expect.dtype
         assert np.array_equal(train, expect)
+
+
+# a stream key: a seed and 0 to 3 stream words, each of one or two 32-bit
+# words; a uniform draw: low <= high (numpy rejects the other order), and
+# a size that is an int or a shape, empty ones too
+_keys = st.tuples(st.integers(0, 2 ** 40),
+                  st.lists(st.integers(0, 2 ** 40), max_size=3))
+_uniform = st.tuples(
+    st.floats(-2.0, 2.0), st.floats(0.0, 4.0),
+    st.one_of(st.integers(0, 40),
+              st.tuples(st.integers(0, 5), st.integers(0, 7)))).map(
+    lambda t: ("uniform", t[0], t[0] + t[1], t[2]))
+
+
+def _same_draws(ours, ref, method, *args):
+    a, b = getattr(ours, method)(*args), getattr(ref, method)(*args)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(key=_keys, calls=st.lists(st.one_of(
+    st.tuples(st.just("permutation"), st.integers(0, 300)), _uniform),
+    min_size=1, max_size=6))
+def test_philox_stream_draws_what_make_rng_draws(key, calls):
+    seed, stream = key
+    ours, ref = PhiloxStream(seed, *stream), make_rng(seed, *stream)
+    for call in calls:
+        _same_draws(ours, ref, *call)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(key=_keys, n=st.integers(2, 300), uniform=_uniform)
+def test_philox_stream_keeps_a_half_word_across_uniform(key, n, uniform):
+    # permutations until one ends on an odd number of 32-bit words: the
+    # high half of its last 64-bit output waits through the uniform draws
+    # and starts the next permutation
+    seed, stream = key
+    ours, ref = PhiloxStream(seed, *stream), make_rng(seed, *stream)
+    for _ in range(8):
+        _same_draws(ours, ref, "permutation", n)
+        if ours._half is not None:
+            break
+    assume(ours._half is not None)
+    _same_draws(ours, ref, *uniform)
+    _same_draws(ours, ref, "permutation", n)
+
+
+@pytest.mark.parametrize("key", [(-1,), (7, -3), (2 ** 40, 0, -1)])
+def test_philox_stream_rejects_negative_words_as_numpy_does(key):
+    with pytest.raises(ValueError) as ref:
+        make_rng(*key)
+    with pytest.raises(ValueError) as ours:
+        PhiloxStream(*key)
+    assert str(ours.value) == str(ref.value)
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

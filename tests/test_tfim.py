@@ -446,6 +446,10 @@ def test_load_rejects_malformed_record(tmp_path, small_set, edit, cause):
      "header: n_sites 4.0 is not an integer"),
     (lambda header: header.update(n_sites="4"),
      "header: n_sites '4' is not an integer"),
+    (lambda header: header.update(n_sites=100000),
+     "header: n_sites 100000 is outside 0 .. 62"),
+    (lambda header: header.update(n_sites=-1),
+     "header: n_sites -1 is outside 0 .. 62"),
     (lambda header: header.update(seed=5.5),
      "header: seed 5.5 is not an integer"),
     (lambda header: header.update(seed=True),
@@ -470,7 +474,8 @@ def test_load_rejects_malformed_record(tmp_path, small_set, edit, cause):
     (lambda header: header.pop("exclusion"),
      "header: missing field 'exclusion'"),
 ], ids=["no-sites", "wrong-sites", "no-count", "count-above-records",
-        "sites-fraction", "sites-float", "sites-string", "seed-fraction",
+        "sites-fraction", "sites-float", "sites-string", "sites-huge",
+        "sites-negative", "seed-fraction",
         "seed-bool", "count-float", "j-nan", "j-2.5", "j-bool", "j-string",
         "no-j", "ratio-range-reversed", "exclusion-string",
         "ratio-range-bool", "no-ratio-range", "no-exclusion"])
@@ -480,6 +485,29 @@ def test_load_rejects_malformed_header(tmp_path, small_set, edit, cause):
     _edit_record(path, 0, edit)
     with pytest.raises(ValueError, match=re.escape(cause)):
         load_dataset(path)
+
+
+def test_load_names_the_line_that_is_not_json(tmp_path, small_set):
+    # the default file cut at byte 5,000 ends inside its first record
+    path = tmp_path / "cut.jsonl"
+    save_dataset(path, generate_dataset())
+    path.write_bytes(path.read_bytes()[:5000])
+    with pytest.raises(ValueError, match=re.escape(
+            "record 1 (line 2): not valid JSON: Expecting ',' delimiter at "
+            "column 4854")):
+        load_dataset(path)
+    save_dataset(path, small_set)
+    path.write_text("\n{\n" + path.read_text())
+    with pytest.raises(ValueError, match=re.escape(
+            "header (line 2): not valid JSON")):
+        load_dataset(path)
+
+
+def test_dataset_rejects_sites_no_record_can_hold(small_set):
+    with pytest.raises(ValueError,
+                       match="n_sites 100000 is outside 0 .. 62"):
+        TfimDataset(small_set.features, small_set.labels, small_set.ratios,
+                    100000, 5, [0.2, 1.8], [0.95, 1.05])
 
 
 def test_dataset_rejects_labels_other_than_plus_minus_one(small_set):
