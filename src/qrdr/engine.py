@@ -31,8 +31,10 @@ fixed data-register eigenvector |v_k> are invariant: their blocks
 similarities diag(1, i) between the probe halves and W = B / sqrt(2^r) on
 the probe-|0> half make each block real, with coupling gamma I
 (gamma = g sqrt(2^r)) and u u^T - I in place of D0 = diag(0, -1, ..., -1)
-(u = W e_0 = 2^(-r/2) (1, ..., 1)); all are diagonalised in one stacked
-eigensolve (:meth:`QrdrHamiltonian.sector_eig`).  A reduction stacks only
+(u = W e_0 = 2^(-r/2) (1, ..., 1)); all are diagonalised in eigensolves
+of at most SECTOR_STACK_BYTES (:meth:`QrdrHamiltonian.sector_stacks`),
+with the bits of one stack, as ``eigh`` and the stacked products treat
+each block on its own.  A reduction stacks only
 the sectors its data populates and merges the levels j >= R: they share
 the diagonal lam_1 + lam_k and their entry of u, so permuting them fixes
 the block and the start state (u, 0), and they evolve as one level of
@@ -77,6 +79,11 @@ REDUCTION_GAP_RTOL = math.sqrt(np.finfo(float).eps)
 # 2), eps lam_1 / c = 1.5e-2 rad (s = 1e4) still gave epsilon 1.3e-6, and
 # 1.5 rad (s = 1e5) gave epsilon 6.7e-3.
 DEPHASING_TOL = 0.1
+
+# bytes of real blocks per sector eigensolve: one stack of sonar's 60
+# blocks at R = 32 read 38.44 MB of benchmark peak RSS; 1 MiB, 256 KiB and
+# 64 KiB stacks read 37.65, 35.52 and 35.02 MB (224 eigensolves, not 66)
+SECTOR_STACK_BYTES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -184,9 +191,9 @@ class QrdrHamiltonian:
                    u: np.ndarray) -> SpectralDecomposition:
         """Eigensystems of the spread-frame blocks of data eigenvalues
         ``lam``, [[u u^T - I, gamma I], [gamma I, diag(hdiag[:s] + lam_k)]]
-        with s = u.size, from one real stacked eigensolve.  The weights u
-        are 2^(-r/2) (1, ..., 1) for the whole register, or the merged ones
-        of :meth:`probe_amplitudes`."""
+        with s = u.size, from one real stacked eigensolve (one of
+        :meth:`sector_stacks`).  The weights u are 2^(-r/2) (1, ..., 1) for
+        the whole register, or the merged ones of :meth:`probe_amplitudes`."""
         s = u.size
         gamma = (self.c * np.pi / 2.0) * math.sqrt(self.layout.dim_r)
         idx = np.arange(s)
@@ -196,17 +203,28 @@ class QrdrHamiltonian:
         blocks[:, idx, s + idx] = blocks[:, s + idx, idx] = gamma
         return hermitian_eig(blocks, check=False)
 
+    def sector_stacks(self, lam: np.ndarray, u: np.ndarray):
+        """``(sl, sector_eig(lam[sl], u))`` over consecutive slices of at
+        least one sector and at most SECTOR_STACK_BYTES of blocks."""
+        per = max(1, SECTOR_STACK_BYTES // (8 * (2 * u.size) ** 2))
+        for start in range(0, lam.size, per):
+            sl = slice(start, start + per)
+            yield sl, self.sector_eig(lam[sl], u)
+
     def probe_amplitudes(self) -> np.ndarray:
         """Probe-|1> amplitudes of exp(-i H / c) |p=0, j=0>|v_k>, (j, k),
         over the model's sectors, i V_b (e^(-i theta t) * u^T V_a) with the
-        levels j >= R merged (module docstring) and spread back."""
+        levels j >= R merged (module docstring) and spread back, solved in
+        :meth:`sector_stacks`."""
         levels = np.minimum(np.arange(self.layout.dim_r), self.rank)
         counts = np.bincount(levels)           # j >= R share one level
         u = np.sqrt(counts / self.layout.dim_r)
-        eig = self.sector_eig(self.model.eigenvalues, u)
-        top, bottom = np.split(eig.vectors, 2, axis=-2)
-        phased = np.exp(-1j * eig.values * self.t_resonant) * (u @ top)
-        upper = (1j * (bottom @ phased[..., None])[..., 0]).T
+        lam = self.model.eigenvalues
+        upper = np.empty((u.size, lam.size), dtype=complex)
+        for sl, eig in self.sector_stacks(lam, u):
+            top, bottom = np.split(eig.vectors, 2, axis=-2)
+            phased = np.exp(-1j * eig.values * self.t_resonant) * (u @ top)
+            upper[:, sl] = (1j * (bottom @ phased[..., None])[..., 0]).T
         return upper[levels] / np.sqrt(counts[levels])[:, None]
 
     def dense(self) -> np.ndarray:
@@ -295,24 +313,25 @@ def evolve_full(h: QrdrHamiltonian, psi: np.ndarray) -> np.ndarray:
 def evolve_blockwise(h: QrdrHamiltonian, psi: np.ndarray) -> np.ndarray:
     """Evolution to t = 1/c through the invariant data-eigenvector sectors.
 
-    Rotates the data register into the eigenbasis of A, evolves all 2^n
-    sectors at once with their stacked 2^(r+1)-dimensional spread-frame
-    blocks, and rotates back.
+    Rotates the data register into the eigenbasis of A, evolves the 2^n
+    sectors with their 2^(r+1)-dimensional spread-frame blocks in
+    :meth:`QrdrHamiltonian.sector_stacks`, and rotates back.
     """
     psi = np.asarray(psi)
     dim_r, dim_n = h.layout.dim_r, h.layout.dim_n
     lam, vectors = h.padded_basis()
-    # the spread-frame eigenvectors mapped back through diag(W, i I)
-    eig = h.sector_eig(lam, np.full(dim_r, dim_r ** -0.5))
-    top, bottom = np.split(eig.vectors, 2, axis=-2)
     spread = spread_operator(h.layout.r_qubits) / math.sqrt(dim_r)
-    eig = SpectralDecomposition(
-        eig.values, np.concatenate([spread @ top, 1j * bottom], axis=-2))
     # (p, j, d, i) -> (k, (p, j), i): data axis in the eigenbasis, leading
     work = psi.reshape(2 * dim_r, dim_n, -1).swapaxes(0, 1)
     work = np.tensordot(vectors, work, axes=(0, 0))
-    work = evolve_spectral(eig, h.t_resonant, work)
-    out = np.tensordot(vectors, work, axes=(1, 0)).swapaxes(0, 1)
+    evolved = np.empty(work.shape, dtype=complex)
+    for sl, eig in h.sector_stacks(lam, np.full(dim_r, dim_r ** -0.5)):
+        # the spread-frame eigenvectors mapped back through diag(W, i I)
+        top, bottom = np.split(eig.vectors, 2, axis=-2)
+        eig = SpectralDecomposition(
+            eig.values, np.concatenate([spread @ top, 1j * bottom], axis=-2))
+        evolved[sl] = evolve_spectral(eig, h.t_resonant, work[sl])
+    out = np.tensordot(vectors, evolved, axes=(1, 0)).swapaxes(0, 1)
     return out.reshape(psi.shape)
 
 

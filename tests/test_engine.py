@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -307,7 +308,10 @@ def test_sector_stack_is_the_dense_hamiltonian_per_sector(small_instance):
     frame[dim_r:, dim_r:] = 1j * np.eye(dim_r)
     spread_frame = frame.conj().T @ restricted @ frame
     np.testing.assert_allclose(reconstruct(eig), spread_frame, atol=1e-12)
-    assert np.array_equal(h.sector_eig(lam[:3], u).values, eig.values[:3])
+    # a sub-stack solves each of its sectors to the same bits
+    part = h.sector_eig(lam[:3], u)
+    assert np.array_equal(part.values, eig.values[:3])
+    assert np.array_equal(part.vectors, eig.vectors[:3])
 
 
 def test_blockwise_reduction_solves_one_stack(monkeypatch, rng):
@@ -318,6 +322,7 @@ def test_blockwise_reduction_solves_one_stack(monkeypatch, rng):
 
     def counted_eig(H, check=True):
         calls["eig"].append(np.shape(H))
+        calls["corner"].append(H[:, -1, -1])   # hdiag[s - 1] + lam_k
         return eig(H, check)
 
     def counted_spread(r):
@@ -330,10 +335,56 @@ def test_blockwise_reduction_solves_one_stack(monkeypatch, rng):
     # one real stacked eigensolve over the 6 populated sectors, not the 8
     # padded, and no Kronecker product; at R = 5 (r = 3) the levels j >= 5
     # evolve as one, so each block holds 2 (5 + 1) levels instead of 2^4
+    model = fit_pca(X)
+    default = engine.SECTOR_STACK_BYTES
     for rank, block in ((2, 4), (5, 12)):
-        calls.update(eig=[], spread=0)
-        _reduce(X, rank, 1e-3)
-        assert calls == {"eig": [(6, block, block)], "spread": 0}
+        h = build_hamiltonian(model, rank, 1e-3)
+        calls.update(eig=[], corner=[], spread=0)
+        run_qrdr(h)
+        assert calls["eig"] == [(6, block, block)] and calls["spread"] == 0
+        # a budget of 4 blocks: stacks of 4 and 2 sectors, each sector
+        # once and in order
+        budget = 4 * 8 * block ** 2
+        monkeypatch.setattr(engine, "SECTOR_STACK_BYTES", budget)
+        calls.update(eig=[], corner=[])
+        run_qrdr(h)
+        monkeypatch.setattr(engine, "SECTOR_STACK_BYTES", default)
+        assert calls["eig"] == [(4, block, block), (2, block, block)]
+        assert all(8 * np.prod(shape) <= budget for shape in calls["eig"])
+        corner = h.hdiag[block // 2 - 1] + model.eigenvalues
+        assert np.array_equal(np.concatenate(calls["corner"]), corner)
+
+
+def test_sector_stacks_move_no_bit(monkeypatch, sonar_features):
+    import qrdr.engine as engine
+
+    h = build_hamiltonian(fit_pca(sonar_features), 32, 1e-3)
+    # R = 32: 60 populated sectors, 64 padded, of 64 x 64 blocks (32 KiB)
+    monkeypatch.setattr(engine, "SECTOR_STACK_BYTES", 25 * 8 * 64 ** 2)
+    stacks = h.sector_stacks(h.model.eigenvalues, np.ones(32))
+    assert [eig.values.shape[0] for _, eig in stacks] == [25, 25, 10]
+    psi = make_rng(5, 1).normal(size=(h.layout.dim, 3))
+    split = h.probe_amplitudes(), run_qrdr(h), evolve_blockwise(h, psi)
+    monkeypatch.setattr(engine, "SECTOR_STACK_BYTES", 2 ** 40)
+    whole = h.probe_amplitudes(), run_qrdr(h), evolve_blockwise(h, psi)
+    assert np.array_equal(split[0], whole[0])
+    for name in ("reduced_state", "success_probability", "epsilon"):
+        assert np.array_equal(getattr(split[1], name), getattr(whole[1], name))
+    assert np.array_equal(split[2], whole[2])
+
+
+def test_reduction_memory_is_bounded_by_the_sector_stacks(sonar_features):
+    # with all 60 blocks of sonar at R = 32 in one stack the peak was
+    # 4.00 MiB; the bounded stacks give 0.93 MiB
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_qrdr(build_hamiltonian(fit_pca(sonar_features), 32, 0.004))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2 ** 20
 
 
 def test_blockwise_preserves_sector(small_instance):

@@ -1,7 +1,13 @@
 """Property tests: invariants checked on random instances, not hand-picked
 ones.
 
-Every property runs derandomized, so a failure reproduces on rerun.
+Every property runs derandomized, but its examples are not fixed by the
+seed alone: hypothesis 6.155 also draws literal constants from every local
+module loaded in ``sys.modules``, so which examples run depends on the
+modules the run imported and on their literals.  For one,
+``pytest tests/test_properties.py -k blockwise_run_matches`` fails when run
+alone (an example with lambda_1 = 3175 misses the 1e-11 bound on the
+success probability by 1.38e-11), while the full suite passes it.
 """
 
 import tempfile
