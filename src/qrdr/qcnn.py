@@ -375,31 +375,38 @@ def loss_and_grad(model: QcnnModel, Z, labels: np.ndarray):
 
 
 class _Adam:
-    """Adam at learning rate ``lr``, with Kingma & Ba's beta1, beta2, eps."""
+    """Adam at learning rate ``lr``, with Kingma & Ba's beta1, beta2, eps.
+
+    Two scratch vectors are allocated once, beside ``m`` and ``v``, so a
+    step allocates nothing: it updates ``params`` in place and returns
+    that same array."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, n: int, lr: float):
         self.lr = lr
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
+        self.m, self.v = np.zeros(n), np.zeros(n)
+        self._step, self._denom = np.empty(n), np.empty(n)
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        # in place, and rounding exactly as b1 m + (1 - b1) g,
+        # rounding exactly as b1 m + (1 - b1) g,
         # b2 v + ((1 - b2) g) g and params - lr mhat / (sqrt(vhat) + eps)
         self.t += 1
+        step, denom = self._step, self._denom
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
+        self.m += np.multiply(1.0 - self.beta1, grad, out=step)
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grad * grad
-        step = self.m / (1.0 - self.beta1 ** self.t)
+        np.multiply(1.0 - self.beta2, grad, out=step)
+        self.v += np.multiply(step, grad, out=step)
+        np.divide(self.m, 1.0 - self.beta1 ** self.t, out=step)
         step *= self.lr
-        denom = self.v / (1.0 - self.beta2 ** self.t)
+        np.divide(self.v, 1.0 - self.beta2 ** self.t, out=denom)
         np.sqrt(denom, out=denom)
         denom += self.eps
         step /= denom
-        return params - step
+        params -= step
+        return params
 
 
 @dataclass
@@ -428,8 +435,10 @@ HISTORY_FIELDS = ("epoch", "train_loss", "train_acc", "test_loss", "test_acc")
 
 def _fit(model, data: SplitData, cfg: TrainConfig, grad_fn,
          logits_fn) -> TrainResult:
-    """Minibatch Adam over ``model.params()``: ``grad_fn(model, X, y)`` gives
-    a batch's (loss, gradient), ``logits_fn(model, X)`` scores each epoch."""
+    """Minibatch Adam over ``model.params()``, updated in place:
+    ``grad_fn(model, X, y)`` gives a batch's (loss, gradient), which goes
+    straight to the step and is released before the next batch;
+    ``logits_fn(model, X)`` scores each epoch."""
     cfg.validate(len(data.train_y))
     params = model.params()
     opt = _Adam(params.size, cfg.learning_rate)
@@ -440,9 +449,8 @@ def _fit(model, data: SplitData, cfg: TrainConfig, grad_fn,
         order = shuffle.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            _, grad = grad_fn(model.with_params(params),
-                              data.train_x[idx], data.train_y[idx])
-            params = opt.step(params, grad)
+            opt.step(params, grad_fn(model.with_params(params),
+                                     data.train_x[idx], data.train_y[idx])[1])
         current = model.with_params(params)
         tr_e = logits_fn(current, data.train_x)
         te_e = logits_fn(current, data.test_x)

@@ -1,6 +1,7 @@
 import functools
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,20 @@ def test_save_load_round_trip(tmp_path, small_set):
     assert back.exclusion == small_set.exclusion == [0.95, 1.05]
 
 
+def test_load_holds_one_record_at_a_time_as_python_floats(tmp_path):
+    # with every record kept as a list of floats until the end the peak
+    # was 2.04 MiB (2.14 MB); arrays made record by record give 0.87 MiB
+    path = tmp_path / "tfim_phase.jsonl"
+    save_dataset(path, generate_dataset(8, 200, seed=7))
+    tracemalloc.start()
+    try:
+        load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2e6
+
+
 def test_save_header_schema(tmp_path, small_set):
     path = tmp_path / "d.jsonl"
     save_dataset(path, small_set)
@@ -432,6 +447,20 @@ def test_load_rejects_malformed_record(tmp_path, small_set, edit, cause):
     _edit_record(path, 4, edit)    # line 0 is the header
     with pytest.raises(ValueError, match=re.escape(cause)):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("records", [[4], range(1, 13)], ids=["one", "every"])
+def test_load_reads_integer_amplitudes_as_floats(tmp_path, small_set, records):
+    path = tmp_path / "ints.jsonl"
+    save_dataset(path, small_set)
+    basis = [1] + [0] * 15
+    for line in records:
+        _edit_record(path, line, lambda rec: rec.update(amplitudes=basis))
+    expected = small_set.features.copy()
+    expected[[i - 1 for i in records]] = basis
+    back = load_dataset(path)
+    assert back.features.dtype == np.float64
+    np.testing.assert_array_equal(back.features, expected)
 
 
 @pytest.mark.parametrize("edit, cause", [
